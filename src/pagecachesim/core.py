@@ -63,9 +63,9 @@ class Folio:
     """Metadata for one resident 4 KiB page."""
 
     __slots__ = ("id", "file", "offset", "owner", "referenced", "active",
-                 "dirty", "pinned", "inserted_at", "last_access")
+                 "dirty", "pinned")
 
-    def __init__(self, folio_id, file, offset, owner, dirty, now):
+    def __init__(self, folio_id, file, offset, owner, dirty):
         self.id = folio_id
         self.file = file
         self.offset = offset
@@ -74,8 +74,6 @@ class Folio:
         self.active = False
         self.dirty = dirty
         self.pinned = False
-        self.inserted_at = now
-        self.last_access = now
 
     def __repr__(self):
         return ("Folio(id=%d, file=%d, offset=%d, owner=%d, active=%s)"
@@ -156,7 +154,6 @@ class Simulator:
         self._folios: dict[int, Folio] = {}
         self._pages: dict[int, dict[int, int]] = {}  # file -> offset -> fid
         self._next_folio_id = 1
-        self._clock = 0
         self._policy_cgroups: list[CgroupSim] = []
         self.debug = debug
         self.eviction_log: list | None = [] if record_evictions else None
@@ -259,7 +256,6 @@ class Simulator:
         cg = self._cgroups.get(cgroup_id)
         if cg is None:
             raise UnknownCgroupError("unknown cgroup %r" % cgroup_id)
-        self._clock += 1
         stats = cg.stats
         stats.accesses += 1
         pages = self._pages.get(file)
@@ -277,7 +273,6 @@ class Simulator:
                     owner.active[fid] = None
                     folio.active = True
             folio.referenced = True
-            folio.last_access = self._clock
             if policy is not None:
                 owner.policy_cg.current_thread = thread
                 try:
@@ -290,7 +285,7 @@ class Simulator:
         target = self.refault_check(cg, file, offset)
         fid = self._next_folio_id
         self._next_folio_id += 1
-        folio = Folio(fid, file, offset, cgroup_id, write, self._clock)
+        folio = Folio(fid, file, offset, cgroup_id, write)
         if target is InsertTarget.ACTIVE_TAIL:
             folio.active = True
             cg.active[fid] = None

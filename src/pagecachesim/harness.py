@@ -1,28 +1,29 @@
 """Scenario configuration, trace replay, metrics, and CSV reporting.
 
-The harness turns a declarative ``ScenarioConfig`` into a simulator run:
-it creates the cgroups, attaches policies, replays the workload's event
-stream page by page, and collects per-cgroup ``Metrics``. ``compare`` runs
-the same stream under several policies, and ``scenario_isolation`` replays
-two interleaved workloads under the four policy assignments of a
-two-tenant experiment.
+The harness turns a declarative ``ScenarioConfig`` into report rows. One
+private function, ``_replay_rows``, does every replay: it creates the
+cgroups, attaches one (policy, params) pair per cgroup from the policy
+table in ``policies``, replays an event stream page by page, checks the
+accounting identities, and collects per-cgroup ``Metrics``. The three
+entry points validate their input and then call it: ``run`` with each
+cgroup's own policy, ``compare`` once per policy on the same stream, and
+``scenario_isolation`` once per policy assignment of a two-tenant
+experiment on two interleaved workloads.
 
 Hit ratios are the reported quantity; absolute throughput and latency are
 hardware-bound and out of scope. Reports are CSV with one row per
-(policy, cgroup) and a stable column order. Replay wall time is kept on
-the ``Metrics`` object but not serialized, so reruns of the same seed
-produce byte-identical files.
+(policy, cgroup) and a stable column order, and hold no timing, so reruns
+of the same seed produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import time
 from dataclasses import dataclass, field, fields as dataclass_fields
 
 from .core import PAGE_SIZE, AccessOutcome, Simulator
-from .policies import POLICY_NAMES, make_policy
+from .policies import make_policy
 from .policy_api import CANDIDATES_MAX
 from .workloads import (
     Op,
@@ -45,8 +46,7 @@ class ReplayError(RuntimeError):
 @dataclass
 class Metrics:
     """Per-cgroup outcome of one run. ``*_hit_ratio`` fields are None when
-    the cgroup saw no accesses of that kind. ``replay_seconds`` covers the
-    whole run and is excluded from CSV output."""
+    the cgroup saw no accesses of that kind."""
 
     cgroup: int
     accesses: int
@@ -63,11 +63,9 @@ class Metrics:
     refault_activations: int
     writebacks: int
     file_removed_folios: int
-    replay_seconds: float
 
 
-CSV_COLUMNS = ("policy",) + tuple(
-    f.name for f in dataclass_fields(Metrics) if f.name != "replay_seconds")
+CSV_COLUMNS = ("policy",) + tuple(f.name for f in dataclass_fields(Metrics))
 
 
 @dataclass
@@ -147,13 +145,10 @@ class ScenarioConfig:
             elif spec.limit_bytes % PAGE_SIZE:
                 errors.append("%s: limit_bytes must be a multiple of %d"
                               % (label, PAGE_SIZE))
-            if spec.policy not in POLICY_NAMES:
-                errors.append("%s: unknown policy %r" % (label, spec.policy))
-            else:
-                try:
-                    make_policy(spec.policy, spec.params, self.scan_window)
-                except (TypeError, ValueError) as exc:
-                    errors.append("%s: %s" % (label, exc))
+            try:
+                make_policy(spec.policy, spec.params, self.scan_window)
+            except (TypeError, ValueError) as exc:
+                errors.append("%s: %s" % (label, exc))
         if not 1 <= self.candidates <= CANDIDATES_MAX:
             errors.append("candidates must be in 1..=%d" % CANDIDATES_MAX)
         if self.scan_window < self.candidates:
@@ -236,8 +231,7 @@ def replay(sim: Simulator, events) -> dict:
     return tallies
 
 
-def collect_metrics(sim: Simulator, cgroup_id: int, tallies: dict,
-                    elapsed: float) -> Metrics:
+def collect_metrics(sim: Simulator, cgroup_id: int, tallies: dict) -> Metrics:
     stats = sim.stats(cgroup_id)
 
     def op_ratio(op):
@@ -260,7 +254,6 @@ def collect_metrics(sim: Simulator, cgroup_id: int, tallies: dict,
         refault_activations=stats.refault_activations,
         writebacks=stats.writebacks,
         file_removed_folios=stats.file_removed_folios,
-        replay_seconds=elapsed,
     )
 
 
@@ -280,48 +273,38 @@ def _check_conservation(sim: Simulator, cgroup_id: int, tallies: dict):
                              % cgroup_id)
 
 
-def _build_sim(config: ScenarioConfig, policy_override=None) -> Simulator:
+def _replay_rows(config: ScenarioConfig, assignment, events) -> list:
+    """The single replay path. Builds a simulator with ``config``'s cgroups,
+    candidate batch and scan window, attaches ``assignment[i]``, a (policy
+    name, params) pair, to ``config.cgroups[i]``, replays ``events``, and
+    returns one (policy name, Metrics) row per cgroup in config order."""
     sim = Simulator(candidate_batch=config.candidates)
-    for spec in config.cgroups:
+    for spec, (name, params) in zip(config.cgroups, assignment):
         sim.add_cgroup(spec.id, spec.limit_pages)
-        name, params = spec.policy, spec.params
-        if policy_override is not None:
-            name, params = policy_override
         policy = make_policy(name, params, config.scan_window)
         if policy is not None:
             sim.attach_policy(spec.id, policy)
-    return sim
-
-
-def _policy_label(spec: CgroupSpec) -> str:
-    return spec.policy
-
-
-def run(config: ScenarioConfig, policy_override=None,
-        events=None) -> Report:
-    """Replay one scenario and return per-cgroup metrics.
-
-    ``policy_override`` (name, params) replaces every cgroup's policy, and
-    ``events`` replaces the generated stream; both exist for ``compare``
-    and ``scenario_isolation``. A CSV report is written when the config
-    names a report path.
-    """
-    errors = config.validate()
-    if errors:
-        raise ConfigError("invalid scenario:\n  " + "\n  ".join(errors))
-    sim = _build_sim(config, policy_override)
-    if events is None:
-        events = build_events(config.workload, config.seed)
-    start = time.perf_counter()
     tallies = replay(sim, events)
-    elapsed = time.perf_counter() - start
     rows = []
-    for spec in sorted(config.cgroups, key=lambda s: s.id):
+    for spec, (name, _) in zip(config.cgroups, assignment):
         _check_conservation(sim, spec.id, tallies)
-        label = policy_override[0] if policy_override else _policy_label(spec)
-        rows.append((label,
-                     collect_metrics(sim, spec.id, tallies, elapsed)))
-    report = Report(rows)
+        rows.append((name, collect_metrics(sim, spec.id, tallies)))
+    return rows
+
+
+def _raise_if(errors: list, what: str = "scenario") -> None:
+    if errors:
+        raise ConfigError("invalid %s:\n  %s" % (what, "\n  ".join(errors)))
+
+
+def run(config: ScenarioConfig) -> Report:
+    """Replay one scenario, each cgroup under its own policy, and return
+    per-cgroup metrics in cgroup id order. A CSV report is written when the
+    config names a report path."""
+    _raise_if(config.validate())
+    rows = _replay_rows(config, [(s.policy, s.params) for s in config.cgroups],
+                        build_events(config.workload, config.seed))
+    report = Report(sorted(rows, key=lambda row: row[1].cgroup))
     if config.report_path:
         report.save(config.report_path)
     return report
@@ -332,27 +315,27 @@ def compare(config: ScenarioConfig, policies) -> Report:
 
     ``policies`` is a list of policy names or (name, params) pairs; each
     entry is applied to every cgroup for its run. Rows keep the input
-    order. The stream is rebuilt from the same seed for every run, so all
-    runs see exactly the same events. Runs share no state and could
-    execute in parallel; they run sequentially here and the row order is
-    deterministic either way.
+    order, and within one run, cgroup id order. The stream is rebuilt from
+    the same seed for every run, so all runs see exactly the same events.
+    Runs share no state and could execute in parallel; they run
+    sequentially here and the row order is deterministic either way.
     """
     if not policies:
         raise ConfigError("compare needs at least one policy")
-    normalized = []
-    for entry in policies:
-        if isinstance(entry, str):
-            normalized.append((entry, {}))
-        else:
-            name, params = entry
-            normalized.append((name, dict(params or {})))
+    assignments = [(entry, {}) if isinstance(entry, str) else entry
+                   for entry in policies]
+    errors = config.validate()
+    for name, params in assignments:
+        try:
+            make_policy(name, params, config.scan_window)
+        except (TypeError, ValueError) as exc:
+            errors.append("compare policy %r: %s" % (name, exc))
+    _raise_if(errors)
     rows = []
-    report_path, config.report_path = config.report_path, None
-    try:
-        for override in normalized:
-            rows.extend(run(config, policy_override=override).rows)
-    finally:
-        config.report_path = report_path
+    for entry in assignments:
+        run_rows = _replay_rows(config, [entry] * len(config.cgroups),
+                                build_events(config.workload, config.seed))
+        rows.extend(sorted(run_rows, key=lambda row: row[1].cgroup))
     report = Report(rows)
     if config.report_path:
         report.save(config.report_path)
@@ -392,14 +375,10 @@ def _retarget(events, cgroup, file_stride=0):
 
 
 @dataclass
-class IsolationReport:
+class IsolationReport(Report):
     """Metrics for each (scenario, cgroup) of the two-tenant experiment."""
 
-    rows: list
     scenarios: dict
-
-    to_csv = Report.to_csv
-    save = Report.save
 
     def hit_ratio(self, scenario: str, cgroup: int) -> float:
         return self.scenarios[scenario][cgroup].hit_ratio
@@ -423,9 +402,7 @@ def scenario_isolation(config_a: ScenarioConfig,
             errors.append("isolation needs exactly one cgroup per config")
         elif cfg.cgroups[0].policy == "default":
             errors.append("isolation needs a tailored policy per config")
-        if errors:
-            raise ConfigError("invalid %s scenario:\n  %s"
-                              % (label, "\n  ".join(errors)))
+        _raise_if(errors, "%s scenario" % label)
     spec_a, spec_b = config_a.cgroups[0], config_b.cgroups[0]
     if spec_a.id == spec_b.id:
         raise ConfigError("isolation needs two distinct cgroup ids")
@@ -447,8 +424,6 @@ def scenario_isolation(config_a: ScenarioConfig,
     ]
 
     base = ScenarioConfig(cgroups=[spec_a, spec_b],
-                          workload=config_a.workload,
-                          seed=config_a.seed,
                           candidates=min(config_a.candidates,
                                          config_b.candidates),
                           scan_window=max(config_a.scan_window,
@@ -458,23 +433,10 @@ def scenario_isolation(config_a: ScenarioConfig,
     for name, policy_a, policy_b in scenarios:
         if name in results:
             continue
-        sim = Simulator(candidate_batch=base.candidates)
-        for spec, (pol_name, pol_params) in ((spec_a, policy_a),
-                                             (spec_b, policy_b)):
-            sim.add_cgroup(spec.id, spec.limit_pages)
-            policy = make_policy(pol_name, pol_params, base.scan_window)
-            if policy is not None:
-                sim.attach_policy(spec.id, policy)
-        start = time.perf_counter()
-        tallies = replay(sim, merged)
-        elapsed = time.perf_counter() - start
-        per_cgroup = {}
-        for spec, (pol_name, _) in ((spec_a, policy_a), (spec_b, policy_b)):
-            _check_conservation(sim, spec.id, tallies)
-            metrics = collect_metrics(sim, spec.id, tallies, elapsed)
-            per_cgroup[spec.id] = metrics
-            rows.append(("%s/%s" % (name, pol_name), metrics))
-        results[name] = per_cgroup
+        scenario_rows = _replay_rows(base, [policy_a, policy_b], merged)
+        results[name] = {m.cgroup: m for _, m in scenario_rows}
+        rows.extend(("%s/%s" % (name, label), m)
+                    for label, m in scenario_rows)
     report = IsolationReport(rows, results)
     if report_path:
         report.save(report_path)

@@ -406,45 +406,41 @@ class GetScanPolicy(PolicyHooks):
         self.freq.pop(folio.id, None)
 
 
-#: Policy names accepted by the harness. "default" means no policy.
-POLICY_NAMES = ("default", "fifo", "mru", "lfu", "s3fifo", "lhd", "getscan")
+#: Policy table: name -> (class, keyword that receives the scan window,
+#: accepted parameters). "default" means no policy.
+POLICIES = {
+    "default": (None, None, ()),
+    "fifo": (FifoPolicy, "scan_limit", ()),
+    "mru": (MruPolicy, "scan_limit", ("skip",)),
+    "lfu": (LfuPolicy, "scan_window", ()),
+    "s3fifo": (S3FifoPolicy, "scan_limit",
+               ("small_fraction", "ghost_capacity")),
+    "lhd": (LhdPolicy, "scan_window",
+            ("reconfig_interval", "age_granularity")),
+    "getscan": (GetScanPolicy, "scan_window", ("scan_threads",)),
+}
+
+#: Policy names accepted by the harness.
+POLICY_NAMES = tuple(POLICIES)
 
 
 def make_policy(name: str, params: dict | None = None,
                 scan_window: int = DEFAULT_SCAN_LIMIT) -> PolicyHooks | None:
-    """Build a policy by name. Returns None for "default".
+    """Build a policy by name from ``POLICIES``. Returns None for "default".
 
-    ``params`` accepts, per policy: mru ``skip``; s3fifo ``small_fraction``
-    and ``ghost_capacity``; lhd ``reconfig_interval`` and
-    ``age_granularity``; getscan ``scan_threads`` (an iterable of thread
-    ids). Unknown names or parameters raise ValueError.
+    ``params`` may hold the parameters the table lists for the policy
+    (getscan's ``scan_threads`` is an iterable of thread ids). Unknown
+    names or parameters raise ValueError.
     """
-    params = dict(params or {})
-
-    def take(*names):
-        return {k: params.pop(k) for k in names if k in params}
-
-    if name == "default":
-        policy = None
-    elif name == "fifo":
-        policy = FifoPolicy(scan_limit=scan_window)
-    elif name == "mru":
-        policy = MruPolicy(scan_limit=scan_window, **take("skip"))
-    elif name == "lfu":
-        policy = LfuPolicy(scan_window=scan_window)
-    elif name == "s3fifo":
-        policy = S3FifoPolicy(scan_limit=scan_window,
-                              **take("small_fraction", "ghost_capacity"))
-    elif name == "lhd":
-        policy = LhdPolicy(scan_window=scan_window,
-                           **take("reconfig_interval", "age_granularity"))
-    elif name == "getscan":
-        policy = GetScanPolicy(scan_window=scan_window,
-                               **take("scan_threads"))
-    else:
+    if name not in POLICIES:
         raise ValueError("unknown policy %r (expected one of %s)"
                          % (name, ", ".join(POLICY_NAMES)))
-    if params:
+    cls, window_keyword, accepted = POLICIES[name]
+    params = params or {}
+    unknown = sorted(set(params).difference(accepted))
+    if unknown:
         raise ValueError("unknown parameters for policy %r: %s"
-                         % (name, ", ".join(sorted(params))))
-    return policy
+                         % (name, ", ".join(unknown)))
+    if cls is None:
+        return None
+    return cls(**{window_keyword: scan_window}, **params)

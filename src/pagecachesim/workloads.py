@@ -213,23 +213,24 @@ def gen_getscan(count: int, get_keyspace: int,
 
 TRACE_HEADER = ("seq", "op", "file", "offset", "len", "thread", "cgroup")
 
+#: Trace fields that name an entity or a position and so cannot be negative.
+_NON_NEGATIVE = ("file", "offset", "thread", "cgroup")
+
 
 def parse_trace(path) -> Iterator[TraceEvent]:
     """Stream events from a trace CSV, in constant memory. Raises
     TraceFormatError naming the offending line and field on malformed
-    input; opening and header validation happen eagerly."""
-    fh = open(path, newline="")
-    try:
+    input. The header is checked eagerly; the stream reopens the file when
+    first read, so a stream that is never read holds no open file."""
+    with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), None)
-        if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
-            raise TraceFormatError(
-                "line 1: expected header %s" % ",".join(TRACE_HEADER))
-    except Exception:
-        fh.close()
-        raise
+    if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
+        raise TraceFormatError(
+            "line 1: expected header %s" % ",".join(TRACE_HEADER))
 
     def events():
-        with fh:
+        with open(path, newline="") as fh:
+            fh.readline()
             for lineno, row in enumerate(csv.reader(fh), start=2):
                 if not row:
                     continue
@@ -252,6 +253,11 @@ def parse_trace(path) -> Iterator[TraceEvent]:
                         raise TraceFormatError(
                             "line %d: field %s: not an integer: %r"
                             % (lineno, field, raw)) from None
+                for field in _NON_NEGATIVE:
+                    if values[field] < 0:
+                        raise TraceFormatError(
+                            "line %d: field %s: must be >= 0, got %d"
+                            % (lineno, field, values[field]))
                 if op is not Op.DELETE and values["len"] < 1:
                     raise TraceFormatError(
                         "line %d: field len: must be >= 1 for access ops"

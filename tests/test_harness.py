@@ -1,5 +1,8 @@
 """Scenario running, validation, comparison, isolation plumbing, and CLI."""
 
+import gc
+import warnings
+
 import pytest
 
 from pagecachesim import (
@@ -9,9 +12,11 @@ from pagecachesim import (
     ScenarioConfig,
     TraceEvent,
     WorkloadSpec,
+    build_events,
     compare,
     run,
     scenario_isolation,
+    write_trace,
 )
 from pagecachesim.cli import main as cli_main
 from pagecachesim.harness import CSV_COLUMNS, merge_streams
@@ -60,6 +65,21 @@ class TestValidation:
             workload=WorkloadSpec("trace", {"path": "/does/not/exist.csv"}))
         with pytest.raises(ConfigError):
             run(config)
+
+    def test_trace_validation_and_replay_close_the_file(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        write_trace(trace, build_events(
+            WorkloadSpec("ycsb-c", {"keyspace": 100, "count": 300}), 1))
+        config = small_config(workload=WorkloadSpec("trace",
+                                                    {"path": str(trace)}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert config.validate() == []
+            run(config)
+            compare(config, ["default", "fifo", "lfu"])
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
 
     def test_scan_window_must_cover_candidates(self):
         config = small_config(scan_window=8, candidates=32)
@@ -127,6 +147,10 @@ class TestCompare:
     def test_empty_policy_list_rejected(self):
         with pytest.raises(ConfigError):
             compare(small_config(), [])
+
+    def test_policy_params_validated_before_any_run(self):
+        with pytest.raises(ConfigError, match="compare policy 'lfu'.*skip"):
+            compare(small_config(), ["default", ("lfu", {"skip": 3})])
 
 
 class TestMerge:

@@ -190,6 +190,20 @@ class TestTraceFormat:
         with pytest.raises(TraceFormatError, match="line 2.*offset"):
             list(parse_trace(path))
 
+    @pytest.mark.parametrize("field, row", [
+        ("file", "1,get,-7,0,4096,3,0"),
+        ("offset", "1,read,7,-4096,4096,3,0"),
+        ("thread", "1,get,7,0,4096,-3,0"),
+        ("cgroup", "1,delete,7,0,0,3,-1"),
+    ])
+    def test_negative_field_names_line_and_field(self, tmp_path, field, row):
+        path = tmp_path / "t.csv"
+        path.write_text("seq,op,file,offset,len,thread,cgroup\n"
+                        "0,get,7,0,4096,3,0\n" + row + "\n")
+        with pytest.raises(TraceFormatError,
+                           match="line 3: field %s: must be >= 0" % field):
+            list(parse_trace(path))
+
     def test_unknown_op_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("seq,op,file,offset,len,thread,cgroup\n"
