@@ -24,7 +24,6 @@ from enum import Enum
 from .policy_api import (
     CANDIDATES_MAX,
     EvictionContext,
-    EvictionLists,
     FolioRegistry,
     PolicyCgroup,
     PolicyHooks,
@@ -145,7 +144,7 @@ class Simulator:
     """
 
     def __init__(self, candidate_batch: int = CANDIDATES_MAX,
-                 record_evictions: bool = False, debug: bool = False):
+                 record_evictions: bool = False):
         if not 1 <= candidate_batch <= CANDIDATES_MAX:
             raise ValueError("candidate_batch must be in 1..=%d"
                              % CANDIDATES_MAX)
@@ -155,7 +154,6 @@ class Simulator:
         self._pages: dict[int, dict[int, int]] = {}  # file -> offset -> fid
         self._next_folio_id = 1
         self._policy_cgroups: list[CgroupSim] = []
-        self.debug = debug
         self.eviction_log: list | None = [] if record_evictions else None
 
     # -- configuration ----------------------------------------------------
@@ -179,9 +177,7 @@ class Simulator:
         if not name or len(name) > POLICY_NAME_MAX:
             raise PolicyAttachError("policy name must be 1..%d chars"
                                     % POLICY_NAME_MAX)
-        store = EvictionLists(cg.registry, self._folios)
-        store.debug = self.debug
-        handle = PolicyCgroup(cgroup_id, cg, store)
+        handle = PolicyCgroup(cg)
         try:
             policy.policy_init(handle)
         except Exception as exc:
@@ -337,14 +333,17 @@ class Simulator:
             policy = cg.policy
             if policy is not None:
                 ctx = EvictionContext(needed)
-                failed = False
                 try:
                     policy.evict_folios(ctx, cg.policy_cg)
+                    # The policy may have overwritten the context's fields;
+                    # one it left unreadable fails the round like a raise.
+                    proposed = ctx.candidates[:max(0, min(
+                        ctx.nr_candidates_proposed, len(ctx.candidates),
+                        needed))]
                 except Exception:
                     cg.stats.hook_errors += 1
-                    failed = True
-                if not failed:
-                    evicted = self._evict_candidates(cg, ctx, needed)
+                else:
+                    evicted = self._evict_candidates(cg, proposed)
             if evicted < needed:
                 evicted += self.default_evict(cg.id, needed - evicted)
             if evicted == 0:
@@ -353,12 +352,9 @@ class Simulator:
                 # folio is unpinned.
                 break
 
-    def _evict_candidates(self, cg: CgroupSim, ctx: EvictionContext,
-                          needed: int) -> int:
+    def _evict_candidates(self, cg: CgroupSim, proposed) -> int:
         """Validate and evict a policy's proposals. Unknown, foreign, or
         pinned candidates are rejected and counted; duplicates are ignored."""
-        proposed = ctx.candidates[:min(ctx.nr_candidates_proposed,
-                                       len(ctx.candidates), needed)]
         registry = cg.registry
         evicted = 0
         seen = set()
@@ -454,7 +450,7 @@ class Simulator:
         fid = folio.id
         list_id = cg.registry.unregister(fid)
         if list_id is not None:
-            cg.policy_cg.store.detach(fid, list_id)
+            cg.policy_cg.detach(fid, list_id)
         if cg.policy is not None:
             cg.policy_cg.removal_reason = reason
             try:
@@ -540,8 +536,6 @@ class Simulator:
                 raise AssertionError("cgroup %r shadow table over capacity"
                                      % cg.id)
             if cg.policy_cg is not None:
-                store = cg.policy_cg.store
-                store.check_consistency()
-                total = sum(store.list_length(i) for i in store.list_ids())
-                if total > len(cg.registry):
-                    raise AssertionError("eviction lists exceed registry")
+                # Also proves the lists hold no more folios than the
+                # registry: every listed folio must be registered there.
+                cg.policy_cg.check_consistency()

@@ -31,8 +31,8 @@ class FifoPolicy(PolicyHooks):
 
     name = "fifo"
 
-    def __init__(self, scan_limit: int = DEFAULT_SCAN_LIMIT):
-        self._opts = IterOptions(scan_limit=scan_limit)
+    def __init__(self, scan_window: int = DEFAULT_SCAN_LIMIT):
+        self._opts = IterOptions(scan_limit=scan_window)
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
@@ -45,7 +45,7 @@ class FifoPolicy(PolicyHooks):
         cg.list_iterate(self.queue, _evict_all, self._opts, ctx)
 
 
-def _evict_all(pos, folio):
+def _evict_all(fid):
     return Verdict.EVICT
 
 
@@ -60,10 +60,10 @@ class MruPolicy(PolicyHooks):
 
     name = "mru"
 
-    def __init__(self, skip: int = 32, scan_limit: int = DEFAULT_SCAN_LIMIT):
+    def __init__(self, skip: int = 32, scan_window: int = DEFAULT_SCAN_LIMIT):
         if skip < 0:
             raise ValueError("skip must be >= 0")
-        self._opts = IterOptions(scan_limit=scan_limit, skip=skip)
+        self._opts = IterOptions(scan_limit=scan_window, skip=skip)
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
@@ -101,10 +101,7 @@ class LfuPolicy(PolicyHooks):
         self.freq[folio.id] += 1
 
     def evict_folios(self, ctx, cg):
-        freq = self.freq
-        cg.list_iterate(self.queue,
-                        lambda pos, folio: freq[folio.id],
-                        self._opts, ctx)
+        cg.list_iterate(self.queue, self.freq.__getitem__, self._opts, ctx)
 
     def folio_removed(self, folio):
         self.freq.pop(folio.id, None)
@@ -132,12 +129,12 @@ class S3FifoPolicy(PolicyHooks):
 
     def __init__(self, small_fraction: float = 0.10,
                  ghost_capacity: int | None = None,
-                 scan_limit: int = DEFAULT_SCAN_LIMIT):
+                 scan_window: int = DEFAULT_SCAN_LIMIT):
         if not 0.0 < small_fraction < 1.0:
             raise ValueError("small_fraction must be in (0, 1)")
         self.small_fraction = small_fraction
         self._ghost_capacity = ghost_capacity
-        self._scan_limit = scan_limit
+        self._scan_window = scan_window
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
@@ -176,12 +173,12 @@ class S3FifoPolicy(PolicyHooks):
 
     def _scan_small(self, ctx, cg):
         freq = self.freq
-        opts = IterOptions(scan_limit=self._scan_limit,
+        opts = IterOptions(scan_limit=self._scan_window,
                            disposition=Disposition.MOVE_TO_LIST,
                            target_list=self.main)
 
-        def judge(pos, folio):
-            if freq[folio.id] > 1:
+        def judge(fid):
+            if freq[fid] > 1:
                 return Verdict.KEEP  # promoted to the main tail
             return Verdict.EVICT_AND_MOVE_TAIL
 
@@ -189,14 +186,13 @@ class S3FifoPolicy(PolicyHooks):
 
     def _scan_main(self, ctx, cg):
         freq = self.freq
-        opts = IterOptions(scan_limit=self._scan_limit,
+        opts = IterOptions(scan_limit=self._scan_window,
                            disposition=Disposition.MOVE_TO_TAIL)
         for threshold in range(self.FREQ_CAP + 1):
             if ctx.room() <= 0:
                 break
 
-            def judge(pos, folio, t=threshold):
-                fid = folio.id
+            def judge(fid, t=threshold):
                 f = freq[fid]
                 if f > 0:
                     freq[fid] = f - 1
@@ -303,10 +299,10 @@ class LhdPolicy(PolicyHooks):
         top = self.MAX_AGE - 1
         top_class = self.NUM_CLASSES - 1
 
-        def score(pos, folio, _meta=meta, _density=density):
+        def score(fid, _meta=meta, _density=density):
             # _classify and _bucket inlined; this runs once per scanned
             # node on every eviction round
-            m = _meta[folio.id]
+            m = _meta[fid]
             b = (tick - m[0]) // gran
             if b > top:
                 b = top
@@ -396,8 +392,7 @@ class GetScanPolicy(PolicyHooks):
         self.freq[folio.id] += 1
 
     def evict_folios(self, ctx, cg):
-        freq = self.freq
-        score = lambda pos, folio: freq[folio.id]  # noqa: E731
+        score = self.freq.__getitem__
         cg.list_iterate(self.scan_list, score, self._opts, ctx)
         if ctx.room() > 0:
             cg.list_iterate(self.get_list, score, self._opts, ctx)
@@ -406,18 +401,16 @@ class GetScanPolicy(PolicyHooks):
         self.freq.pop(folio.id, None)
 
 
-#: Policy table: name -> (class, keyword that receives the scan window,
-#: accepted parameters). "default" means no policy.
+#: Policy table: name -> (class, accepted parameters). Every class also
+#: takes ``scan_window``. "default" means no policy.
 POLICIES = {
-    "default": (None, None, ()),
-    "fifo": (FifoPolicy, "scan_limit", ()),
-    "mru": (MruPolicy, "scan_limit", ("skip",)),
-    "lfu": (LfuPolicy, "scan_window", ()),
-    "s3fifo": (S3FifoPolicy, "scan_limit",
-               ("small_fraction", "ghost_capacity")),
-    "lhd": (LhdPolicy, "scan_window",
-            ("reconfig_interval", "age_granularity")),
-    "getscan": (GetScanPolicy, "scan_window", ("scan_threads",)),
+    "default": (None, ()),
+    "fifo": (FifoPolicy, ()),
+    "mru": (MruPolicy, ("skip",)),
+    "lfu": (LfuPolicy, ()),
+    "s3fifo": (S3FifoPolicy, ("small_fraction", "ghost_capacity")),
+    "lhd": (LhdPolicy, ("reconfig_interval", "age_granularity")),
+    "getscan": (GetScanPolicy, ("scan_threads",)),
 }
 
 #: Policy names accepted by the harness.
@@ -435,7 +428,7 @@ def make_policy(name: str, params: dict | None = None,
     if name not in POLICIES:
         raise ValueError("unknown policy %r (expected one of %s)"
                          % (name, ", ".join(POLICY_NAMES)))
-    cls, window_keyword, accepted = POLICIES[name]
+    cls, accepted = POLICIES[name]
     params = params or {}
     unknown = sorted(set(params).difference(accepted))
     if unknown:
@@ -443,4 +436,4 @@ def make_policy(name: str, params: dict | None = None,
                          % (name, ", ".join(unknown)))
     if cls is None:
         return None
-    return cls(**{window_keyword: scan_window}, **params)
+    return cls(scan_window=scan_window, **params)

@@ -7,10 +7,14 @@ proposes candidates through an ``EvictionContext``. The core validates every
 candidate against the cgroup's folio registry before acting on it, so a
 buggy policy can degrade hit ratios but cannot corrupt the cache.
 
-Eviction lists store folio ids, not folios. They are indexed: the registry
-records which list (if any) each resident folio is on, so detaching a folio
-on eviction is O(1). List operations return ``ListStatus`` codes instead of
-raising, mirroring an int-returning kernel-style API.
+The policy reaches its lists through one handle per cgroup,
+``PolicyCgroup``, which owns the lists and carries the event context of the
+hook being dispatched. Eviction lists store folio ids, not folios, and
+``list_iterate`` hands its callback a folio id. Lists are indexed: the
+registry records which list (if any) each resident folio is on, so
+detaching a folio on eviction is O(1). List operations return
+``ListStatus`` codes instead of raising, mirroring an int-returning
+kernel-style API.
 """
 
 from __future__ import annotations
@@ -191,22 +195,44 @@ def registry_memory_estimate(limit_pages: int, resident: int) -> int:
     return limit_pages * 16 + resident * 32
 
 
-class EvictionLists:
-    """Per-(cgroup, policy) store of indexed eviction lists.
+class PolicyCgroup:
+    """The handle a policy gets for the cgroup it manages.
 
-    Lists preserve insertion order (head = oldest position) and support
-    head/tail insertion, O(1) removal by folio id, and bounded iteration.
-    A folio can be on at most one list of the store at a time; membership is
-    kept in the cgroup's registry. List ids from other stores are unknown
-    here and rejected as INVALID_LIST.
+    It owns the policy's indexed eviction lists. Lists preserve insertion
+    order (head = oldest position) and support head/tail insertion, O(1)
+    removal by folio id, and bounded iteration. A folio can be on at most
+    one list of the handle at a time; membership is kept in the cgroup's
+    registry. List ids from other handles are unknown here and rejected as
+    INVALID_LIST.
+
+    It also carries the event context the core sets before dispatching
+    hooks: ``current_thread`` identifies the thread performing the current
+    access (the analog of reading the current task's PID), and
+    ``removal_reason`` tells ``folio_removed`` whether the folio was evicted
+    or dropped with its file. ``cgroup_id``, ``limit_pages`` and
+    ``resident_pages`` describe the cgroup itself.
+
+    ``cgroup`` is the core's per-cgroup record; the handle reads its ``id``,
+    ``registry``, ``limit_pages`` and ``resident_pages``.
     """
 
-    def __init__(self, registry: FolioRegistry, folio_table: dict):
-        self._registry = registry
-        self._folios = folio_table
+    def __init__(self, cgroup):
+        self.cgroup_id = cgroup.id
+        self._cgroup = cgroup
+        self._registry = cgroup.registry
         self._lists: dict[int, OrderedDict] = {}
         self._next_id = 1
+        self.current_thread = 0
+        self.removal_reason: RemovalReason | None = None
         self.debug = False
+
+    @property
+    def limit_pages(self) -> int:
+        return self._cgroup.limit_pages
+
+    @property
+    def resident_pages(self) -> int:
+        return self._cgroup.resident_pages
 
     # -- basic list operations -------------------------------------------
 
@@ -291,41 +317,45 @@ class EvictionLists:
         (scan_limit, candidate capacity) and loop termination are enforced
         here, not by the callback.
 
-        Evaluate mode: the callback receives ``(position, folio)`` and
-        returns a ``Verdict``. EVICT verdicts append the folio id to the
-        context (iteration stops once it fills); KEEP verdicts apply
+        Evaluate mode: the callback receives the folio id and returns a
+        ``Verdict``. EVICT verdicts append the folio id to the context
+        (iteration stops once it fills); KEEP verdicts apply
         ``opts.disposition``; STOP ends the walk.
 
-        Score mode: the callback returns an integer score per node. The
-        ``ctx.room()`` lowest-scoring nodes are appended to the context,
-        ties broken by earlier list position; all nodes stay in place.
+        Score mode: the callback receives the folio id and returns an
+        integer score. The ``ctx.room()`` lowest-scoring nodes are appended
+        to the context, ties broken by earlier list position; all nodes stay
+        in place.
         """
         nodes = self._lists.get(list_id)
         if nodes is None:
             return ListStatus.INVALID_LIST
         if ctx.room() <= 0:
             return 0
+        window = list(islice(nodes, opts.skip, opts.skip + opts.scan_limit))
         if opts.mode is IterMode.SCORE:
             if opts.scan_limit < ctx.nr_candidates_requested:
                 raise ValueError("score mode needs scan_limit >= "
                                  "nr_candidates_requested")
-            return self._iterate_score(nodes, callback, opts, ctx)
-        return self._iterate_evaluate(list_id, nodes, callback, opts, ctx)
-
-    def _iterate_evaluate(self, list_id, nodes, callback, opts, ctx):
-        window = list(islice(nodes, opts.skip, opts.skip + opts.scan_limit))
+            # Hot path: one score callback per window node, every round.
+            scores = list(map(callback, window))
+            k = ctx.room()
+            if k == 1:
+                if window:
+                    ctx.propose(window[scores.index(min(scores))])
+            else:
+                for _, _, folio_id in heapq.nsmallest(
+                        k, zip(scores, range(len(window)), window)):
+                    ctx.propose(folio_id)
+            return len(window)
         entries = self._registry.entries
-        folios = self._folios
         examined = 0
-        pos = opts.skip
         for folio_id in window:
             # A callback may mutate lists mid-walk; skip stale snapshot ids.
             if entries.get(folio_id) != list_id:
-                pos += 1
                 continue
-            verdict = callback(pos, folios[folio_id])
+            verdict = callback(folio_id)
             examined += 1
-            pos += 1
             if verdict is Verdict.STOP:
                 break
             if verdict is Verdict.EVICT or verdict is Verdict.EVICT_AND_MOVE_TAIL:
@@ -339,7 +369,10 @@ class EvictionLists:
                 if disposition is Disposition.MOVE_TO_TAIL:
                     nodes.move_to_end(folio_id)
                 elif disposition is Disposition.MOVE_TO_LIST:
-                    status = self.list_move(opts.target_list, folio_id, tail=True)
+                    # Called on the class so that a wrapper set on this
+                    # instance's list_move does not see internal moves.
+                    status = PolicyCgroup.list_move(
+                        self, opts.target_list, folio_id, tail=True)
                     if status is not ListStatus.OK:
                         raise ValueError("bad MOVE_TO_LIST target %r"
                                          % (opts.target_list,))
@@ -348,22 +381,6 @@ class EvictionLists:
         if self.debug:
             self.check_consistency()
         return examined
-
-    def _iterate_score(self, nodes, callback, opts, ctx):
-        # Hot path: one score callback per window node, every round.
-        window = list(islice(nodes, opts.skip, opts.skip + opts.scan_limit))
-        positions = range(opts.skip, opts.skip + len(window))
-        scores = list(map(callback, positions,
-                          map(self._folios.__getitem__, window)))
-        k = ctx.room()
-        if k == 1:
-            if window:
-                ctx.propose(min(zip(scores, positions, window))[2])
-        else:
-            for _, _, folio_id in heapq.nsmallest(
-                    k, zip(scores, positions, window)):
-                ctx.propose(folio_id)
-        return len(window)
 
     # -- debugging ---------------------------------------------------------
 
@@ -386,58 +403,18 @@ class EvictionLists:
                                      % (folio_id, list_id))
 
 
-class PolicyCgroup:
-    """The handle a policy gets for the cgroup it manages.
-
-    Wraps the cgroup's eviction-list store and exposes the event context the
-    core sets before dispatching hooks: ``current_thread`` identifies the
-    thread performing the current access (the analog of reading the current
-    task's PID), and ``removal_reason`` tells ``folio_removed`` whether the
-    folio was evicted or dropped with its file.
-    """
-
-    def __init__(self, cgroup_id: int, cgroup, store: EvictionLists):
-        self.cgroup_id = cgroup_id
-        self._cgroup = cgroup
-        self.store = store
-        self.current_thread = 0
-        self.removal_reason: RemovalReason | None = None
-
-    @property
-    def limit_pages(self) -> int:
-        return self._cgroup.limit_pages
-
-    @property
-    def resident_pages(self) -> int:
-        return self._cgroup.resident_pages
-
-    def list_create(self) -> int:
-        return self.store.list_create()
-
-    def list_add(self, list_id, folio_id, tail: bool) -> ListStatus:
-        return self.store.list_add(list_id, folio_id, tail)
-
-    def list_move(self, list_id, folio_id, tail: bool) -> ListStatus:
-        return self.store.list_move(list_id, folio_id, tail)
-
-    def list_del(self, folio_id) -> ListStatus:
-        return self.store.list_del(folio_id)
-
-    def list_iterate(self, list_id, callback, opts, ctx):
-        return self.store.list_iterate(list_id, callback, opts, ctx)
-
-    def list_length(self, list_id) -> int:
-        return self.store.list_length(list_id)
-
-    def list_members(self, list_id) -> list[int]:
-        return self.store.list_members(list_id)
+#: Former name of ``PolicyCgroup``, kept so existing imports still work.
+EvictionLists = PolicyCgroup
 
 
 class PolicyHooks:
     """Base class for eviction policies: five hooks plus deferred work.
 
-    Hooks must not evict folios directly; they may only mutate eviction
-    lists, policy-private state, and the eviction context they are handed.
+    ``policy_init`` receives the cgroup's ``PolicyCgroup`` handle, the one
+    object through which the policy creates, updates and walks its eviction
+    lists; ``list_iterate`` callbacks receive folio ids. Hooks must not
+    evict folios directly; they may only mutate eviction lists,
+    policy-private state, and the eviction context they are handed.
     ``folio_removed`` must not touch lists for the removed folio, which the
     framework has already detached. Exceptions escaping a hook are treated
     as policy misbehavior: the core absorbs them and falls back to default

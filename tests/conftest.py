@@ -31,7 +31,7 @@ class RecordingPolicy(PolicyHooks):
         self.calls.append(("removed", folio.id))
 
     def evict_folios(self, ctx, cg):
-        cg.list_iterate(self.queue, lambda pos, folio: Verdict.EVICT,
+        cg.list_iterate(self.queue, lambda fid: Verdict.EVICT,
                         IterOptions(), ctx)
 
     def of_kind(self, kind):

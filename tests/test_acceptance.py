@@ -12,12 +12,11 @@ from pagecachesim import (
     AccessOutcome,
     CgroupSpec,
     EvictionContext,
-    EvictionLists,
     FifoPolicy,
-    FolioRegistry,
     IterMode,
     IterOptions,
     LhdPolicy,
+    PolicyCgroup,
     PolicyHooks,
     S3FifoPolicy,
     ScenarioConfig,
@@ -31,6 +30,7 @@ from pagecachesim import (
     run,
     scenario_isolation,
 )
+from pagecachesim.core import CgroupSim
 from conftest import make_sim, random_accesses
 from reference_twolist import two_list_trace
 
@@ -73,13 +73,6 @@ def test_c01_default_policy_matches_independent_reimplementation():
            % (200, total_events, elapsed))
 
 
-class _Bare:
-    __slots__ = ("id",)
-
-    def __init__(self, fid):
-        self.id = fid
-
-
 def test_c02_score_mode_matches_sort_based_min_k():
     """10^4 random (list, scores, k) instances, lengths up to 512."""
     rng = random.Random(77)
@@ -88,21 +81,21 @@ def test_c02_score_mode_matches_sort_based_min_k():
             n = rng.randrange(1, 64)
         else:
             n = rng.randrange(64, 513)
-        registry = FolioRegistry(1024)
-        table = {fid: _Bare(fid) for fid in range(1, n + 1)}
-        store = EvictionLists(registry, table)
+        cgroup = CgroupSim(0, 1024)
+        store = PolicyCgroup(cgroup)
+        fids = range(1, n + 1)
         lst = store.list_create()
-        for fid in table:
-            registry.register(fid)
+        for fid in fids:
+            cgroup.registry.register(fid)
             store.list_add(lst, fid, tail=True)
-        scores = {fid: rng.randrange(-1000, 1000) for fid in table}
+        scores = {fid: rng.randrange(-1000, 1000) for fid in fids}
         k = rng.randrange(1, 33)
         ctx = EvictionContext(k)
-        store.list_iterate(lst, lambda pos, folio: scores[folio.id],
+        store.list_iterate(lst, scores.__getitem__,
                            IterOptions(mode=IterMode.SCORE,
                                        scan_limit=max(n, k)), ctx)
         expect = [fid for _, _, fid in
-                  sorted((scores[fid], fid - 1, fid) for fid in table)][:k]
+                  sorted((scores[fid], fid - 1, fid) for fid in fids)][:k]
         assert ctx.candidates == expect
     report(2, "10000 scoring instances equal the sort-based oracle exactly")
 

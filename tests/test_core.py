@@ -10,6 +10,7 @@ from pagecachesim import (
     EvictionContext,
     InsertTarget,
     PolicyHooks,
+    RemovalReason,
     Simulator,
     UnknownCgroupError,
 )
@@ -264,6 +265,38 @@ class TestDriveEviction:
         assert stats.evictions_fallback == 1
         assert sim.resident_pages(0) == 2
 
+    @pytest.mark.parametrize("field", ["nr_candidates_proposed",
+                                       "candidates"])
+    def test_unreadable_context_counts_as_hook_error(self, field):
+        class CorruptingPolicy(FixedProposalPolicy):
+            def evict_folios(self, ctx, cg):
+                super().evict_folios(ctx, cg)
+                setattr(ctx, field, None)
+
+        sim = make_sim(limit_pages=2, policy=CorruptingPolicy())
+        for page in (0, 1, 2):
+            sim.access_page(0, 1, page)
+        stats = sim.stats(0)
+        assert stats.hook_errors == 1
+        assert stats.evictions_policy == 0
+        assert stats.evictions_fallback == 1
+        assert sim.resident_pages(0) == 2
+        sim.check_invariants()
+
+    def test_negative_proposed_count_proposes_nothing(self):
+        class NegativePolicy(FixedProposalPolicy):
+            def evict_folios(self, ctx, cg):
+                ctx.candidates = cg.list_members(self.queue)
+                ctx.nr_candidates_proposed = -1
+
+        sim = make_sim(limit_pages=2, policy=NegativePolicy())
+        for page in (0, 1, 2):
+            sim.access_page(0, 1, page)
+        stats = sim.stats(0)
+        assert stats.evictions_policy == 0
+        assert stats.evictions_fallback == 1
+        assert stats.hook_errors == 0
+
     def test_hook_exception_abandons_round_and_falls_back(self):
         class ExplodingPolicy(FixedProposalPolicy):
             def evict_folios(self, ctx, cg):
@@ -284,6 +317,50 @@ class TestDriveEviction:
             sim.access_page(0, file, page)
         expect, _, _ = two_list_trace(trace, 4)
         assert [(f, o) for _, f, o in sim.eviction_log] == expect
+
+
+class ContextRecordingPolicy(RecordingPolicy):
+    """Records the handle's event context as each hook sees it."""
+
+    def folio_added(self, folio):
+        super().folio_added(folio)
+        cg = self.cg
+        self.calls[-1] = ("added", folio.id, cg.current_thread,
+                          cg.resident_pages, cg.removal_reason)
+
+    def folio_accessed(self, folio):
+        self.calls.append(("accessed", folio.id, self.cg.current_thread,
+                           self.cg.removal_reason))
+
+    def folio_removed(self, folio):
+        self.calls.append(("removed", folio.id, self.cg.removal_reason))
+
+
+class TestHandleContext:
+    def test_hooks_see_the_event_context(self):
+        policy = ContextRecordingPolicy()
+        sim = Simulator()
+        sim.add_cgroup(3, 4)
+        sim.attach_policy(3, policy)
+        cg = policy.cg
+        assert cg.cgroup_id == 3
+        assert cg.limit_pages == 4
+        sim.access_page(3, 1, 0, thread=7)
+        sim.access_page(3, 1, 1, thread=8)
+        sim.access_page(3, 1, 0, thread=9)
+        first = sim.find_folio(1, 0).id
+        second = sim.find_folio(1, 1).id
+        assert policy.calls[1:] == [("added", first, 7, 1, None),
+                                    ("added", second, 8, 2, None),
+                                    ("accessed", first, 9, None)]
+        sim.set_limit(3, 1)  # FIFO order evicts the first folio
+        assert cg.limit_pages == 1
+        assert policy.calls[-1] == ("removed", first, RemovalReason.EVICTED)
+        assert cg.removal_reason is None
+        sim.remove_file(3, 1)
+        assert policy.calls[-1] == ("removed", second,
+                                    RemovalReason.FILE_REMOVED)
+        assert cg.removal_reason is None
 
 
 class TestRemoveFile:

@@ -14,37 +14,29 @@ from pagecachesim import (
     IterMode,
     IterOptions,
     ListStatus,
+    PolicyCgroup,
     Verdict,
     registry_memory_estimate,
 )
-
-
-class FakeFolio:
-    __slots__ = ("id", "file", "offset", "pinned")
-
-    def __init__(self, fid):
-        self.id = fid
-        self.file = 0
-        self.offset = fid
-        self.pinned = False
+from pagecachesim.core import CgroupSim
 
 
 def make_store(n_folios=0, bucket_count=1024):
-    registry = FolioRegistry(bucket_count)
-    table = {}
-    store = EvictionLists(registry, table)
+    cgroup = CgroupSim(0, bucket_count)
+    store = PolicyCgroup(cgroup)
     store.debug = True
-    fids = []
-    for fid in range(1, n_folios + 1):
-        table[fid] = FakeFolio(fid)
-        registry.register(fid)
-        fids.append(fid)
-    return store, registry, table, fids
+    fids = list(range(1, n_folios + 1))
+    for fid in fids:
+        cgroup.registry.register(fid)
+    return store, cgroup.registry, fids
 
 
 class TestListOps:
+    def test_former_name_is_the_handle(self):
+        assert EvictionLists is PolicyCgroup
+
     def test_create_returns_fresh_empty_lists(self):
-        store, _, _, _ = make_store()
+        store, _, _ = make_store()
         first = store.list_create()
         second = store.list_create()
         assert first != second
@@ -52,21 +44,21 @@ class TestListOps:
         assert store.list_length(second) == 0
 
     def test_add_tail_order(self):
-        store, _, _, (a, b, c) = make_store(3)
+        store, _, (a, b, c) = make_store(3)
         lst = store.list_create()
         for fid in (a, b, c):
             assert store.list_add(lst, fid, tail=True) is ListStatus.OK
         assert store.list_members(lst) == [a, b, c]
 
     def test_add_head_order(self):
-        store, _, _, (a, b, c) = make_store(3)
+        store, _, (a, b, c) = make_store(3)
         lst = store.list_create()
         for fid in (a, b, c):
             store.list_add(lst, fid, tail=False)
         assert store.list_members(lst) == [c, b, a]
 
     def test_add_statuses(self):
-        store, registry, table, (a,) = make_store(1)
+        store, registry, (a,) = make_store(1)
         lst = store.list_create()
         assert store.list_add(999, a, tail=True) is ListStatus.INVALID_LIST
         assert store.list_add(lst, 12345, tail=True) is ListStatus.NOT_REGISTERED
@@ -75,7 +67,7 @@ class TestListOps:
         assert store.list_members(lst) == [a]
 
     def test_move_rotates_within_list(self):
-        store, _, _, (a, b, c) = make_store(3)
+        store, _, (a, b, c) = make_store(3)
         lst = store.list_create()
         for fid in (a, b, c):
             store.list_add(lst, fid, tail=True)
@@ -85,7 +77,7 @@ class TestListOps:
         assert store.list_members(lst) == [c, b, a]
 
     def test_move_transfers_between_lists(self):
-        store, registry, _, (a, b) = make_store(2)
+        store, registry, (a, b) = make_store(2)
         small = store.list_create()
         main = store.list_create()
         store.list_add(small, a, tail=True)
@@ -96,14 +88,14 @@ class TestListOps:
         assert registry.membership(a) == main
 
     def test_move_unlisted_fails_without_changes(self):
-        store, _, _, (a, b) = make_store(2)
+        store, _, (a, b) = make_store(2)
         lst = store.list_create()
         store.list_add(lst, a, tail=True)
         assert store.list_move(lst, b, tail=True) is ListStatus.NOT_LISTED
         assert store.list_members(lst) == [a]
 
     def test_del_and_double_del(self):
-        store, registry, _, (a, b) = make_store(2)
+        store, registry, (a, b) = make_store(2)
         lst = store.list_create()
         store.list_add(lst, a, tail=True)
         store.list_add(lst, b, tail=True)
@@ -131,7 +123,7 @@ class TestRegistry:
             registry.unregister(1)
 
     def test_unregister_reports_membership_for_auto_detach(self):
-        store, registry, _, (a,) = make_store(1)
+        store, registry, (a,) = make_store(1)
         lst = store.list_create()
         store.list_add(lst, a, tail=True)
         list_id = registry.unregister(a)
@@ -140,7 +132,7 @@ class TestRegistry:
         assert store.list_length(lst) == 0
 
     def test_lists_never_exceed_registry(self):
-        store, registry, table, fids = make_store(10)
+        store, registry, fids = make_store(10)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
@@ -173,36 +165,36 @@ class TestMemoryEstimate:
 
 class TestIterateEvaluate:
     def test_evict_all_until_ctx_full(self):
-        store, _, _, fids = make_store(6)
+        store, _, fids = make_store(6)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
         ctx = EvictionContext(3)
         examined = store.list_iterate(
-            lst, lambda pos, folio: Verdict.EVICT, IterOptions(), ctx)
+            lst, lambda fid: Verdict.EVICT, IterOptions(), ctx)
         assert examined == 3
         assert ctx.candidates == fids[:3]
 
     def test_skip_head_nodes(self):
-        store, _, _, fids = make_store(5)
+        store, _, fids = make_store(5)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
         ctx = EvictionContext(1)
-        store.list_iterate(lst, lambda pos, folio: Verdict.EVICT,
+        store.list_iterate(lst, lambda fid: Verdict.EVICT,
                            IterOptions(skip=2), ctx)
         assert ctx.candidates == [fids[2]]
 
     def test_stop_ends_iteration(self):
-        store, _, _, fids = make_store(5)
+        store, _, fids = make_store(5)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
         ctx = EvictionContext(5)
         seen = []
 
-        def judge(pos, folio):
-            seen.append(folio.id)
+        def judge(fid):
+            seen.append(fid)
             return Verdict.STOP if len(seen) == 2 else Verdict.KEEP
 
         examined = store.list_iterate(lst, judge, IterOptions(), ctx)
@@ -211,20 +203,20 @@ class TestIterateEvaluate:
         assert ctx.candidates == []
 
     def test_move_to_tail_disposition_full_rotation(self):
-        store, _, _, (a, b, c) = make_store(3)
+        store, _, (a, b, c) = make_store(3)
         lst = store.list_create()
         for fid in (a, b, c):
             store.list_add(lst, fid, tail=True)
         ctx = EvictionContext(1)
         opts = IterOptions(disposition=Disposition.MOVE_TO_TAIL, scan_limit=3)
         examined = store.list_iterate(
-            lst, lambda pos, folio: Verdict.KEEP, opts, ctx)
+            lst, lambda fid: Verdict.KEEP, opts, ctx)
         assert examined == 3
         # each examined node moved to the tail exactly once
         assert store.list_members(lst) == [a, b, c]
 
     def test_move_to_list_disposition(self):
-        store, _, _, (a, b) = make_store(2)
+        store, _, (a, b) = make_store(2)
         src = store.list_create()
         dst = store.list_create()
         store.list_add(src, a, tail=True)
@@ -232,67 +224,82 @@ class TestIterateEvaluate:
         ctx = EvictionContext(1)
         opts = IterOptions(disposition=Disposition.MOVE_TO_LIST,
                            target_list=dst, scan_limit=2)
-        store.list_iterate(src, lambda pos, folio: Verdict.KEEP, opts, ctx)
+        store.list_iterate(src, lambda fid: Verdict.KEEP, opts, ctx)
         assert store.list_members(src) == []
         assert store.list_members(dst) == [a, b]
 
+    def test_move_to_list_bypasses_instance_list_move(self):
+        # wrappers set on the handle instance see only the policy's calls
+        store, _, (a,) = make_store(1)
+        src = store.list_create()
+        dst = store.list_create()
+        store.list_add(src, a, tail=True)
+        calls = []
+        store.list_move = lambda *args, **kwargs: calls.append(args)
+        opts = IterOptions(disposition=Disposition.MOVE_TO_LIST,
+                           target_list=dst)
+        store.list_iterate(src, lambda fid: Verdict.KEEP, opts,
+                           EvictionContext(1))
+        assert store.list_members(dst) == [a]
+        assert calls == []
+
     def test_evict_and_move_tail(self):
-        store, _, _, (a, b, c) = make_store(3)
+        store, _, (a, b, c) = make_store(3)
         lst = store.list_create()
         for fid in (a, b, c):
             store.list_add(lst, fid, tail=True)
         ctx = EvictionContext(1)
         store.list_iterate(
-            lst, lambda pos, folio: Verdict.EVICT_AND_MOVE_TAIL,
+            lst, lambda fid: Verdict.EVICT_AND_MOVE_TAIL,
             IterOptions(), ctx)
         assert ctx.candidates == [a]
         assert store.list_members(lst) == [b, c, a]
 
     def test_scan_limit_bounds_examination(self):
-        store, _, _, fids = make_store(10)
+        store, _, fids = make_store(10)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
         ctx = EvictionContext(CANDIDATES_MAX)
         examined = store.list_iterate(
-            lst, lambda pos, folio: Verdict.KEEP,
+            lst, lambda fid: Verdict.KEEP,
             IterOptions(scan_limit=4), ctx)
         assert examined == 4
 
-    def test_callback_position_is_list_position(self):
-        store, _, _, fids = make_store(5)
+    def test_callback_gets_folio_ids_after_skip(self):
+        store, _, fids = make_store(5)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
-        positions = []
+        visited = []
         ctx = EvictionContext(1)
         store.list_iterate(
-            lst, lambda pos, folio: positions.append(pos) or Verdict.KEEP,
+            lst, lambda fid: visited.append(fid) or Verdict.KEEP,
             IterOptions(skip=1, scan_limit=3), ctx)
-        assert positions == [1, 2, 3]
+        assert visited == fids[1:4]
 
     def test_invalid_list(self):
-        store, _, _, _ = make_store()
+        store, _, _ = make_store()
         ctx = EvictionContext(1)
-        assert store.list_iterate(42, lambda pos, folio: Verdict.KEEP,
+        assert store.list_iterate(42, lambda fid: Verdict.KEEP,
                                   IterOptions(), ctx) is ListStatus.INVALID_LIST
 
     def test_full_ctx_returns_zero_immediately(self):
-        store, _, _, (a,) = make_store(1)
+        store, _, (a,) = make_store(1)
         lst = store.list_create()
         store.list_add(lst, a, tail=True)
         ctx = EvictionContext(1)
         ctx.propose(a)
         calls = []
         assert store.list_iterate(
-            lst, lambda pos, folio: calls.append(pos) or Verdict.EVICT,
+            lst, lambda fid: calls.append(fid) or Verdict.EVICT,
             IterOptions(), ctx) == 0
         assert calls == []
 
 
 class TestIterateScore:
     def run_score(self, scores, k, scan_limit=None):
-        store, _, _, fids = make_store(len(scores))
+        store, _, fids = make_store(len(scores))
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
@@ -301,7 +308,7 @@ class TestIterateScore:
         opts = IterOptions(mode=IterMode.SCORE,
                            scan_limit=scan_limit or max(len(scores), k))
         examined = store.list_iterate(
-            lst, lambda pos, folio: by_fid[folio.id], opts, ctx)
+            lst, by_fid.__getitem__, opts, ctx)
         return store, lst, fids, ctx, examined
 
     def test_lowest_scores_with_positional_tie_break(self):
@@ -319,7 +326,7 @@ class TestIterateScore:
 
     def test_scan_limit_window(self):
         # the minimum outside the window must not be selected
-        store, _, _, fids = make_store(6)
+        store, _, fids = make_store(6)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
@@ -327,18 +334,18 @@ class TestIterateScore:
         ctx = EvictionContext(2)
         opts = IterOptions(mode=IterMode.SCORE, scan_limit=4)
         examined = store.list_iterate(
-            lst, lambda pos, folio: scores[folio.id], opts, ctx)
+            lst, scores.__getitem__, opts, ctx)
         assert examined == 4
         assert set(ctx.candidates) == {fids[1], fids[0]}
 
     def test_score_mode_requires_wide_enough_window(self):
-        store, _, _, fids = make_store(4)
+        store, _, fids = make_store(4)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
         ctx = EvictionContext(4)
         with pytest.raises(ValueError):
-            store.list_iterate(lst, lambda pos, folio: 0,
+            store.list_iterate(lst, lambda fid: 0,
                                IterOptions(mode=IterMode.SCORE, scan_limit=2),
                                ctx)
 
@@ -363,7 +370,7 @@ class TestIterateScore:
 class TestConsistency:
     def test_random_operation_sequences_stay_consistent(self):
         rng = random.Random(5)
-        store, registry, table, fids = make_store(24)
+        store, registry, fids = make_store(24)
         lists = [store.list_create() for _ in range(3)]
         for _ in range(2000):
             action = rng.randrange(4)
@@ -386,7 +393,7 @@ class TestConsistency:
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9),
                               st.integers(0, 1)), max_size=80))
     def test_single_membership_property(self, ops):
-        store, registry, table, fids = make_store(10)
+        store, registry, fids = make_store(10)
         lists = [store.list_create(), store.list_create()]
         for action, fid_idx, tail in ops:
             fid = fids[fid_idx]
