@@ -181,6 +181,10 @@ class Simulator:
         try:
             policy.policy_init(handle)
         except Exception as exc:
+            # The handle is dropped, so no folio may stay listed on it.
+            entries = cg.registry.entries
+            for fid in entries:
+                entries[fid] = None
             raise PolicyAttachError("policy_init of %r failed: %r"
                                     % (name, exc)) from exc
         cg.policy = policy
@@ -354,12 +358,13 @@ class Simulator:
 
     def _evict_candidates(self, cg: CgroupSim, proposed) -> int:
         """Validate and evict a policy's proposals. Unknown, foreign, or
-        pinned candidates are rejected and counted; duplicates are ignored."""
+        pinned candidates and ones that are not ints (bools included) are
+        rejected and counted; duplicates are ignored."""
         registry = cg.registry
         evicted = 0
         seen = set()
         for fid in proposed:
-            if not isinstance(fid, int):
+            if not isinstance(fid, int) or isinstance(fid, bool):
                 cg.stats.invalid_candidates += 1
                 continue
             if fid in seen:

@@ -141,9 +141,35 @@ class S3FifoPolicy(PolicyHooks):
         self.small = cg.list_create()
         self.main = cg.list_create()
         self.freq: dict[int, int] = {}
+        freq = self.freq
         self.ghost: OrderedDict = OrderedDict()
         if self._ghost_capacity is None:
             self._ghost_capacity = cg.limit_pages
+        self._small_opts = IterOptions(scan_limit=self._scan_window,
+                                       disposition=Disposition.MOVE_TO_LIST,
+                                       target_list=self.main)
+        self._main_opts = IterOptions(scan_limit=self._scan_window,
+                                      disposition=Disposition.MOVE_TO_TAIL)
+
+        def judge_small(fid):
+            if freq[fid] > 1:
+                return Verdict.KEEP  # promoted to the main tail
+            return Verdict.EVICT_AND_MOVE_TAIL
+
+        def judge_main(threshold):
+            def judge(fid):
+                f = freq[fid]
+                if f > 0:
+                    freq[fid] = f - 1
+                if f <= threshold:
+                    return Verdict.EVICT_AND_MOVE_TAIL
+                return Verdict.KEEP
+            return judge
+
+        self._judge_small = judge_small
+        # One judge per main-queue pass, with rising frequency thresholds.
+        self._judges_main = tuple(judge_main(t)
+                                  for t in range(self.FREQ_CAP + 1))
 
     def folio_added(self, folio):
         fid = folio.id
@@ -167,40 +193,13 @@ class S3FifoPolicy(PolicyHooks):
         if total == 0:
             return
         if small_len > self.small_fraction * total:
-            self._scan_small(ctx, cg)
+            cg.list_iterate(self.small, self._judge_small, self._small_opts,
+                            ctx)
         else:
-            self._scan_main(ctx, cg)
-
-    def _scan_small(self, ctx, cg):
-        freq = self.freq
-        opts = IterOptions(scan_limit=self._scan_window,
-                           disposition=Disposition.MOVE_TO_LIST,
-                           target_list=self.main)
-
-        def judge(fid):
-            if freq[fid] > 1:
-                return Verdict.KEEP  # promoted to the main tail
-            return Verdict.EVICT_AND_MOVE_TAIL
-
-        cg.list_iterate(self.small, judge, opts, ctx)
-
-    def _scan_main(self, ctx, cg):
-        freq = self.freq
-        opts = IterOptions(scan_limit=self._scan_window,
-                           disposition=Disposition.MOVE_TO_TAIL)
-        for threshold in range(self.FREQ_CAP + 1):
-            if ctx.room() <= 0:
-                break
-
-            def judge(fid, t=threshold):
-                f = freq[fid]
-                if f > 0:
-                    freq[fid] = f - 1
-                if f <= t:
-                    return Verdict.EVICT_AND_MOVE_TAIL
-                return Verdict.KEEP
-
-            cg.list_iterate(self.main, judge, opts, ctx)
+            for judge in self._judges_main:
+                if ctx.room() <= 0:
+                    break
+                cg.list_iterate(self.main, judge, self._main_opts, ctx)
 
     def folio_removed(self, folio):
         self.freq.pop(folio.id, None)

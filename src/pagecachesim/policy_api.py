@@ -15,6 +15,12 @@ registry records which list (if any) each resident folio is on, so
 detaching a folio on eviction is O(1). List operations return
 ``ListStatus`` codes instead of raising, mirroring an int-returning
 kernel-style API.
+
+An evaluate-mode walk reads its window from the live list as it goes, so a
+round that stops after k nodes reads about k nodes (plus ``skip``), not the
+whole window. It still visits exactly the window as it stood when the call
+began: a list operation made while a walk is open first copies the unread
+rest of every open walk.
 """
 
 from __future__ import annotations
@@ -195,6 +201,18 @@ def registry_memory_estimate(limit_pages: int, resident: int) -> int:
     return limit_pages * 16 + resident * 32
 
 
+class _Walk:
+    """One open evaluate-mode walk. ``unread`` yields the window nodes not
+    yet visited; while ``live`` it reads them straight from the list, after
+    that from a copy."""
+
+    __slots__ = ("unread", "live")
+
+    def __init__(self, unread):
+        self.unread = unread
+        self.live = True
+
+
 class PolicyCgroup:
     """The handle a policy gets for the cgroup it manages.
 
@@ -225,6 +243,8 @@ class PolicyCgroup:
         self.current_thread = 0
         self.removal_reason: RemovalReason | None = None
         self.debug = False
+        # Evaluate-mode walks in progress, outermost first.
+        self._walks: list[_Walk] = []
 
     @property
     def limit_pages(self) -> int:
@@ -263,6 +283,8 @@ class PolicyCgroup:
             return ListStatus.NOT_REGISTERED
         if entries[folio_id] is not None:
             return ListStatus.ALREADY_LISTED
+        if self._walks:
+            self._freeze_walks()
         nodes[folio_id] = None
         if not tail:
             nodes.move_to_end(folio_id, last=False)
@@ -272,6 +294,15 @@ class PolicyCgroup:
         return ListStatus.OK
 
     def list_move(self, list_id: int, folio_id: int, tail: bool) -> ListStatus:
+        if self._walks:
+            self._freeze_walks()
+        return self._move(list_id, folio_id, tail)
+
+    def _move(self, list_id: int, folio_id: int, tail: bool) -> ListStatus:
+        """``list_move`` without the open-walk copy; ``list_iterate`` uses
+        it for its own moves, which it accounts for itself. Being a separate
+        method, it is also not seen by a wrapper set on the instance's
+        ``list_move``."""
         nodes = self._lists.get(list_id)
         if nodes is None:
             return ListStatus.INVALID_LIST
@@ -296,6 +327,8 @@ class PolicyCgroup:
         current = entries.get(folio_id)
         if current is None:
             return ListStatus.NOT_LISTED
+        if self._walks:
+            self._freeze_walks()
         del self._lists[current][folio_id]
         entries[folio_id] = None
         if self.debug:
@@ -304,7 +337,17 @@ class PolicyCgroup:
 
     def detach(self, folio_id: int, list_id: int) -> None:
         """Framework-side removal when a folio leaves the cache."""
+        if self._walks:
+            self._freeze_walks()
         del self._lists[list_id][folio_id]
+
+    def _freeze_walks(self) -> None:
+        """Copy the unread window of every open walk that still reads its
+        list live; called before a list changes under it."""
+        for walk in self._walks:
+            if walk.live:
+                walk.unread = iter(list(walk.unread))
+                walk.live = False
 
     # -- iteration --------------------------------------------------------
 
@@ -320,20 +363,29 @@ class PolicyCgroup:
         Evaluate mode: the callback receives the folio id and returns a
         ``Verdict``. EVICT verdicts append the folio id to the context
         (iteration stops once it fills); KEEP verdicts apply
-        ``opts.disposition``; STOP ends the walk.
+        ``opts.disposition``; STOP ends the walk. The walk visits the window
+        as it stood when the call began, in order, passing over ids that
+        have left the list since. It reads the window lazily, so a walk that
+        stops early costs about the nodes it visited plus ``skip``. The
+        callback may still call ``list_add``, ``list_move``, ``list_del``
+        and a nested ``list_iterate`` on any list, this one included: each
+        first copies the unread rest of the open walks, so the window does
+        not change under them (nodes a callback adds are not visited).
 
         Score mode: the callback receives the folio id and returns an
         integer score. The ``ctx.room()`` lowest-scoring nodes are appended
         to the context, ties broken by earlier list position; all nodes stay
-        in place.
+        in place. Every window node is scored, so the window is copied up
+        front.
         """
         nodes = self._lists.get(list_id)
         if nodes is None:
             return ListStatus.INVALID_LIST
         if ctx.room() <= 0:
             return 0
-        window = list(islice(nodes, opts.skip, opts.skip + opts.scan_limit))
+        pos = opts.skip
         if opts.mode is IterMode.SCORE:
+            window = list(islice(nodes, pos, pos + opts.scan_limit))
             if opts.scan_limit < ctx.nr_candidates_requested:
                 raise ValueError("score mode needs scan_limit >= "
                                  "nr_candidates_requested")
@@ -348,36 +400,71 @@ class PolicyCgroup:
                         k, zip(scores, range(len(window)), window)):
                     ctx.propose(folio_id)
             return len(window)
+        # The window is list positions [pos, pos + left) of nodes not yet
+        # read. A node this walk moves leaves its position, so the ones after
+        # it shift back by one and the walk reopens its read there; nodes it
+        # moved to the tail lie past the window and are not read again.
+        left = min(opts.scan_limit, len(nodes) - pos)
+        walk = _Walk(islice(nodes, pos, pos + left))
+        # Each reopen skips ``pos`` nodes again; once those skips would add
+        # up to more than the window, copying the rest once is cheaper.
+        budget = left
+        walks = self._walks
+        if walks:
+            # This walk's moves would shift the positions the open ones read.
+            self._freeze_walks()
+        walks.append(walk)
         entries = self._registry.entries
         examined = 0
-        for folio_id in window:
-            # A callback may mutate lists mid-walk; skip stale snapshot ids.
-            if entries.get(folio_id) != list_id:
-                continue
-            verdict = callback(folio_id)
-            examined += 1
-            if verdict is Verdict.STOP:
-                break
-            if verdict is Verdict.EVICT or verdict is Verdict.EVICT_AND_MOVE_TAIL:
-                ctx.propose(folio_id)
-                if verdict is Verdict.EVICT_AND_MOVE_TAIL:
-                    nodes.move_to_end(folio_id)
-                if ctx.room() <= 0:
+        try:
+            while True:
+                folio_id = next(walk.unread, None)
+                if folio_id is None:
                     break
-            elif verdict is Verdict.KEEP:
-                disposition = opts.disposition
-                if disposition is Disposition.MOVE_TO_TAIL:
-                    nodes.move_to_end(folio_id)
-                elif disposition is Disposition.MOVE_TO_LIST:
-                    # Called on the class so that a wrapper set on this
-                    # instance's list_move does not see internal moves.
-                    status = PolicyCgroup.list_move(
-                        self, opts.target_list, folio_id, tail=True)
-                    if status is not ListStatus.OK:
-                        raise ValueError("bad MOVE_TO_LIST target %r"
-                                         % (opts.target_list,))
-            else:
-                raise TypeError("evaluate callback returned %r" % (verdict,))
+                pos += 1
+                left -= 1
+                # A callback may mutate lists mid-walk; skip stale ids.
+                if entries.get(folio_id) != list_id:
+                    continue
+                verdict = callback(folio_id)
+                examined += 1
+                if verdict is Verdict.STOP:
+                    break
+                moved = False
+                if (verdict is Verdict.EVICT
+                        or verdict is Verdict.EVICT_AND_MOVE_TAIL):
+                    ctx.propose(folio_id)
+                    if verdict is Verdict.EVICT_AND_MOVE_TAIL:
+                        nodes.move_to_end(folio_id)
+                        moved = True
+                    if ctx.room() <= 0:
+                        break
+                elif verdict is Verdict.KEEP:
+                    disposition = opts.disposition
+                    if disposition is Disposition.MOVE_TO_TAIL:
+                        nodes.move_to_end(folio_id)
+                        moved = True
+                    elif disposition is Disposition.MOVE_TO_LIST:
+                        status = self._move(opts.target_list, folio_id,
+                                            tail=True)
+                        if status is not ListStatus.OK:
+                            raise ValueError("bad MOVE_TO_LIST target %r"
+                                             % (opts.target_list,))
+                        moved = True
+                else:
+                    raise TypeError("evaluate callback returned %r"
+                                    % (verdict,))
+                if moved and walk.live:
+                    pos -= 1
+                    unread = islice(nodes, pos, pos + left)
+                    if pos > budget:
+                        unread = iter(list(unread))
+                        walk.live = False
+                    else:
+                        budget -= pos
+                    walk.unread = unread
+        finally:
+            walks.pop()
         if self.debug:
             self.check_consistency()
         return examined

@@ -9,6 +9,7 @@ from pagecachesim import (
     AccessOutcome,
     EvictionContext,
     InsertTarget,
+    PolicyAttachError,
     PolicyHooks,
     RemovalReason,
     Simulator,
@@ -297,6 +298,18 @@ class TestDriveEviction:
         assert stats.evictions_fallback == 1
         assert stats.hook_errors == 0
 
+    def test_bool_candidates_rejected(self):
+        # True == 1 == the first folio's id, but a bool is not a folio id
+        policy = FixedProposalPolicy(per_round=0, inject=[True])
+        sim = make_sim(limit_pages=2, policy=policy)
+        for page in (0, 1, 2):
+            sim.access_page(0, 1, page)
+        stats = sim.stats(0)
+        assert stats.invalid_candidates == 1
+        assert stats.evictions_policy == 0
+        assert stats.evictions_fallback == 1
+        assert sim.resident_pages(0) == 2
+
     def test_hook_exception_abandons_round_and_falls_back(self):
         class ExplodingPolicy(FixedProposalPolicy):
             def evict_folios(self, ctx, cg):
@@ -317,6 +330,28 @@ class TestDriveEviction:
             sim.access_page(0, file, page)
         expect, _, _ = two_list_trace(trace, 4)
         assert [(f, o) for _, f, o in sim.eviction_log] == expect
+
+
+class TestAttachPolicy:
+    def test_failed_init_leaves_no_folio_listed(self):
+        sim = make_sim(limit_pages=2)
+        sim.access_page(0, 1, 0)
+        resident = sim.find_folio(1, 0).id
+
+        class ListsThenRaises(PolicyHooks):
+            name = "broken"
+
+            def policy_init(self, cg):
+                cg.list_add(cg.list_create(), resident, tail=True)
+                raise RuntimeError("init failed")
+
+        with pytest.raises(PolicyAttachError):
+            sim.attach_policy(0, ListsThenRaises())
+        for page in (1, 2, 3):
+            sim.access_page(0, 1, page)
+        assert sim.resident_pages(0) == 2
+        assert sim.find_folio(1, 0) is None
+        sim.check_invariants()
 
 
 class ContextRecordingPolicy(RecordingPolicy):

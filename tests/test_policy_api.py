@@ -1,6 +1,9 @@
 """Eviction-list store, iteration modes, registry, and memory accounting."""
 
 import random
+from functools import partial
+from time import perf_counter
+from timeit import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,6 +298,209 @@ class TestIterateEvaluate:
             lst, lambda fid: calls.append(fid) or Verdict.EVICT,
             IterOptions(), ctx) == 0
         assert calls == []
+
+
+def copy_window_iterate(store, registry, list_id, callback, opts, ctx):
+    """Evaluate-mode ``list_iterate`` written straight: copy the window,
+    then visit the copy, passing over ids no longer on the list. A move of
+    a node the callback took off the list fails as ``list_iterate``'s
+    does: KeyError for a move to the tail, ValueError for MOVE_TO_LIST."""
+    if list_id not in store.list_ids():
+        return ListStatus.INVALID_LIST
+    if ctx.room() <= 0:
+        return 0
+
+    def to_tail(fid):
+        if registry.membership(fid) != list_id:
+            raise KeyError(fid)
+        store.list_move(list_id, fid, tail=True)
+
+    window = store.list_members(list_id)[opts.skip:opts.skip
+                                         + opts.scan_limit]
+    examined = 0
+    for fid in window:
+        if registry.membership(fid) != list_id:
+            continue
+        verdict = callback(fid)
+        examined += 1
+        if verdict is Verdict.STOP:
+            break
+        if verdict is Verdict.KEEP:
+            if opts.disposition is Disposition.MOVE_TO_TAIL:
+                to_tail(fid)
+            elif opts.disposition is Disposition.MOVE_TO_LIST:
+                status = store.list_move(opts.target_list, fid, tail=True)
+                if status is not ListStatus.OK:
+                    raise ValueError(status)
+            continue
+        ctx.propose(fid)
+        if verdict is Verdict.EVICT_AND_MOVE_TAIL:
+            to_tail(fid)
+        if ctx.room() <= 0:
+            break
+    return examined
+
+
+def scripted_walk(iterate, store, fids, lists, walk, script, ctx, log):
+    """Run one evaluate-mode walk with ``iterate``, a ``list_iterate`` of
+    ``store``, whose callback follows ``script``: per visited node a verdict
+    and an optional list operation or nested walk. Everything the callback
+    sees or gets back is appended to ``log``."""
+    list_idx, skip, scan_limit, (disposition, target) = walk
+    opts = IterOptions(scan_limit=scan_limit, skip=skip,
+                       disposition=disposition,
+                       target_list=None if target is None else lists[target])
+    steps = iter(script)
+
+    def callback(fid):
+        log.append(fid)
+        verdict, action = next(steps, (Verdict.KEEP, None))
+        if action is None:
+            return verdict
+        kind = action[0]
+        if kind == "add":
+            _, lst, idx, tail = action
+            log.append(store.list_add(lists[lst], fids[idx % len(fids)],
+                                      tail))
+        elif kind == "move":
+            _, lst, idx, tail = action
+            log.append(store.list_move(lists[lst], fids[idx % len(fids)],
+                                       tail))
+        elif kind == "del":
+            log.append(store.list_del(fids[action[1] % len(fids)]))
+        else:
+            _, nested, nested_script = action
+            log.append(scripted_walk(iterate, store, fids, lists, nested,
+                                     nested_script, ctx, log))
+        return verdict
+
+    return iterate(lists[list_idx], callback, opts, ctx)
+
+
+def run_walk_both_ways(placement, walk, script, room):
+    """The outcome of one scripted walk under ``list_iterate`` and under
+    ``copy_window_iterate``, each on its own copy of the same lists."""
+    outcomes = []
+    for reference in (False, True):
+        store, registry, fids = make_store(len(placement))
+        lists = [store.list_create(), store.list_create()]
+        for fid, (where, tail) in zip(fids, placement):
+            if where is not None:
+                store.list_add(lists[where], fid, tail)
+        if reference:
+            iterate = partial(copy_window_iterate, store, registry)
+        else:
+            iterate = store.list_iterate
+        ctx = EvictionContext(room)
+        log = []
+        try:
+            result = scripted_walk(iterate, store, fids, lists, walk,
+                                   script, ctx, log)
+        except (KeyError, ValueError) as exc:
+            result = type(exc)
+        outcomes.append((result, log, ctx.candidates,
+                         [store.list_members(lst) for lst in lists],
+                         dict(registry.entries)))
+    return outcomes
+
+
+WALKS = st.tuples(
+    st.integers(0, 1), st.integers(0, 4), st.integers(0, 30),
+    st.sampled_from([(Disposition.LEAVE_IN_PLACE, None),
+                     (Disposition.MOVE_TO_TAIL, None),
+                     (Disposition.MOVE_TO_LIST, 0),
+                     (Disposition.MOVE_TO_LIST, 1)]))
+LIST_OPS = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 1), st.integers(0, 24),
+              st.booleans()),
+    st.tuples(st.just("move"), st.integers(0, 1), st.integers(0, 24),
+              st.booleans()),
+    st.tuples(st.just("del"), st.integers(0, 24)))
+# KEEP most often, so that walks run long enough to meet the mutations
+VERDICTS = st.sampled_from([Verdict.KEEP, Verdict.KEEP, Verdict.KEEP,
+                            Verdict.EVICT, Verdict.EVICT_AND_MOVE_TAIL,
+                            Verdict.STOP])
+NESTED_STEPS = st.lists(st.tuples(VERDICTS, st.none() | LIST_OPS),
+                        max_size=8)
+STEPS = st.lists(st.tuples(VERDICTS, st.none() | LIST_OPS | st.tuples(
+    st.just("walk"), WALKS, NESTED_STEPS)), max_size=30)
+
+
+class TestLazyWalk:
+    """The evaluate-mode walk reads its window lazily; it must visit and
+    change exactly what a walk over a copy of the window does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(placement=st.lists(
+               st.tuples(st.sampled_from([0, 1, None]), st.booleans()),
+               min_size=3, max_size=25),
+           walk=WALKS, script=STEPS, room=st.integers(1, CANDIDATES_MAX))
+    def test_matches_copy_window_reference(self, placement, walk, script,
+                                           room):
+        lazy, reference = run_walk_both_ways(placement, walk, script, room)
+        assert lazy == reference
+
+    @pytest.mark.parametrize("action", [
+        ("add", 0, 5, False),   # an unlisted folio onto the walked head
+        ("del", 3),             # a window node not yet visited
+        ("move", 0, 3, True),   # a window node not yet visited, to the tail
+        ("move", 1, 3, True),   # the same node, to the other list
+        ("walk", (0, 0, 4, (Disposition.MOVE_TO_TAIL, None)), []),
+    ])
+    def test_callback_mutation_mid_walk_matches_reference(self, action):
+        placement = [(0, True)] * 5 + [(None, True)]
+        walk = (0, 0, 5, (Disposition.LEAVE_IN_PLACE, None))
+        script = [(Verdict.KEEP, None), (Verdict.KEEP, action)]
+        lazy, reference = run_walk_both_ways(placement, walk, script,
+                                             CANDIDATES_MAX)
+        assert lazy == reference
+
+    def test_folio_leaving_the_cache_mid_walk_is_passed_over(self):
+        store, registry, fids = make_store(4)
+        lst = store.list_create()
+        for fid in fids:
+            store.list_add(lst, fid, tail=True)
+        visited = []
+
+        def judge(fid):
+            visited.append(fid)
+            if fid == fids[0]:
+                # what the core does when a folio leaves the cache
+                store.detach(fids[2], registry.unregister(fids[2]))
+            return Verdict.KEEP
+
+        store.list_iterate(lst, judge, IterOptions(), EvictionContext(1))
+        assert visited == [fids[0], fids[1], fids[3]]
+
+    def test_moves_after_stays_match_reference(self):
+        # every KEEP stays and every EVICT_AND_MOVE_TAIL moves, so the walk
+        # reopens ever further in and ends up copying its unread rest
+        walk = (0, 2, 60, (Disposition.LEAVE_IN_PLACE, None))
+        script = [(Verdict.KEEP, None),
+                  (Verdict.EVICT_AND_MOVE_TAIL, None)] * 30
+        lazy, reference = run_walk_both_ways([(0, True)] * 60, walk, script,
+                                             CANDIDATES_MAX)
+        assert lazy == reference
+        assert lazy[0] == 58
+
+    def test_head_proposing_rounds_do_not_read_the_window(self):
+        n = 100_000
+        store, _, fids = make_store(n, bucket_count=n)
+        store.debug = False
+        lst = store.list_create()
+        for fid in fids:
+            store.list_add(lst, fid, tail=True)
+        # copying the whole window once per round is the cost being avoided
+        copy_s = min(repeat(lambda: store.list_members(lst), number=1,
+                            repeat=3))
+        opts = IterOptions(scan_limit=n)
+        rounds = 2000
+        t0 = perf_counter()
+        for _ in range(rounds):
+            store.list_iterate(lst, lambda fid: Verdict.EVICT, opts,
+                               EvictionContext(1))
+        lazy_s = perf_counter() - t0
+        assert lazy_s * 10 < rounds * copy_s
 
 
 class TestIterateScore:
