@@ -225,7 +225,9 @@ class LhdPolicy(PolicyHooks):
     beyond that age divided by the expected remaining lifetime. Eviction
     scores each scanned folio with the published density of its current
     class and age; lowest density goes first, and with no recorded events
-    all densities are zero so eviction degenerates to list order.
+    all densities are zero so eviction degenerates to list order. A
+    folio's class changes only on a hit, so its metadata keeps a reference
+    to its class's density row, and a score is one bucket lookup in it.
 
     Reconfiguration runs from the deferred-work slot between trace events,
     never on the access path, after every ``reconfig_interval`` admissions.
@@ -254,11 +256,14 @@ class LhdPolicy(PolicyHooks):
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
         self.queue = cg.list_create()
-        # fid -> [last_access_tick, age bucket at last hit, hit count]
-        self.meta: dict[int, list[int]] = {}
+        # fid -> [last_access_tick, age bucket at last hit, hit count,
+        #         hit_density row of the folio's class]
+        self.meta: dict[int, list] = {}
         n, m = self.NUM_CLASSES, self.MAX_AGE
         self.hits = [[0] * m for _ in range(n)]
         self.evictions = [[0] * m for _ in range(n)]
+        # Rewritten in place by reconfigure, never replaced: meta entries
+        # hold references to these rows.
         self.hit_density = [[0] * m for _ in range(n)]
         self.tick = 0
         self.admissions_since_reconfig = 0
@@ -277,7 +282,7 @@ class LhdPolicy(PolicyHooks):
 
     def folio_added(self, folio):
         self.tick += 1
-        self.meta[folio.id] = [self.tick, 0, 0]
+        self.meta[folio.id] = [self.tick, 0, 0, self.hit_density[0]]
         self.cg.list_add(self.queue, folio.id, tail=True)
         self.admissions_since_reconfig += 1
 
@@ -289,28 +294,19 @@ class LhdPolicy(PolicyHooks):
         m[0] = self.tick
         m[1] = age
         m[2] += 1
+        m[3] = self.hit_density[self._classify(m)]
 
     def evict_folios(self, ctx, cg):
-        meta = self.meta
-        density = self.hit_density
         tick = self.tick
         gran = self._age_granularity
         top = self.MAX_AGE - 1
-        top_class = self.NUM_CLASSES - 1
 
-        def score(fid, _meta=meta, _density=density):
-            # _classify and _bucket inlined; this runs once per scanned
-            # node on every eviction round
+        def score(fid, _meta=self.meta):
+            # _bucket inlined, the class row cached in the meta entry; this
+            # runs once per scanned node on every eviction round
             m = _meta[fid]
             b = (tick - m[0]) // gran
-            if b > top:
-                b = top
-            if m[2] == 0:
-                return _density[0][b]
-            c = (m[1] + 1).bit_length()
-            if c > top_class:
-                c = top_class
-            return _density[c][b]
+            return m[3][b if b < top else top]
 
         cg.list_iterate(self.queue, score, self._opts, ctx)
 

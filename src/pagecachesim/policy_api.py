@@ -21,6 +21,10 @@ round that stops after k nodes reads about k nodes (plus ``skip``), not the
 whole window. It still visits exactly the window as it stood when the call
 began: a list operation made while a walk is open first copies the unread
 rest of every open walk.
+
+A score-mode round is one pass over the live window: it keeps the
+``ctx.room()`` lowest scores as it reads, without copying the window or its
+scores, so a score callback must leave the scored list alone.
 """
 
 from __future__ import annotations
@@ -370,13 +374,19 @@ class PolicyCgroup:
         callback may still call ``list_add``, ``list_move``, ``list_del``
         and a nested ``list_iterate`` on any list, this one included: each
         first copies the unread rest of the open walks, so the window does
-        not change under them (nodes a callback adds are not visited).
+        not change under them (nodes a callback adds are not visited). A
+        node the callback itself took off this list stays where the callback
+        put it: it gets no disposition and no rotation, though an EVICT
+        verdict still proposes it.
 
         Score mode: the callback receives the folio id and returns an
         integer score. The ``ctx.room()`` lowest-scoring nodes are appended
         to the context, ties broken by earlier list position; all nodes stay
-        in place. Every window node is scored, so the window is copied up
-        front.
+        in place. Scoring is one pass over the live list, so a score
+        callback must not change the list it scores: the next read after
+        such a change raises ``RuntimeError`` (a change made while the
+        window's last node is scored goes unseen). The core counts that as
+        a hook error and falls back to default eviction for the round.
         """
         nodes = self._lists.get(list_id)
         if nodes is None:
@@ -385,21 +395,18 @@ class PolicyCgroup:
             return 0
         pos = opts.skip
         if opts.mode is IterMode.SCORE:
-            window = list(islice(nodes, pos, pos + opts.scan_limit))
             if opts.scan_limit < ctx.nr_candidates_requested:
                 raise ValueError("score mode needs scan_limit >= "
                                  "nr_candidates_requested")
+            examined = max(0, min(opts.scan_limit, len(nodes) - pos))
             # Hot path: one score callback per window node, every round.
-            scores = list(map(callback, window))
-            k = ctx.room()
-            if k == 1:
-                if window:
-                    ctx.propose(window[scores.index(min(scores))])
-            else:
-                for _, _, folio_id in heapq.nsmallest(
-                        k, zip(scores, range(len(window)), window)):
-                    ctx.propose(folio_id)
-            return len(window)
+            # nsmallest is stable (and min() for one), so ties go to the
+            # earlier list position.
+            for folio_id in heapq.nsmallest(
+                    ctx.room(), islice(nodes, pos, pos + opts.scan_limit),
+                    key=callback):
+                ctx.propose(folio_id)
+            return examined
         # The window is list positions [pos, pos + left) of nodes not yet
         # read. A node this walk moves leaves its position, so the ones after
         # it shift back by one and the walk reopens its read there; nodes it
@@ -430,27 +437,34 @@ class PolicyCgroup:
                 examined += 1
                 if verdict is Verdict.STOP:
                     break
+                # Only a callback list operation, which clears ``walk.live``,
+                # can have taken the node off this list; such a node stays
+                # where the callback put it.
                 moved = False
                 if (verdict is Verdict.EVICT
                         or verdict is Verdict.EVICT_AND_MOVE_TAIL):
                     ctx.propose(folio_id)
-                    if verdict is Verdict.EVICT_AND_MOVE_TAIL:
+                    if (verdict is Verdict.EVICT_AND_MOVE_TAIL and (
+                            walk.live or entries.get(folio_id) == list_id)):
                         nodes.move_to_end(folio_id)
                         moved = True
                     if ctx.room() <= 0:
                         break
                 elif verdict is Verdict.KEEP:
                     disposition = opts.disposition
-                    if disposition is Disposition.MOVE_TO_TAIL:
-                        nodes.move_to_end(folio_id)
-                        moved = True
-                    elif disposition is Disposition.MOVE_TO_LIST:
-                        status = self._move(opts.target_list, folio_id,
-                                            tail=True)
-                        if status is not ListStatus.OK:
-                            raise ValueError("bad MOVE_TO_LIST target %r"
-                                             % (opts.target_list,))
-                        moved = True
+                    if (disposition is not Disposition.LEAVE_IN_PLACE and (
+                            walk.live or entries.get(folio_id) == list_id)):
+                        if disposition is Disposition.MOVE_TO_TAIL:
+                            nodes.move_to_end(folio_id)
+                            moved = True
+                        elif disposition is Disposition.MOVE_TO_LIST:
+                            status = self._move(opts.target_list, folio_id,
+                                                tail=True)
+                            if status is not ListStatus.OK:
+                                raise ValueError(
+                                    "bad MOVE_TO_LIST target %r: %s"
+                                    % (opts.target_list, status.name))
+                            moved = True
                 else:
                     raise TypeError("evaluate callback returned %r"
                                     % (verdict,))

@@ -9,6 +9,8 @@ from pagecachesim import (
     AccessOutcome,
     EvictionContext,
     InsertTarget,
+    IterMode,
+    IterOptions,
     PolicyAttachError,
     PolicyHooks,
     RemovalReason,
@@ -309,6 +311,33 @@ class TestDriveEviction:
         assert stats.evictions_policy == 0
         assert stats.evictions_fallback == 1
         assert sim.resident_pages(0) == 2
+
+    @pytest.mark.parametrize("change", ["move", "del"])
+    def test_score_callback_changing_its_list_is_a_hook_error(self, change):
+        class ChangingScorePolicy(FixedProposalPolicy):
+            def evict_folios(self, ctx, cg):
+                head = cg.list_members(self.queue)[0]
+
+                def score(fid):
+                    if fid == head:
+                        if change == "move":
+                            cg.list_move(self.queue, fid, tail=True)
+                        else:
+                            cg.list_del(fid)
+                    return 0
+
+                cg.list_iterate(self.queue, score,
+                                IterOptions(mode=IterMode.SCORE), ctx)
+
+        sim = make_sim(limit_pages=2, policy=ChangingScorePolicy())
+        for page in (0, 1, 2):
+            sim.access_page(0, 1, page)
+        stats = sim.stats(0)
+        assert stats.hook_errors == 1
+        assert stats.evictions_policy == 0
+        assert stats.evictions_fallback == 1
+        assert sim.resident_pages(0) == 2
+        sim.check_invariants()
 
     def test_hook_exception_abandons_round_and_falls_back(self):
         class ExplodingPolicy(FixedProposalPolicy):

@@ -15,7 +15,7 @@ from pagecachesim import (
     S3FifoPolicy,
     make_policy,
 )
-from conftest import make_sim
+from conftest import make_sim, random_accesses
 
 
 def insert_pages(sim, n, file=1, cgroup=0, thread=0):
@@ -310,6 +310,43 @@ class TestLhd:
         # raw counters change nothing until reconfigure() republishes
         policy.hits[0][0] = policy.SCALE * 50
         assert ask_candidates(policy, 1) == baseline
+
+
+class ClassFormulaLhd(LhdPolicy):
+    """LHD scoring each folio from its hit state on every call, as the
+    class definition reads, instead of from the cached density row."""
+
+    def evict_folios(self, ctx, cg):
+        tick = self.tick
+
+        def score(fid):
+            m = self.meta[fid]
+            return self.hit_density[self._classify(m)][
+                self._bucket(tick - m[0])]
+
+        cg.list_iterate(self.queue, score, self._opts, ctx)
+
+
+class TestLhdExactness:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_rows_evict_as_the_class_formula(self, seed):
+        logs = []
+        for policy in (LhdPolicy(reconfig_interval=16),
+                       ClassFormulaLhd(reconfig_interval=16)):
+            sim = make_sim(limit_pages=32, policy=policy,
+                           record_evictions=True)
+            rng = random.Random(seed)
+            for file, page in random_accesses(rng, 3000, files=2,
+                                              pages_per_file=48,
+                                              locality=0.6):
+                sim.access_page(0, file, page)
+                sim.run_deferred()
+            # hits in several classes, with densities that kept changing
+            assert len({policy._classify(m) for m in policy.meta.values()}) > 1
+            assert sum(map(any, policy.hit_density)) > 2
+            logs.append(sim.eviction_log)
+        assert logs[0] == logs[1]
+        assert len(logs[0]) > 1000
 
 
 class TestGetScan:

@@ -1,6 +1,7 @@
 """Eviction-list store, iteration modes, registry, and memory accounting."""
 
 import random
+import tracemalloc
 from functools import partial
 from time import perf_counter
 from timeit import repeat
@@ -299,21 +300,62 @@ class TestIterateEvaluate:
             IterOptions(), ctx) == 0
         assert calls == []
 
+    @pytest.mark.parametrize("verdict, disposition, take_off", [
+        (Verdict.KEEP, Disposition.MOVE_TO_TAIL, "move"),
+        (Verdict.EVICT_AND_MOVE_TAIL, Disposition.LEAVE_IN_PLACE, "move"),
+        (Verdict.KEEP, Disposition.MOVE_TO_LIST, "del"),
+    ])
+    def test_node_the_callback_took_off_is_not_moved(self, verdict,
+                                                     disposition, take_off):
+        store, registry, (a, b) = make_store(2)
+        walked = store.list_create()
+        other = store.list_create()
+        store.list_add(walked, a, tail=True)
+        store.list_add(walked, b, tail=True)
+        ctx = EvictionContext(CANDIDATES_MAX)
+
+        def judge(fid):
+            if fid == a:
+                if take_off == "move":
+                    store.list_move(other, a, tail=True)
+                else:
+                    store.list_del(a)
+            return verdict
+
+        opts = IterOptions(disposition=disposition, target_list=other)
+        assert store.list_iterate(walked, judge, opts, ctx) == 2
+        assert registry.membership(a) == (other if take_off == "move"
+                                          else None)
+        expect_b = other if disposition is Disposition.MOVE_TO_LIST else walked
+        assert registry.membership(b) == expect_b
+        assert ctx.candidates == ([a, b] if verdict is not Verdict.KEEP
+                                  else [])
+
+    def test_bad_move_to_list_target_names_the_status(self):
+        store, _, (a,) = make_store(1)
+        lst = store.list_create()
+        store.list_add(lst, a, tail=True)
+        opts = IterOptions(disposition=Disposition.MOVE_TO_LIST,
+                           target_list=42)
+        with pytest.raises(ValueError, match="INVALID_LIST"):
+            store.list_iterate(lst, lambda fid: Verdict.KEEP, opts,
+                               EvictionContext(1))
+
 
 def copy_window_iterate(store, registry, list_id, callback, opts, ctx):
     """Evaluate-mode ``list_iterate`` written straight: copy the window,
-    then visit the copy, passing over ids no longer on the list. A move of
-    a node the callback took off the list fails as ``list_iterate``'s
-    does: KeyError for a move to the tail, ValueError for MOVE_TO_LIST."""
+    then visit the copy, passing over ids no longer on the list. A node the
+    callback took off the list is not moved by the walk."""
     if list_id not in store.list_ids():
         return ListStatus.INVALID_LIST
     if ctx.room() <= 0:
         return 0
 
-    def to_tail(fid):
-        if registry.membership(fid) != list_id:
-            raise KeyError(fid)
-        store.list_move(list_id, fid, tail=True)
+    def move(fid, target):
+        if registry.membership(fid) == list_id:
+            status = store.list_move(target, fid, tail=True)
+            if status is not ListStatus.OK:
+                raise ValueError(status)
 
     window = store.list_members(list_id)[opts.skip:opts.skip
                                          + opts.scan_limit]
@@ -327,15 +369,13 @@ def copy_window_iterate(store, registry, list_id, callback, opts, ctx):
             break
         if verdict is Verdict.KEEP:
             if opts.disposition is Disposition.MOVE_TO_TAIL:
-                to_tail(fid)
+                move(fid, list_id)
             elif opts.disposition is Disposition.MOVE_TO_LIST:
-                status = store.list_move(opts.target_list, fid, tail=True)
-                if status is not ListStatus.OK:
-                    raise ValueError(status)
+                move(fid, opts.target_list)
             continue
         ctx.propose(fid)
         if verdict is Verdict.EVICT_AND_MOVE_TAIL:
-            to_tail(fid)
+            move(fid, list_id)
         if ctx.room() <= 0:
             break
     return examined
@@ -393,11 +433,8 @@ def run_walk_both_ways(placement, walk, script, room):
             iterate = store.list_iterate
         ctx = EvictionContext(room)
         log = []
-        try:
-            result = scripted_walk(iterate, store, fids, lists, walk,
-                                   script, ctx, log)
-        except (KeyError, ValueError) as exc:
-            result = type(exc)
+        result = scripted_walk(iterate, store, fids, lists, walk, script,
+                               ctx, log)
         outcomes.append((result, log, ctx.candidates,
                          [store.list_members(lst) for lst in lists],
                          dict(registry.entries)))
@@ -504,14 +541,14 @@ class TestLazyWalk:
 
 
 class TestIterateScore:
-    def run_score(self, scores, k, scan_limit=None):
+    def run_score(self, scores, k, scan_limit=None, skip=0):
         store, _, fids = make_store(len(scores))
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
         by_fid = dict(zip(fids, scores))
         ctx = EvictionContext(k)
-        opts = IterOptions(mode=IterMode.SCORE,
+        opts = IterOptions(mode=IterMode.SCORE, skip=skip,
                            scan_limit=scan_limit or max(len(scores), k))
         examined = store.list_iterate(
             lst, by_fid.__getitem__, opts, ctx)
@@ -560,17 +597,62 @@ class TestIterateScore:
         assert len(ctx.candidates) == CANDIDATES_MAX
         assert ctx.nr_candidates_proposed == CANDIDATES_MAX
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(scores=st.lists(st.integers(-1000, 1000), min_size=1, max_size=64),
-           k=st.integers(1, CANDIDATES_MAX))
-    def test_matches_sort_based_min_k_oracle(self, scores, k):
+           k=st.integers(1, CANDIDATES_MAX), skip=st.integers(0, 70),
+           extra=st.integers(0, 70))
+    def test_matches_sort_based_min_k_oracle(self, scores, k, skip, extra):
+        # the window may run past the list's end, or start past it
+        scan_limit = k + extra
         store, lst, fids, ctx, examined = self.run_score(
-            scores, k=k, scan_limit=max(len(scores), k))
+            scores, k=k, scan_limit=scan_limit, skip=skip)
+        window = list(zip(scores, fids))[skip:skip + scan_limit]
         expect = [fid for _, _, fid in
-                  sorted((s, i, f) for i, (s, f) in
-                         enumerate(zip(scores, fids)))][:k]
+                  sorted((s, i, f) for i, (s, f) in enumerate(window))][:k]
         assert ctx.candidates == expect
-        assert examined == len(scores)
+        assert examined == len(window)
+        assert store.list_members(lst) == fids
+
+    @pytest.mark.parametrize("change", ["move", "del"])
+    def test_callback_changing_the_scored_list_raises(self, change):
+        store, _, fids = make_store(4)
+        lst = store.list_create()
+        for fid in fids:
+            store.list_add(lst, fid, tail=True)
+
+        def score(fid):
+            if fid == fids[0]:
+                if change == "move":
+                    store.list_move(lst, fid, tail=True)
+                else:
+                    store.list_del(fid)
+            return 0
+
+        with pytest.raises(RuntimeError):
+            store.list_iterate(lst, score,
+                               IterOptions(mode=IterMode.SCORE),
+                               EvictionContext(1))
+
+    def test_round_allocates_no_window_copy(self):
+        n = 100_000
+        store, _, fids = make_store(n, bucket_count=n)
+        store.debug = False
+        lst = store.list_create()
+        for fid in fids:
+            store.list_add(lst, fid, tail=True)
+        by_fid = {fid: n - fid for fid in fids}
+        ctx = EvictionContext(1)
+        opts = IterOptions(mode=IterMode.SCORE, scan_limit=n)
+        # a copy of the window, or of its scores, is 800 KB
+        tracemalloc.start()
+        try:
+            examined = store.list_iterate(lst, by_fid.__getitem__, opts, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert examined == n
+        assert ctx.candidates == [fids[-1]]
+        assert peak < 64 * 1024
 
 
 class TestConsistency:
