@@ -133,6 +133,14 @@ class CgroupSim:
         self.stats = CgroupStats()
 
 
+def _does_deferred_work(policy) -> bool:
+    """False only for a policy whose ``run_deferred`` is the no-op that
+    ``PolicyHooks`` defines, inherited and not shadowed on the instance."""
+    return ("run_deferred" in getattr(policy, "__dict__", ())
+            or getattr(type(policy), "run_deferred", None)
+            is not PolicyHooks.run_deferred)
+
+
 class Simulator:
     """Deterministic single-threaded page-cache simulation.
 
@@ -153,7 +161,8 @@ class Simulator:
         self._folios: dict[int, Folio] = {}
         self._pages: dict[int, dict[int, int]] = {}  # file -> offset -> fid
         self._next_folio_id = 1
-        self._policy_cgroups: list[CgroupSim] = []
+        # Cgroups whose policy does deferred work; see run_deferred.
+        self._deferred_cgroups: list[CgroupSim] = []
         self.eviction_log: list | None = [] if record_evictions else None
 
     # -- configuration ----------------------------------------------------
@@ -189,7 +198,8 @@ class Simulator:
                                     % (name, exc)) from exc
         cg.policy = policy
         cg.policy_cg = handle
-        self._policy_cgroups.append(cg)
+        if _does_deferred_work(policy):
+            self._deferred_cgroups.append(cg)
 
     def set_limit(self, cgroup_id: int, limit_pages: int) -> None:
         """Resize a cgroup. Shrinking evicts immediately to fit."""
@@ -495,9 +505,20 @@ class Simulator:
 
     # -- deferred policy work ---------------------------------------------
 
+    @property
+    def has_deferred_work(self) -> bool:
+        """Whether some attached policy does deferred work, so that
+        ``run_deferred`` is more than a no-op."""
+        return bool(self._deferred_cgroups)
+
     def run_deferred(self) -> None:
-        """Give attached policies their between-events maintenance slot."""
-        for cg in self._policy_cgroups:
+        """Give attached policies their between-events maintenance slot.
+
+        Only a policy that does deferred work gets the slot: one that
+        overrides ``PolicyHooks.run_deferred`` on its class or on the
+        instance, or one that does not derive from ``PolicyHooks``. Which
+        policies those are is decided when the policy is attached."""
+        for cg in self._deferred_cgroups:
             try:
                 cg.policy.run_deferred()
             except Exception:

@@ -203,32 +203,57 @@ def _ratio(hits, accesses):
 
 def replay(sim: Simulator, events) -> dict:
     """Feed events through the simulator, expanding byte ranges to page
-    accesses. Returns per-(cgroup, op) [accesses, hits] tallies. Policies
-    get their deferred-work slot after every event."""
-    tallies: dict = {}
+    accesses (the pages of ``TraceEvent.page_range``). Returns
+    per-(cgroup, op) [accesses, hits] tallies.
+
+    If any attached policy does deferred work (see
+    ``Simulator.run_deferred``), ``sim.run_deferred()`` runs after every
+    event; otherwise it is not called.
+
+    ``sim.access_page`` is looked up on every call. A timer may install a
+    one-shot shim on ``Simulator.access_page`` that puts the original back
+    on its first call, as the benchmark does; code that times a replay
+    must not otherwise rebind it between events, or every later access
+    runs through the rebinding."""
+    tallies: dict = {}  # (cgroup, op value) -> [accesses, hits]
     hit = AccessOutcome.HIT
+    delete, write_op = Op.DELETE, Op.WRITE
+    deferred = sim.has_deferred_work
     for ev in events:
         try:
-            if ev.op is Op.DELETE:
+            op = ev.op
+            if op is delete:
                 sim.remove_file(ev.cgroup, ev.file)
             else:
-                write = ev.op is Op.WRITE
-                accesses = 0
-                hits = 0
-                for page in ev.page_range():
-                    if sim.access_page(ev.cgroup, ev.file, page, write,
-                                       ev.thread) is hit:
-                        hits += 1
-                    accesses += 1
-                t = tallies.get((ev.cgroup, ev.op))
+                cgroup = ev.cgroup
+                offset = ev.offset_bytes
+                first = offset // PAGE_SIZE
+                last = (offset + ev.len_bytes - 1) // PAGE_SIZE
+                write = op is write_op
+                if first == last:
+                    accesses = 1
+                    hits = sim.access_page(cgroup, ev.file, first, write,
+                                           ev.thread) is hit
+                else:
+                    file, thread = ev.file, ev.thread
+                    pages = range(first, last + 1)
+                    accesses = len(pages)
+                    hits = 0
+                    for page in pages:
+                        if sim.access_page(cgroup, file, page, write,
+                                           thread) is hit:
+                            hits += 1
+                key = (cgroup, op._value_)
+                t = tallies.get(key)
                 if t is None:
-                    t = tallies[(ev.cgroup, ev.op)] = [0, 0]
+                    t = tallies[key] = [0, 0]
                 t[0] += accesses
                 t[1] += hits
         except Exception as exc:
             raise ReplayError("event seq %d failed: %s" % (ev.seq, exc)) from exc
-        sim.run_deferred()
-    return tallies
+        if deferred:
+            sim.run_deferred()
+    return {(cgroup, Op(value)): t for (cgroup, value), t in tallies.items()}
 
 
 def collect_metrics(sim: Simulator, cgroup_id: int, tallies: dict) -> Metrics:

@@ -249,6 +249,8 @@ class LhdPolicy(PolicyHooks):
                  scan_window: int = DEFAULT_SCAN_LIMIT):
         if reconfig_interval < 1:
             raise ValueError("reconfig_interval must be >= 1")
+        if age_granularity is not None and age_granularity < 1:
+            raise ValueError("age_granularity must be >= 1")
         self.reconfig_interval = reconfig_interval
         self._age_granularity = age_granularity
         self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window)

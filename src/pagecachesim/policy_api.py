@@ -544,5 +544,7 @@ class PolicyHooks:
 
         The simulator calls this after each completed event, off the
         added/accessed hot path, standing in for an asynchronous
-        notify-userspace-and-reconfigure mechanism.
+        notify-userspace-and-reconfigure mechanism. It does so only for a
+        policy that overrides this no-op, on its class or on the instance
+        before ``attach_policy``; see ``Simulator.run_deferred``.
         """

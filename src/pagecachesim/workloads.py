@@ -12,9 +12,9 @@ floor(offset/4096) ..= floor((offset+len-1)/4096) at replay.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -66,10 +66,7 @@ class ZipfianSampler:
     1/(rank+1)**theta. theta=0 degenerates to the uniform distribution."""
 
     def __init__(self, keyspace: int, theta: float = 0.99):
-        if keyspace < 1:
-            raise ValueError("keyspace must be >= 1")
-        if theta < 0:
-            raise ValueError("theta must be >= 0")
+        _check_zipfian(keyspace, theta)
         self.keyspace = keyspace
         self.theta = theta
         cumulative = []
@@ -82,7 +79,7 @@ class ZipfianSampler:
 
     def sample(self, rng: random.Random) -> int:
         u = rng.random() * self._total
-        return bisect.bisect_right(self._cumulative, u)
+        return bisect_right(self._cumulative, u)
 
     def probability(self, rank: int) -> float:
         """Exact sampling probability of rank (0-based)."""
@@ -90,9 +87,14 @@ class ZipfianSampler:
         return weight / self._total
 
 
-def key_location(key: int, value_size: int = DEFAULT_VALUE_SIZE,
-                 keys_per_file: int = DEFAULT_KEYS_PER_FILE):
-    return key // keys_per_file, (key % keys_per_file) * value_size
+def _check_zipfian(keyspace: int, theta: float) -> None:
+    """Raise what building a ZipfianSampler would raise for these
+    parameters, without building its table."""
+    if keyspace < 1:
+        raise ValueError("keyspace must be >= 1")
+    if theta < 0:
+        raise ValueError("theta must be >= 0")
+    range(keyspace)  # a non-integer keyspace raises TypeError here
 
 
 YCSB_VARIANTS = ("A", "C", "Uniform", "UniformRW")
@@ -108,6 +110,12 @@ def gen_ycsb(variant: str, keyspace: int, value_size: int,
     Variants: A = 50% read / 50% update with Zipfian keys, C = read-only
     Zipfian, Uniform = read-only uniform, UniformRW = 50/50 uniform.
     Updates are in-place page writes.
+
+    Parameters are checked here; the Zipfian table is built on the first
+    read, so a stream that is never read costs nothing. Each key is drawn
+    in the generator's own frame with the same ``rng`` call as
+    ``ZipfianSampler.sample``, and slotted as ``DEFAULT_KEYS_PER_FILE``
+    describes.
     """
     if variant not in YCSB_VARIANTS:
         raise ValueError("unknown YCSB variant %r (expected one of %s)"
@@ -116,16 +124,25 @@ def gen_ycsb(variant: str, keyspace: int, value_size: int,
         raise ValueError("count must be >= 1")
     zipfian = variant in ("A", "C")
     writes = variant in ("A", "UniformRW")
-    sampler = ZipfianSampler(keyspace, theta) if zipfian else None
+    if zipfian:
+        _check_zipfian(keyspace, theta)
 
     def events():
         rng = random.Random(seed)
+        rand = rng.random
+        if zipfian:
+            sampler = ZipfianSampler(keyspace, theta)
+            cumulative, total = sampler._cumulative, sampler._total
+        read, write = Op.READ, Op.WRITE
         for seq in range(count):
-            key = sampler.sample(rng) if zipfian else rng.randrange(keyspace)
-            op = Op.WRITE if writes and rng.random() < 0.5 else Op.READ
-            file, offset = key_location(key, value_size, keys_per_file)
-            yield TraceEvent(seq, op, cgroup, file, offset, value_size,
-                             thread)
+            if zipfian:
+                key = bisect_right(cumulative, rand() * total)
+            else:
+                key = rng.randrange(keyspace)
+            op = write if writes and rand() < 0.5 else read
+            file, slot = divmod(key, keys_per_file)
+            yield TraceEvent(seq, op, cgroup, file, slot * value_size,
+                             value_size, thread)
 
     return events()
 
@@ -187,26 +204,31 @@ def gen_getscan(count: int, get_keyspace: int,
     if scan_region_pages is None:
         scan_region_pages = 4 * scan_len_pages
     slots = max(2, -(-scan_region_pages // scan_len_pages))
-    sampler = ZipfianSampler(get_keyspace, theta)
+    _check_zipfian(get_keyspace, theta)
     get_threads = tuple(get_threads)
     scan_threads = tuple(scan_threads)
     scan_file = get_keyspace // keys_per_file + 1
 
     def events():
         rng = random.Random(seed)
+        rand, choice = rng.random, rng.choice
+        # Gets are drawn as in gen_ycsb, from a table built on first read.
+        sampler = ZipfianSampler(get_keyspace, theta)
+        cumulative, total = sampler._cumulative, sampler._total
         slot = 0
         for seq in range(count):
-            if rng.random() < scan_fraction:
+            if rand() < scan_fraction:
                 offset = slot * scan_len_pages * PAGE_SIZE
                 slot = (slot + 1) % slots
                 yield TraceEvent(seq, Op.SCAN, cgroup, scan_file, offset,
                                  scan_len_pages * PAGE_SIZE,
-                                 rng.choice(scan_threads))
+                                 choice(scan_threads))
             else:
-                key = sampler.sample(rng)
-                file, offset = key_location(key, value_size, keys_per_file)
-                yield TraceEvent(seq, Op.GET, cgroup, file, offset,
-                                 value_size, rng.choice(get_threads))
+                file, key_slot = divmod(
+                    bisect_right(cumulative, rand() * total), keys_per_file)
+                yield TraceEvent(seq, Op.GET, cgroup, file,
+                                 key_slot * value_size, value_size,
+                                 choice(get_threads))
 
     return events()
 
@@ -217,11 +239,52 @@ TRACE_HEADER = ("seq", "op", "file", "offset", "len", "thread", "cgroup")
 _NON_NEGATIVE = ("file", "offset", "thread", "cgroup")
 
 
+def _check_row(lineno: int, row: list) -> TraceEvent | None:
+    """Parse one trace row step by step: field count, op (case and
+    surrounding whitespace ignored), integers in header order, signs, then
+    ``len``. Raises TraceFormatError at the first step a row fails;
+    returns None for an empty row."""
+    if not row:
+        return None
+    if len(row) != len(TRACE_HEADER):
+        raise TraceFormatError("line %d: expected %d fields, got %d"
+                               % (lineno, len(TRACE_HEADER), len(row)))
+    op = _OPS_BY_NAME.get(row[1].strip().lower())
+    if op is None:
+        raise TraceFormatError("line %d: field op: unknown op %r"
+                               % (lineno, row[1]))
+    values = {}
+    for field, raw in zip(TRACE_HEADER, row):
+        if field == "op":
+            continue
+        try:
+            values[field] = int(raw)
+        except ValueError:
+            raise TraceFormatError("line %d: field %s: not an integer: %r"
+                                   % (lineno, field, raw)) from None
+    for field in _NON_NEGATIVE:
+        if values[field] < 0:
+            raise TraceFormatError("line %d: field %s: must be >= 0, got %d"
+                                   % (lineno, field, values[field]))
+    if op is not Op.DELETE and values["len"] < 1:
+        raise TraceFormatError(
+            "line %d: field len: must be >= 1 for access ops" % lineno)
+    return TraceEvent(values["seq"], op, values["cgroup"], values["file"],
+                      values["offset"], values["len"], values["thread"])
+
+
 def parse_trace(path) -> Iterator[TraceEvent]:
     """Stream events from a trace CSV, in constant memory. Raises
     TraceFormatError naming the offending line and field on malformed
     input. The header is checked eagerly; the stream reopens the file when
-    first read, so a stream that is never read holds no open file."""
+    first read, so a stream that is never read holds no open file.
+
+    Each row is parsed in one pass: unpack the seven fields, look the op
+    up by its exact name, convert the integers, and run one combined check
+    of the signs and of ``len``. A row that fails any of these steps, or
+    spells its op in another case or with spaces around it, is handed to
+    ``_check_row``, which either parses it or raises the error the row
+    reports first."""
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), None)
     if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
@@ -229,42 +292,30 @@ def parse_trace(path) -> Iterator[TraceEvent]:
             "line 1: expected header %s" % ",".join(TRACE_HEADER))
 
     def events():
+        ops, delete = _OPS_BY_NAME, Op.DELETE
         with open(path, newline="") as fh:
             fh.readline()
             for lineno, row in enumerate(csv.reader(fh), start=2):
-                if not row:
-                    continue
-                if len(row) != len(TRACE_HEADER):
-                    raise TraceFormatError(
-                        "line %d: expected %d fields, got %d"
-                        % (lineno, len(TRACE_HEADER), len(row)))
-                op_name = row[1].strip().lower()
-                op = _OPS_BY_NAME.get(op_name)
-                if op is None:
-                    raise TraceFormatError("line %d: field op: unknown op %r"
-                                           % (lineno, row[1]))
-                values = {}
-                for field, raw in zip(TRACE_HEADER, row):
-                    if field == "op":
+                try:
+                    seq, op, file, offset, length, thread, cgroup = row
+                    op = ops[op]
+                    seq = int(seq)
+                    file = int(file)
+                    offset = int(offset)
+                    length = int(length)
+                    thread = int(thread)
+                    cgroup = int(cgroup)
+                except (ValueError, KeyError):
+                    pass
+                else:
+                    if ((file | offset | thread | cgroup) >= 0
+                            and (length >= 1 or op is delete)):
+                        yield TraceEvent(seq, op, cgroup, file, offset,
+                                         length, thread)
                         continue
-                    try:
-                        values[field] = int(raw)
-                    except ValueError:
-                        raise TraceFormatError(
-                            "line %d: field %s: not an integer: %r"
-                            % (lineno, field, raw)) from None
-                for field in _NON_NEGATIVE:
-                    if values[field] < 0:
-                        raise TraceFormatError(
-                            "line %d: field %s: must be >= 0, got %d"
-                            % (lineno, field, values[field]))
-                if op is not Op.DELETE and values["len"] < 1:
-                    raise TraceFormatError(
-                        "line %d: field len: must be >= 1 for access ops"
-                        % lineno)
-                yield TraceEvent(values["seq"], op, values["cgroup"],
-                                 values["file"], values["offset"],
-                                 values["len"], values["thread"])
+                ev = _check_row(lineno, row)
+                if ev is not None:
+                    yield ev
 
     return events()
 

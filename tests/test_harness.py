@@ -1,19 +1,26 @@
 """Scenario running, validation, comparison, isolation plumbing, and CLI."""
 
 import gc
+import random
 import warnings
 
 import pytest
 
 from pagecachesim import (
+    AccessOutcome,
     CgroupSpec,
     ConfigError,
+    FifoPolicy,
+    LhdPolicy,
     Op,
+    PolicyHooks,
     ScenarioConfig,
+    Simulator,
     TraceEvent,
     WorkloadSpec,
     build_events,
     compare,
+    replay,
     run,
     scenario_isolation,
     write_trace,
@@ -86,6 +93,34 @@ class TestValidation:
         with pytest.raises(ConfigError, match="scan_window"):
             run(config)
 
+    def test_lhd_age_granularity_zero_rejected(self):
+        config = small_config(
+            cgroups=[CgroupSpec(0, 64 * 4096, "lhd", {"age_granularity": 0})])
+        assert any("age_granularity must be >= 1" in e
+                   for e in config.validate())
+        with pytest.raises(ConfigError, match="age_granularity"):
+            run(config)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("ycsb-c", {"keyspace": 0, "count": 10}, "keyspace must be >= 1"),
+        ("ycsb-a", {"keyspace": 100, "count": 10, "theta": -0.5},
+         "theta must be >= 0"),
+        ("ycsb-c", {"keyspace": 100.5, "count": 10},
+         "'float' object cannot be interpreted as an integer"),
+        ("getscan", {"get_keyspace": 0, "count": 10},
+         "keyspace must be >= 1"),
+        ("getscan", {"get_keyspace": 100, "count": 10, "theta": -1.0},
+         "theta must be >= 0"),
+        ("getscan", {"get_keyspace": 100.5, "count": 10},
+         "'float' object cannot be interpreted as an integer"),
+    ])
+    def test_bad_zipfian_parameters_caught(self, kind, params, message):
+        """Caught when the stream is built, before its table is."""
+        with pytest.raises((ValueError, TypeError), match=message):
+            build_events(WorkloadSpec(kind, params), 0)
+        config = small_config(workload=WorkloadSpec(kind, params))
+        assert config.validate() == ["workload: " + message]
+
 
 class TestRun:
     def test_compulsory_misses_only_when_cache_fits(self):
@@ -132,6 +167,153 @@ class TestRun:
         metrics = report.rows[0][1]
         assert metrics.hits + metrics.misses == metrics.accesses
         assert metrics.evictions_policy > 0
+
+
+def mixed_events(count=400, seed=3):
+    """Events of every op on two cgroups: one-page, page-straddling and
+    multi-page accesses, zero-length reads, and file deletions."""
+    rng = random.Random(seed)
+    events = []
+    for seq in range(count):
+        op = rng.choice(list(Op))
+        cgroup, file = rng.randrange(2), rng.randrange(4)
+        if op is Op.DELETE:
+            offset = length = 0
+        elif op is Op.SCAN:
+            offset = rng.randrange(64) * 4096
+            length = rng.randrange(1, 9) * 4096
+        else:
+            offset = rng.randrange(64 * 4096)
+            length = rng.choice([0, 1, 100, 4096, 5000])
+        events.append(TraceEvent(seq, op, cgroup, file, offset, length,
+                                 rng.randrange(3)))
+    return events
+
+
+def reference_replay(sim, events):
+    """Replay the straightforward way: every event walks its page_range,
+    tallies are keyed by Op, and run_deferred runs after every event."""
+    tallies = {}
+    for ev in events:
+        if ev.op is Op.DELETE:
+            sim.remove_file(ev.cgroup, ev.file)
+        else:
+            t = tallies.setdefault((ev.cgroup, ev.op), [0, 0])
+            for page in ev.page_range():
+                outcome = sim.access_page(ev.cgroup, ev.file, page,
+                                          ev.op is Op.WRITE, ev.thread)
+                t[0] += 1
+                t[1] += outcome is AccessOutcome.HIT
+        sim.run_deferred()
+    return tallies
+
+
+def two_cgroup_sim(make_policy=None):
+    sim = Simulator()
+    for cgroup in (0, 1):
+        sim.add_cgroup(cgroup, 24)
+        if make_policy is not None:
+            sim.attach_policy(cgroup, make_policy())
+    return sim
+
+
+class DeferredFifo(FifoPolicy):
+    def __init__(self, calls):
+        super().__init__()
+        self.calls = calls
+
+    def run_deferred(self):
+        self.calls.append(self)
+
+
+class DuckTypedPolicy:
+    """Implements the hooks without deriving from PolicyHooks."""
+
+    name = "duck"
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def policy_init(self, cg):
+        pass
+
+    def evict_folios(self, ctx, cg):
+        pass
+
+    def folio_added(self, folio):
+        pass
+
+    def folio_accessed(self, folio):
+        pass
+
+    def folio_removed(self, folio):
+        pass
+
+    def run_deferred(self):
+        self.calls.append(self)
+
+
+def instance_override(calls):
+    policy = FifoPolicy()
+    policy.run_deferred = lambda: calls.append(policy)
+    return policy
+
+
+def vars_of(stats):
+    return {name: getattr(stats, name) for name in type(stats).__slots__}
+
+
+class TestReplay:
+    @pytest.mark.parametrize("make_policy", [
+        None, FifoPolicy, lambda: LhdPolicy(reconfig_interval=8)])
+    def test_tallies_match_reference_replay(self, make_policy):
+        events = mixed_events()
+        sim = two_cgroup_sim(make_policy)
+        tallies = replay(sim, events)
+        expected_sim = two_cgroup_sim(make_policy)
+        expected = reference_replay(expected_sim, events)
+        assert list(tallies.items()) == list(expected.items())
+        assert all(type(op) is Op for _, op in tallies)
+        for cgroup in (0, 1):
+            assert vars_of(sim.stats(cgroup)) == \
+                vars_of(expected_sim.stats(cgroup))
+        sim.check_invariants()
+
+    @pytest.mark.parametrize("make_policy", [
+        DeferredFifo, instance_override, DuckTypedPolicy])
+    def test_deferred_slot_runs_once_per_event(self, make_policy):
+        calls = []
+        policies = []
+
+        def build():
+            policies.append(make_policy(calls))
+            return policies[-1]
+
+        events = mixed_events()
+        assert {ev.op for ev in events} == set(Op)
+        assert any(ev.len_bytes > 4096 for ev in events)
+        sim = two_cgroup_sim(build)
+        assert sim.has_deferred_work
+        replay(sim, events)
+        for policy in policies:
+            assert calls.count(policy) == len(events)
+        assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
+
+    def test_policy_without_deferred_work_is_not_called(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(Simulator, "run_deferred",
+                            lambda sim: called.append(sim))
+        sim = two_cgroup_sim(FifoPolicy)
+        assert not sim.has_deferred_work
+        replay(sim, mixed_events())
+        assert called == []
+        assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
+
+    def test_base_class_policy_has_no_deferred_work(self):
+        sim = two_cgroup_sim(PolicyHooks)
+        assert not sim.has_deferred_work
+        replay(sim, mixed_events())
+        assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
 
 
 class TestCompare:
@@ -284,6 +466,13 @@ class TestCli:
                        "--limit-bytes", "3"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_lhd_zero_age_granularity_exits_nonzero(self, capsys):
+        rc = cli_main(["run", "--workload", "ycsb-c:keyspace=100,count=100",
+                       "--limit-bytes", str(16 * 4096), "--policy", "lhd",
+                       "--param", "age_granularity=0"])
+        assert rc == 1
+        assert "age_granularity must be >= 1" in capsys.readouterr().err
 
     def test_bad_trace_exits_nonzero(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -311,6 +311,21 @@ class TestLhd:
         policy.hits[0][0] = policy.SCALE * 50
         assert ask_candidates(policy, 1) == baseline
 
+    @pytest.mark.parametrize("granularity", [0, -3])
+    def test_rejects_age_granularity_below_one(self, granularity):
+        with pytest.raises(ValueError, match="age_granularity must be >= 1"):
+            LhdPolicy(age_granularity=granularity)
+        with pytest.raises(ValueError, match="age_granularity"):
+            make_policy("lhd", {"age_granularity": granularity})
+
+    def test_age_granularity_one_is_accepted(self):
+        policy, sim = self.make(limit=4, age_granularity=1)
+        for page in range(10):
+            sim.access_page(0, 1, page % 6)
+            sim.run_deferred()
+        assert sim.stats(0).hook_errors == 0
+        assert sim.stats(0).evictions_fallback == 0
+
 
 class ClassFormulaLhd(LhdPolicy):
     """LHD scoring each folio from its hit state on every call, as the

@@ -1,20 +1,31 @@
 """Workload generators: determinism, distributions, and the trace format."""
 
+import hashlib
+import itertools
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pagecachesim import (
+    CgroupSpec,
     Op,
+    ScenarioConfig,
     TraceEvent,
     TraceFormatError,
+    WorkloadSpec,
     ZipfianSampler,
     gen_filesearch,
     gen_getscan,
     gen_ycsb,
     parse_trace,
+    run,
     write_trace,
 )
+from pagecachesim import workloads
+from reference_trace import reference_parse
 
 #: chi-squared critical value, df=99, p=0.999
 CHI2_99_999 = 148.230
@@ -249,3 +260,193 @@ class TestDeterminismAcrossGenerators:
     ])
     def test_two_instances_identical(self, build):
         assert serialize(build()) == serialize(build())
+
+
+def trace_lines_text(rows):
+    return "seq,op,file,offset,len,thread,cgroup\n" + "".join(
+        ",".join(row) + "\n" for row in rows)
+
+
+def parse_outcome(path):
+    """(events parsed before the first error, the error's message)."""
+    events = []
+    try:
+        for ev in parse_trace(path):
+            events.append(ev)
+    except TraceFormatError as exc:
+        return serialize(events), str(exc)
+    return serialize(events), None
+
+
+_OP_NAMES = [op.value for op in Op]
+_GOOD_INT = st.integers(0, 10 ** 9).map(str)
+_SPACE = st.sampled_from([" ", "\t", "  "])
+#: Integer fields: well-formed (most often), negative, "+"/"_" spellings,
+#: whitespace around, and text int() rejects.
+_INT_TEXT = st.one_of(
+    _GOOD_INT, _GOOD_INT, _GOOD_INT,
+    st.integers(-10 ** 6, -1).map(str),
+    st.integers(0, 10 ** 6).map(lambda n: "+%d" % n),
+    st.integers(1000, 10 ** 8).map(lambda n: "{:_}".format(n)),
+    st.tuples(_SPACE, _GOOD_INT, _SPACE).map("".join),
+    st.sampled_from(["", "x", "1.5", "0x10", "--1", "_1", "1__0", "1_",
+                     "+-1", "-0", " -3 "]),
+)
+#: len also takes 0 often, so the access-op rule is exercised.
+_LEN_TEXT = st.one_of(_INT_TEXT, st.just("0"), st.just("-0"))
+_OP_TEXT = st.one_of(
+    st.sampled_from(_OP_NAMES), st.sampled_from(_OP_NAMES),
+    st.sampled_from(_OP_NAMES).map(str.upper),
+    st.sampled_from(_OP_NAMES).map(str.title),
+    st.tuples(_SPACE, st.sampled_from(_OP_NAMES), _SPACE).map("".join),
+    st.sampled_from(["", "frob", "gets", "del ete", "DELETEX"]),
+)
+_ROW = st.one_of(
+    st.tuples(_INT_TEXT, _OP_TEXT, _INT_TEXT, _INT_TEXT, _LEN_TEXT,
+              _INT_TEXT, _INT_TEXT).map(list),
+    st.tuples(_GOOD_INT, st.sampled_from(_OP_NAMES), _GOOD_INT, _GOOD_INT,
+              _LEN_TEXT, _GOOD_INT, _GOOD_INT).map(list),
+    st.lists(_INT_TEXT, max_size=9).filter(lambda row: len(row) != 7),
+)
+
+
+class TestTraceParseDifferential:
+    """parse_trace against the straight-line parser in reference_trace.py:
+    the same events, or the same TraceFormatError message after the same
+    events."""
+
+    def check(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "w", newline="") as fh:
+                fh.write(trace_lines_text(rows))
+            expected = reference_parse(path)
+            assert parse_outcome(path) == expected
+        return expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_ROW, max_size=6))
+    def test_matches_reference(self, rows):
+        self.check(rows)
+
+    @pytest.mark.parametrize("row, error", [
+        # several faults in one row: the first in check order is reported
+        (["x", "frob", "-1", "0", "0", "0", "0"],
+         "line 2: field op: unknown op 'frob'"),
+        (["x", "get", "-1", "y", "0", "0", "0"],
+         "line 2: field seq: not an integer: 'x'"),
+        (["1", "get", "-1", "y", "0", "0", "0"],
+         "line 2: field offset: not an integer: 'y'"),
+        (["1", "get", "0", "-5", "0", "-2", "-1"],
+         "line 2: field offset: must be >= 0, got -5"),
+        (["1", "read", "3", "0", "0", "-2", "0"],
+         "line 2: field thread: must be >= 0, got -2"),
+        (["1", "frob", "3"], "line 2: expected 7 fields, got 3"),
+        # len 0 is an error on an access op only
+        (["1", "get", "3", "0", "0", "0", "0"],
+         "line 2: field len: must be >= 1 for access ops"),
+        (["1", "delete", "3", "0", "0", "0", "0"], None),
+        (["1", " DELETE ", "3", "0", "-0", "0", "0"], None),
+        (["1", "scan", "3", "0", "-4", "0", "0"],
+         "line 2: field len: must be >= 1 for access ops"),
+        # spellings int() accepts parse on the fast path and the slow one
+        (["+1", "get", "1_000", " 4096 ", "+4_096", "0", "0"], None),
+        ([" 2", "Write ", "7", "0", "1", "0", "0"], None),
+    ])
+    def test_pinned_rows(self, row, error):
+        events, message = self.check([row])
+        assert message == error
+        assert len(events) == (error is None)
+
+    def test_events_before_a_bad_row_are_yielded(self):
+        events, message = self.check([
+            ["0", "get", "1", "0", "1", "0", "0"], [],
+            ["1", "GET", "1", "0", "1", "0", "0"],
+            ["2", "get", "1", "0", "0", "0", "0"],
+            ["3", "get", "1", "0", "1", "0", "0"]])
+        assert [ev[0] for ev in events] == [0, 1]
+        assert message == "line 5: field len: must be >= 1 for access ops"
+
+
+def stream_digest(events, count=2000):
+    h = hashlib.sha256()
+    for e in itertools.islice(events, count):
+        h.update(("%d,%s,%d,%d,%d,%d,%d\n"
+                  % (e.seq, e.op.value, e.cgroup, e.file, e.offset_bytes,
+                     e.len_bytes, e.thread)).encode())
+    return h.hexdigest()
+
+
+class TestStreamPins:
+    """SHA-256 of the first 2000 events of each generator at fixed seeds.
+    A change to a generator's ``rng`` calls, their order, or the key
+    slotting changes these digests."""
+
+    @pytest.mark.parametrize("build, digest", [
+        (lambda: gen_ycsb("A", keyspace=20480, value_size=1024, count=5000,
+                          seed=7, cgroup=3, thread=2),
+         "86eae881f88036950e6b985812c1f46e83284bd0b4eee67f90978470d93e13c8"),
+        (lambda: gen_ycsb("C", keyspace=20480, value_size=1024, count=5000,
+                          seed=7, cgroup=3, thread=2),
+         "7b5b103fd9d222ad5b0fc00120da6bb5fa528b64b37213a8a60e1bb8f928655c"),
+        (lambda: gen_ycsb("Uniform", keyspace=20480, value_size=1024,
+                          count=5000, seed=7, cgroup=3, thread=2),
+         "3d2361e0077a7a1ff67c431ac02b4c87e47f7d1fd7316b0fa17c9aafcb2f60bd"),
+        (lambda: gen_ycsb("UniformRW", keyspace=20480, value_size=1024,
+                          count=5000, seed=7, cgroup=3, thread=2),
+         "14c01fec25cab3c298f73d4a541b0cf55429d301b8a16ea198dd016435e780e4"),
+        (lambda: gen_ycsb("A", keyspace=999, value_size=300, count=2000,
+                          seed=5, keys_per_file=100, theta=0.5),
+         "e516d004364ab73b8020fd3bdaddfc03ed16ef48f88bdcb9ad6dd2a8b4bfbf27"),
+        (lambda: gen_getscan(5000, get_keyspace=8192, get_fraction=0.99,
+                             scan_fraction=0.01, scan_len_pages=16, seed=11,
+                             cgroup=1),
+         "1b928d8081470ffd703082f0078727e51d9f950514d24dea33baf11777deb347"),
+    ])
+    def test_first_events_unchanged(self, build, digest):
+        assert stream_digest(build()) == digest
+
+
+class TestZipfianTableBuiltOnce:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class CountingSampler(ZipfianSampler):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(workloads, "ZipfianSampler", CountingSampler)
+        return built
+
+    @pytest.mark.parametrize("workload", [
+        WorkloadSpec("ycsb-c", {"keyspace": 500, "count": 300}),
+        WorkloadSpec("ycsb-a", {"keyspace": 500, "count": 300}),
+        WorkloadSpec("getscan", {"get_keyspace": 500, "count": 300,
+                                 "scan_len_pages": 8}),
+    ])
+    def test_validate_builds_none_and_run_builds_one(self, built, workload):
+        config = ScenarioConfig(cgroups=[CgroupSpec(0, 32 * 4096)],
+                                workload=workload, seed=4)
+        assert config.validate() == []
+        assert built == []
+        run(config)
+        assert len(built) == 1
+
+    def test_unread_stream_builds_none(self, built):
+        gen_ycsb("C", keyspace=500, value_size=1024, count=10, seed=1)
+        gen_getscan(count=10, get_keyspace=500)
+        assert built == []
+
+    @pytest.mark.parametrize("build", [
+        lambda: gen_ycsb("C", keyspace=0, value_size=1024, count=10, seed=1),
+        lambda: gen_ycsb("A", keyspace=10, value_size=1024, count=10, seed=1,
+                         theta=-0.1),
+        lambda: gen_getscan(count=10, get_keyspace=0),
+        lambda: gen_getscan(count=10, get_keyspace=10, theta=-2),
+    ])
+    def test_bad_zipfian_parameters_raise_eagerly(self, build):
+        with pytest.raises(ValueError, match="keyspace must be >= 1|"
+                                             "theta must be >= 0"):
+            build()
