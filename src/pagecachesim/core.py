@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from enum import Enum
+from itertools import islice
 
 from .policy_api import (
     CANDIDATES_MAX,
@@ -131,6 +132,19 @@ class CgroupSim:
         self.policy: PolicyHooks | None = None
         self.policy_cg: PolicyCgroup | None = None
         self.stats = CgroupStats()
+
+
+def _proposed_before(proposed, i, fid) -> bool:
+    """Whether candidate ``fid`` at position ``i`` repeats an earlier int
+    candidate. Non-ints, bools included, repeat nothing and are repeated by
+    nothing, so each is counted."""
+    if not isinstance(fid, int) or isinstance(fid, bool):
+        return False
+    for earlier in islice(proposed, i):
+        if (earlier == fid and isinstance(earlier, int)
+                and not isinstance(earlier, bool)):
+            return True
+    return False
 
 
 def _does_deferred_work(policy) -> bool:
@@ -369,26 +383,22 @@ class Simulator:
     def _evict_candidates(self, cg: CgroupSim, proposed) -> int:
         """Validate and evict a policy's proposals. Unknown, foreign, or
         pinned candidates and ones that are not ints (bools included) are
-        rejected and counted; duplicates are ignored."""
-        registry = cg.registry
+        rejected and counted; duplicates are ignored. A repeat of an
+        accepted id fails validation, as its folio is gone, so earlier
+        proposals are searched for a duplicate only on a rejection."""
+        entries = cg.registry.entries
+        folios = self._folios
         evicted = 0
-        seen = set()
-        for fid in proposed:
-            if not isinstance(fid, int) or isinstance(fid, bool):
+        for i, fid in enumerate(proposed):
+            if (isinstance(fid, int) and not isinstance(fid, bool)
+                    and fid in entries):
+                folio = folios[fid]
+                if not folio.pinned:
+                    self._evict_folio(cg, folio, via_policy=True)
+                    evicted += 1
+                    continue
+            if not _proposed_before(proposed, i, fid):
                 cg.stats.invalid_candidates += 1
-                continue
-            if fid in seen:
-                continue
-            seen.add(fid)
-            if fid not in registry:
-                cg.stats.invalid_candidates += 1
-                continue
-            folio = self._folios[fid]
-            if folio.pinned:
-                cg.stats.invalid_candidates += 1
-                continue
-            self._evict_folio(cg, folio, via_policy=True)
-            evicted += 1
         return evicted
 
     def default_evict(self, cgroup_id: int, needed: int) -> int:

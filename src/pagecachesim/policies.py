@@ -81,7 +81,10 @@ class MruPolicy(PolicyHooks):
 
 class LfuPolicy(PolicyHooks):
     """Approximate LFU: score the first N list nodes by access frequency
-    and evict the least-frequently used among that batch."""
+    and evict the least-frequently used among that batch.
+
+    It declares no ``score_floor``, though frequencies start at 1: see
+    ``GetScanPolicy`` for why the floored pass would be slower here."""
 
     name = "lfu"
 
@@ -234,9 +237,17 @@ class LhdPolicy(PolicyHooks):
     It first ages all counters with an EWMA decay of 0.9 and then
     recomputes densities. All statistics are 64-bit fixed point (scaled by
     2**20); nothing here uses floating point.
+
+    Densities are non-negative by construction, so the queue declares a
+    ``score_floor`` of 0: a round ends at its ``ctx.room()``-th
+    zero-density folio. Zero is the common score: it is every density
+    until the first reconfiguration, and after one it is still the density
+    of every age at or past which a class recorded no hit.
     """
 
     name = "lhd"
+    #: Lowest density a score can return; see ``IterOptions.score_floor``.
+    score_floor = 0
 
     NUM_CLASSES = 16
     MAX_AGE = 256
@@ -253,7 +264,8 @@ class LhdPolicy(PolicyHooks):
             raise ValueError("age_granularity must be >= 1")
         self.reconfig_interval = reconfig_interval
         self._age_granularity = age_granularity
-        self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window)
+        self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window,
+                                 score_floor=self.score_floor)
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
@@ -363,13 +375,27 @@ class GetScanPolicy(PolicyHooks):
     handle at insertion time. Both lists keep approximate-LFU frequencies,
     and eviction drains the scan list first so scan traffic cannot push
     point-query folios out of the cache.
+
+    Every folio enters at frequency 1 and only gains, so the scan list
+    declares a ``score_floor`` of 1. Scan pages are read once, so the scan
+    list's head holds them and a round usually ends at its first node. The
+    get list declares no floor, and neither does ``LfuPolicy``: their
+    heads hold the folios that survived earlier rounds, so a frequency-1
+    folio sits deep in the window or is absent, and the unfloored pass,
+    which runs in C, scores the whole window faster than the floored one
+    reaches it.
     """
 
     name = "getscan"
+    #: Lowest frequency on the scan list; see ``IterOptions.score_floor``.
+    score_floor = 1
 
     def __init__(self, scan_threads=(), scan_window: int = DEFAULT_SCAN_LIMIT):
         self.scan_threads = frozenset(scan_threads)
         self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window)
+        self._scan_opts = IterOptions(mode=IterMode.SCORE,
+                                      scan_limit=scan_window,
+                                      score_floor=self.score_floor)
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
@@ -390,7 +416,7 @@ class GetScanPolicy(PolicyHooks):
 
     def evict_folios(self, ctx, cg):
         score = self.freq.__getitem__
-        cg.list_iterate(self.scan_list, score, self._opts, ctx)
+        cg.list_iterate(self.scan_list, score, self._scan_opts, ctx)
         if ctx.room() > 0:
             cg.list_iterate(self.get_list, score, self._opts, ctx)
 

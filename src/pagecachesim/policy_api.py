@@ -24,7 +24,10 @@ rest of every open walk.
 
 A score-mode round is one pass over the live window: it keeps the
 ``ctx.room()`` lowest scores as it reads, without copying the window or its
-scores, so a score callback must leave the scored list alone.
+scores, so a score callback must leave the scored list alone. A policy that
+declares the lowest score its callback can return (``score_floor``) ends
+the pass as soon as it holds ``ctx.room()`` nodes at that floor: ties go to
+the earlier node, so no later node could displace them.
 """
 
 from __future__ import annotations
@@ -99,6 +102,14 @@ class IterOptions:
     ``scan_limit`` nodes are examined. ``target_list`` names the destination
     for ``Disposition.MOVE_TO_LIST``. In score mode ``scan_limit`` must be at
     least the round's requested candidate count.
+
+    ``score_floor`` (score mode only) is the lowest score the callback can
+    return, or None if the policy declares none. With a floor the pass
+    stops once it holds ``ctx.room()`` nodes scoring exactly the floor; the
+    candidates and their order are those of the full pass. A score below
+    the floor breaks the declaration and raises ``ValueError``. A floor
+    pays off where floor-scoring nodes sit near the window's head; where
+    they sit deep, the unfloored pass, which runs in C, is faster.
     """
 
     mode: IterMode = IterMode.EVALUATE
@@ -106,6 +117,7 @@ class IterOptions:
     disposition: Disposition = Disposition.LEAVE_IN_PLACE
     target_list: int | None = None
     skip: int = 0
+    score_floor: int | None = None
 
 
 class EvictionContext:
@@ -382,11 +394,18 @@ class PolicyCgroup:
         Score mode: the callback receives the folio id and returns an
         integer score. The ``ctx.room()`` lowest-scoring nodes are appended
         to the context, ties broken by earlier list position; all nodes stay
-        in place. Scoring is one pass over the live list, so a score
+        in place. The return value is the number of nodes scored, each
+        exactly once. Without ``opts.score_floor`` that is the whole window.
+        With one, the pass stops at the node that gives it ``ctx.room()``
+        nodes scoring exactly the floor, and a window with fewer such nodes
+        is scored in full; either way the candidates and their order are
+        those of the full pass. A score below the floor raises
+        ``ValueError``. Scoring is one pass over the live list, so a score
         callback must not change the list it scores: the next read after
-        such a change raises ``RuntimeError`` (a change made while the
-        window's last node is scored goes unseen). The core counts that as
-        a hook error and falls back to default eviction for the round.
+        such a change raises ``RuntimeError`` (a change made by the call that
+        scores the pass's last node goes unseen). The core counts either
+        error as a hook error and falls back to default eviction for the
+        round.
         """
         nodes = self._lists.get(list_id)
         if nodes is None:
@@ -398,13 +417,15 @@ class PolicyCgroup:
             if opts.scan_limit < ctx.nr_candidates_requested:
                 raise ValueError("score mode needs scan_limit >= "
                                  "nr_candidates_requested")
+            window = islice(nodes, pos, pos + opts.scan_limit)
+            if opts.score_floor is not None:
+                return self._score_to_floor(window, callback,
+                                            opts.score_floor, ctx)
             examined = max(0, min(opts.scan_limit, len(nodes) - pos))
             # Hot path: one score callback per window node, every round.
             # nsmallest is stable (and min() for one), so ties go to the
             # earlier list position.
-            for folio_id in heapq.nsmallest(
-                    ctx.room(), islice(nodes, pos, pos + opts.scan_limit),
-                    key=callback):
+            for folio_id in heapq.nsmallest(ctx.room(), window, key=callback):
                 ctx.propose(folio_id)
             return examined
         # The window is list positions [pos, pos + left) of nodes not yet
@@ -482,6 +503,46 @@ class PolicyCgroup:
         if self.debug:
             self.check_consistency()
         return examined
+
+    @staticmethod
+    def _score_to_floor(window, callback, floor, ctx: EvictionContext) -> int:
+        """Score mode with a declared floor; returns the nodes scored.
+
+        Floor-scoring nodes rank before every other node and among
+        themselves by position, so the first ``room`` of them are the
+        round's answer and the pass ends there. Until then it also keeps
+        the ``room`` best other nodes, as ``(-score, -position, id)`` in a
+        bounded heap whose root is the worst kept, for a window with fewer
+        floor nodes.
+        """
+        room = ctx.room()
+        at_floor = []
+        rest = []
+        scored = 0
+        for folio_id in window:
+            score = callback(folio_id)
+            scored += 1
+            if score == floor:
+                at_floor.append(folio_id)
+                if len(at_floor) == room:
+                    break
+            elif score < floor:
+                raise ValueError("score %r is below the declared floor %r"
+                                 % (score, floor))
+            else:
+                # Positions are unique, so ids are never compared.
+                kept = (-score, -scored, folio_id)
+                if len(rest) < room:
+                    heapq.heappush(rest, kept)
+                elif kept > rest[0]:
+                    heapq.heapreplace(rest, kept)
+        for folio_id in at_floor:
+            ctx.propose(folio_id)
+        if len(at_floor) < room:
+            rest.sort(reverse=True)
+            for _, _, folio_id in rest[:room - len(at_floor)]:
+                ctx.propose(folio_id)
+        return scored
 
     # -- debugging ---------------------------------------------------------
 

@@ -87,14 +87,20 @@ class ZipfianSampler:
         return weight / self._total
 
 
+def _check_keyspace(keyspace: int) -> None:
+    """Raise ValueError for a keyspace below 1, TypeError for one that is
+    not an integer."""
+    if keyspace < 1:
+        raise ValueError("keyspace must be >= 1")
+    range(keyspace)  # a non-integer keyspace raises TypeError here
+
+
 def _check_zipfian(keyspace: int, theta: float) -> None:
     """Raise what building a ZipfianSampler would raise for these
     parameters, without building its table."""
-    if keyspace < 1:
-        raise ValueError("keyspace must be >= 1")
+    _check_keyspace(keyspace)
     if theta < 0:
         raise ValueError("theta must be >= 0")
-    range(keyspace)  # a non-integer keyspace raises TypeError here
 
 
 YCSB_VARIANTS = ("A", "C", "Uniform", "UniformRW")
@@ -111,10 +117,11 @@ def gen_ycsb(variant: str, keyspace: int, value_size: int,
     Zipfian, Uniform = read-only uniform, UniformRW = 50/50 uniform.
     Updates are in-place page writes.
 
-    Parameters are checked here; the Zipfian table is built on the first
-    read, so a stream that is never read costs nothing. Each key is drawn
-    in the generator's own frame with the same ``rng`` call as
-    ``ZipfianSampler.sample``, and slotted as ``DEFAULT_KEYS_PER_FILE``
+    Parameters, ``keyspace`` for every variant, are checked here, so
+    ``ScenarioConfig.validate`` reports them. The Zipfian table is built
+    on the first read, so a stream that is never read costs nothing. Each
+    key is drawn in the generator's own frame with the same ``rng`` call
+    as ``ZipfianSampler.sample``, and slotted as ``DEFAULT_KEYS_PER_FILE``
     describes.
     """
     if variant not in YCSB_VARIANTS:
@@ -126,6 +133,8 @@ def gen_ycsb(variant: str, keyspace: int, value_size: int,
     writes = variant in ("A", "UniformRW")
     if zipfian:
         _check_zipfian(keyspace, theta)
+    else:
+        _check_keyspace(keyspace)
 
     def events():
         rng = random.Random(seed)

@@ -254,6 +254,46 @@ class TestDriveEviction:
         assert stats.invalid_candidates == 0
         assert sim.resident_pages(0) == 2
 
+    def test_repeated_rejections_count_once_and_non_ints_each_time(self):
+        class RepeatingPolicy(FixedProposalPolicy):
+            def evict_folios(self, ctx, cg):
+                pinned, first, second = cg.list_members(self.queue)[:3]
+                ctx.candidates = [999999, 999999, True, True, 1.0, 1.0,
+                                  pinned, pinned, first, first,
+                                  float(first), second]
+                ctx.nr_candidates_proposed = len(ctx.candidates)
+
+        sim = make_sim(limit_pages=32, policy=RepeatingPolicy())
+        for page in range(13):
+            sim.access_page(0, 1, page)
+        sim.pin(1, 0)
+        sim.set_limit(0, 1)  # one round asking for 12
+        stats = sim.stats(0)
+        # unknown and pinned count once; non-ints count every time, also
+        # when equal to an earlier int
+        assert stats.invalid_candidates == 1 + 2 + 2 + 1 + 1
+        assert stats.evictions_policy == 2
+        assert stats.evictions_fallback == 10
+        assert sim.find_folio(1, 0) is not None
+
+    def test_rejected_int_after_an_equal_bool_is_counted(self):
+        # True == 1, but a bool is no folio id, so it does not make the
+        # rejected id 1 after it a duplicate
+        class BoolThenIntPolicy(FixedProposalPolicy):
+            def evict_folios(self, ctx, cg):
+                ctx.candidates = [True, 1]
+                ctx.nr_candidates_proposed = 2
+
+        sim = make_sim(limit_pages=4, policy=BoolThenIntPolicy())
+        for page in range(4):
+            sim.access_page(0, 1, page)
+        for page in (0, 1):
+            sim.pin(1, page)  # id 1, if resident, is pinned
+        sim.set_limit(0, 2)  # one round asking for 2
+        stats = sim.stats(0)
+        assert stats.invalid_candidates == 2
+        assert stats.evictions_fallback == 2
+
     def test_garbage_candidates_rejected_without_crashing(self):
         class GarbagePolicy(FixedProposalPolicy):
             def evict_folios(self, ctx, cg):

@@ -467,6 +467,14 @@ class TestCli:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keyspace", ["0", "100.5"])
+    def test_bad_uniform_keyspace_exits_nonzero(self, capsys, keyspace):
+        rc = cli_main(["run", "--workload",
+                       "uniform:keyspace=%s,count=10" % keyspace,
+                       "--limit-bytes", "65536"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_lhd_zero_age_granularity_exits_nonzero(self, capsys):
         rc = cli_main(["run", "--workload", "ycsb-c:keyspace=100,count=100",
                        "--limit-bytes", str(16 * 4096), "--policy", "lhd",

@@ -364,6 +364,81 @@ class TestLhdExactness:
         assert len(logs[0]) > 1000
 
 
+class UnflooredLhd(LhdPolicy):
+    score_floor = None
+
+
+class UnflooredGetScan(GetScanPolicy):
+    score_floor = None
+
+
+def replay_counting_scored(policy, events, limit_pages=32):
+    """Replay ``(thread, file, page)`` events with the limit dipping every
+    500 events, so some rounds ask for several candidates. Returns the
+    eviction log and the nodes the policy's score passes returned."""
+    sim = make_sim(limit_pages=limit_pages, policy=policy,
+                   record_evictions=True)
+    cg = policy.cg
+    iterate = cg.list_iterate
+    scored = [0]
+
+    def counting(list_id, callback, opts, ctx):
+        examined = iterate(list_id, callback, opts, ctx)
+        scored[0] += examined
+        return examined
+
+    cg.list_iterate = counting
+    for i, (thread, file, page) in enumerate(events):
+        sim.access_page(0, file, page, thread=thread)
+        sim.run_deferred()
+        if i % 500 == 250:
+            sim.set_limit(0, limit_pages - 5)
+        elif i % 500 == 499:
+            sim.set_limit(0, limit_pages)
+    assert sim.stats(0).hook_errors == 0
+    sim.check_invariants()
+    return sim.eviction_log, scored[0]
+
+
+class TestScoreFloorExactness:
+    """A declared floor changes how many nodes a round scores, never which
+    folios it evicts."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lhd_with_live_densities(self, seed):
+        rng = random.Random(seed)
+        events = [(0, file, page) for file, page in random_accesses(
+            rng, 3000, files=2, pages_per_file=48, locality=0.6)]
+        floored, scored = replay_counting_scored(
+            LhdPolicy(reconfig_interval=16), events)
+        unfloored, scored_all = replay_counting_scored(
+            UnflooredLhd(reconfig_interval=16), events)
+        assert floored == unfloored
+        assert len(floored) > 1000
+        assert scored < scored_all
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_getscan_with_scan_threads(self, seed):
+        rng = random.Random(seed)
+        events = []
+        while len(events) < 3000:
+            if rng.random() < 0.05:
+                # a scan of file 2 from thread 9
+                start = rng.randrange(30)
+                events += [(9, 2, p) for p in range(start, start + 20)]
+            else:
+                # point reads also hit scanned pages, so some scan-list
+                # folios rise above the floor
+                events.append((1, rng.randrange(3), rng.randrange(48)))
+        floored, scored = replay_counting_scored(
+            GetScanPolicy(scan_threads=(9,)), events)
+        unfloored, scored_all = replay_counting_scored(
+            UnflooredGetScan(scan_threads=(9,)), events)
+        assert floored == unfloored
+        assert len(floored) > 1000
+        assert scored < scored_all
+
+
 class TestGetScan:
     def make(self, scan_threads=(9,), limit=64):
         policy = GetScanPolicy(scan_threads=scan_threads)

@@ -19,6 +19,8 @@ from pagecachesim import (
     IterOptions,
     ListStatus,
     PolicyCgroup,
+    PolicyHooks,
+    Simulator,
     Verdict,
     registry_memory_estimate,
 )
@@ -653,6 +655,122 @@ class TestIterateScore:
         assert examined == n
         assert ctx.candidates == [fids[-1]]
         assert peak < 64 * 1024
+
+
+class TestScoreFloor:
+    """A declared score floor ends the pass at the room-th floor node and
+    leaves the candidates of the full pass unchanged."""
+
+    def run_floored(self, scores, k, floor, scan_limit=None, skip=0):
+        store, _, fids = make_store(len(scores))
+        lst = store.list_create()
+        for fid in fids:
+            store.list_add(lst, fid, tail=True)
+        by_fid = dict(zip(fids, scores))
+        calls = []
+
+        def score(fid):
+            calls.append(fid)
+            return by_fid[fid]
+
+        ctx = EvictionContext(k)
+        opts = IterOptions(mode=IterMode.SCORE, skip=skip, score_floor=floor,
+                           scan_limit=scan_limit or max(len(scores), k))
+        scored = store.list_iterate(lst, score, opts, ctx)
+        return store, lst, fids, ctx, scored, calls
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), floor=st.integers(-3, 3),
+           k=st.integers(1, CANDIDATES_MAX), skip=st.integers(0, 70),
+           extra=st.integers(0, 70))
+    def test_matches_sort_based_min_k_oracle(self, data, floor, k, skip,
+                                             extra):
+        # offsets of 0 are frequent, so many nodes tie at the floor
+        offsets = data.draw(st.lists(
+            st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 1000)),
+            min_size=1, max_size=64))
+        scores = [floor + d for d in offsets]
+        scan_limit = k + extra
+        store, lst, fids, ctx, scored, calls = self.run_floored(
+            scores, k, floor, scan_limit=scan_limit, skip=skip)
+        window = list(zip(scores, fids))[skip:skip + scan_limit]
+        expect = [fid for _, _, fid in
+                  sorted((s, i, f) for i, (s, f) in enumerate(window))][:k]
+        assert ctx.candidates == expect
+        assert store.list_members(lst) == fids
+        # the pass scores a prefix of the window, each node once, and ends
+        # at the k-th floor node if the window holds that many
+        floor_at = [i for i, (s, _) in enumerate(window) if s == floor]
+        stop = floor_at[k - 1] + 1 if len(floor_at) >= k else len(window)
+        assert calls == [f for _, f in window[:stop]]
+        assert scored == stop
+
+    def test_window_without_a_floor_node_is_scored_once_per_node(self):
+        scores = [5, 3, 9, 3, 7, 4, 8, 6]
+        _, _, fids, ctx, scored, calls = self.run_floored(scores, k=3,
+                                                          floor=0)
+        assert calls == fids
+        assert scored == len(fids)
+        assert ctx.candidates == [fids[1], fids[3], fids[5]]
+
+    @pytest.mark.parametrize("floor_at_end", [False, True])
+    def test_round_over_a_large_window_stays_small(self, floor_at_end):
+        n = 100_000
+        store, _, fids = make_store(n, bucket_count=n)
+        store.debug = False
+        lst = store.list_create()
+        for fid in fids:
+            store.list_add(lst, fid, tail=True)
+        # falling scores make every node displace the worst kept one
+        by_fid = {fid: n + 1 - fid for fid in fids}
+        if floor_at_end:
+            by_fid[fids[-1]] = 0
+        ctx = EvictionContext(CANDIDATES_MAX)
+        opts = IterOptions(mode=IterMode.SCORE, scan_limit=n, score_floor=0)
+        # a copy of the window, or of its scores, is 800 KB
+        tracemalloc.start()
+        try:
+            scored = store.list_iterate(lst, by_fid.__getitem__, opts, ctx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scored == n
+        if floor_at_end:
+            expect = [fids[-1]] + fids[-2:-CANDIDATES_MAX - 1:-1]
+        else:
+            expect = fids[:-CANDIDATES_MAX - 1:-1]
+        assert ctx.candidates == expect
+        assert peak < 64 * 1024
+
+    def test_score_below_the_floor_raises(self):
+        with pytest.raises(ValueError, match="below the declared floor"):
+            self.run_floored([2, 1, -1, 3], k=1, floor=0)
+
+    def test_score_below_the_floor_is_a_hook_error(self):
+        class BelowFloorPolicy(PolicyHooks):
+            def policy_init(self, cg):
+                self.cg = cg
+                self.queue = cg.list_create()
+
+            def folio_added(self, folio):
+                self.cg.list_add(self.queue, folio.id, tail=True)
+
+            def evict_folios(self, ctx, cg):
+                cg.list_iterate(self.queue, lambda fid: -1,
+                                IterOptions(mode=IterMode.SCORE,
+                                            score_floor=0), ctx)
+
+        sim = Simulator()
+        sim.add_cgroup(0, 2)
+        sim.attach_policy(0, BelowFloorPolicy())
+        for page in (0, 1, 2):
+            sim.access_page(0, 1, page)
+        stats = sim.stats(0)
+        assert stats.hook_errors == 1
+        assert stats.evictions_policy == 0
+        assert stats.evictions_fallback == 1
+        assert sim.resident_pages(0) == 2
+        sim.check_invariants()
 
 
 class TestConsistency:

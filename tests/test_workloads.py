@@ -118,6 +118,25 @@ class TestYcsb:
         with pytest.raises(ValueError):
             gen_ycsb("C", keyspace=10, value_size=1024, count=0, seed=0)
 
+    @pytest.mark.parametrize("variant", ["Uniform", "UniformRW"])
+    @pytest.mark.parametrize("keyspace, error", [(0, ValueError),
+                                                 (100.5, TypeError)])
+    def test_uniform_keyspace_checked_when_built(self, variant, keyspace,
+                                                 error):
+        with pytest.raises(error):
+            gen_ycsb(variant, keyspace=keyspace, value_size=1024, count=10,
+                     seed=0)
+
+    @pytest.mark.parametrize("kind", ["uniform", "uniform-rw"])
+    @pytest.mark.parametrize("keyspace", [0, 100.5])
+    def test_uniform_keyspace_reported_by_validate(self, kind, keyspace):
+        config = ScenarioConfig(
+            cgroups=[CgroupSpec(0, 16 * 4096)],
+            workload=WorkloadSpec(kind, {"keyspace": keyspace, "count": 10}))
+        errors = config.validate()
+        assert len(errors) == 1
+        assert errors[0].startswith("workload: ")
+
 
 class TestFilesearch:
     def test_enumeration_order(self):
