@@ -43,7 +43,6 @@ from .policy_api import (
     Disposition,
     EvictionContext,
     EvictionLists,
-    FolioRegistry,
     IterMode,
     IterOptions,
     ListStatus,

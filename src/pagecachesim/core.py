@@ -8,9 +8,10 @@ custom eviction policy attached.
 
 Eviction is strict: whenever an insertion pushes a cgroup over its page
 limit, the driver runs until the cgroup fits again. With a policy attached
-the driver asks it for candidates (validating each against the cgroup's
-folio registry) and falls back to the default two-list eviction for any
-shortfall, so a broken policy can never violate the capacity limit.
+the driver asks it for candidates (each must be a resident, unpinned folio
+the cgroup owns, as the folio table shows) and falls back to the default
+two-list eviction for any shortfall, so a broken policy can never violate
+the capacity limit.
 
 Everything is single-threaded and deterministic: one simulator instance is
 one isolated event loop, and independent instances share no state.
@@ -25,7 +26,6 @@ from itertools import islice
 from .policy_api import (
     CANDIDATES_MAX,
     EvictionContext,
-    FolioRegistry,
     PolicyCgroup,
     PolicyHooks,
     POLICY_NAME_MAX,
@@ -114,7 +114,7 @@ class CgroupSim:
     """One simulated cgroup: limit, lists, shadow table, optional policy."""
 
     __slots__ = ("id", "limit_pages", "resident_pages", "active", "inactive",
-                 "shadow_table", "eviction_epoch", "registry", "policy",
+                 "shadow_table", "eviction_epoch", "policy",
                  "policy_cg", "stats")
 
     def __init__(self, cgroup_id: int, limit_pages: int):
@@ -128,7 +128,6 @@ class CgroupSim:
         # limit_pages entries, oldest dropped first.
         self.shadow_table: OrderedDict = OrderedDict()
         self.eviction_epoch = 0
-        self.registry = FolioRegistry(limit_pages)
         self.policy: PolicyHooks | None = None
         self.policy_cg: PolicyCgroup | None = None
         self.stats = CgroupStats()
@@ -204,10 +203,6 @@ class Simulator:
         try:
             policy.policy_init(handle)
         except Exception as exc:
-            # The handle is dropped, so no folio may stay listed on it.
-            entries = cg.registry.entries
-            for fid in entries:
-                entries[fid] = None
             raise PolicyAttachError("policy_init of %r failed: %r"
                                     % (name, exc)) from exc
         cg.policy = policy
@@ -320,7 +315,6 @@ class Simulator:
             pages = self._pages[file] = {}
         pages[offset] = fid
         self._folios[fid] = folio
-        cg.registry.register(fid)
         cg.resident_pages += 1
         if cg.policy is not None:
             cg.policy_cg.current_thread = thread
@@ -386,14 +380,14 @@ class Simulator:
         rejected and counted; duplicates are ignored. A repeat of an
         accepted id fails validation, as its folio is gone, so earlier
         proposals are searched for a duplicate only on a rejection."""
-        entries = cg.registry.entries
         folios = self._folios
+        cgroup_id = cg.id
         evicted = 0
         for i, fid in enumerate(proposed):
-            if (isinstance(fid, int) and not isinstance(fid, bool)
-                    and fid in entries):
-                folio = folios[fid]
-                if not folio.pinned:
+            if isinstance(fid, int) and not isinstance(fid, bool):
+                folio = folios.get(fid)
+                if (folio is not None and folio.owner == cgroup_id
+                        and not folio.pinned):
                     self._evict_folio(cg, folio, via_policy=True)
                     evicted += 1
                     continue
@@ -443,8 +437,8 @@ class Simulator:
         folio.referenced = False
 
     def _evict_folio(self, cg: CgroupSim, folio: Folio, via_policy: bool):
-        """Evict one folio: shadow entry, registry and list detach, hook,
-        index cleanup, accounting."""
+        """Evict one folio: list removal, shadow entry, policy-list detach,
+        hook, index cleanup, accounting."""
         fid = folio.id
         if folio.active:
             del cg.active[fid]
@@ -470,19 +464,18 @@ class Simulator:
             self.eviction_log.append((cg.id, folio.file, folio.offset))
 
     def _forget_folio(self, cg, folio, reason) -> None:
-        """Shared tail of eviction and file removal: unregister (detaching
-        from any eviction list first), fire folio_removed, drop indexes."""
+        """Shared tail of eviction and file removal: detach from any
+        policy eviction list, fire folio_removed, drop indexes."""
         fid = folio.id
-        list_id = cg.registry.unregister(fid)
-        if list_id is not None:
-            cg.policy_cg.detach(fid, list_id)
-        if cg.policy is not None:
-            cg.policy_cg.removal_reason = reason
+        policy_cg = cg.policy_cg
+        if policy_cg is not None:
+            policy_cg.detach(fid)
+            policy_cg.removal_reason = reason
             try:
                 cg.policy.folio_removed(folio)
             except Exception:
                 cg.stats.hook_errors += 1
-            cg.policy_cg.removal_reason = None
+            policy_cg.removal_reason = None
         pages = self._pages[folio.file]
         del pages[folio.offset]
         if not pages:
@@ -537,7 +530,7 @@ class Simulator:
     # -- invariant checking (tests) -----------------------------------------
 
     def check_invariants(self) -> None:
-        """Structural consistency of counts, lists, registry, and indexes."""
+        """Structural consistency of counts, lists, and indexes."""
         by_owner: dict[int, int] = {}
         for fid, folio in self._folios.items():
             by_owner[folio.owner] = by_owner.get(folio.owner, 0) + 1
@@ -565,13 +558,10 @@ class Simulator:
             for fid in cg.inactive:
                 if self._folios[fid].active:
                     raise AssertionError("active folio on inactive list")
-            if set(cg.registry.entries) != set(cg.active) | set(cg.inactive):
-                raise AssertionError("cgroup %r registry != resident folios"
-                                     % cg.id)
             if len(cg.shadow_table) > cg.limit_pages:
                 raise AssertionError("cgroup %r shadow table over capacity"
                                      % cg.id)
             if cg.policy_cg is not None:
-                # Also proves the lists hold no more folios than the
-                # registry: every listed folio must be registered there.
+                # Also proves the policy's lists hold no more folios than
+                # are resident: every listed folio must be resident.
                 cg.policy_cg.check_consistency()

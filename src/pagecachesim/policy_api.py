@@ -3,18 +3,18 @@
 A policy is a set of five lifecycle hooks (see ``PolicyHooks``) attached to
 one cgroup. It never evicts pages itself: it organizes resident folios on
 *eviction lists* it creates, and when the cache core asks for victims it
-proposes candidates through an ``EvictionContext``. The core validates every
-candidate against the cgroup's folio registry before acting on it, so a
-buggy policy can degrade hit ratios but cannot corrupt the cache.
+proposes candidates through an ``EvictionContext``. The core checks every
+candidate against its folio table (a resident, unpinned folio of this
+cgroup) before acting on it, so a buggy policy can degrade hit ratios but
+cannot corrupt the cache.
 
 The policy reaches its lists through one handle per cgroup,
 ``PolicyCgroup``, which owns the lists and carries the event context of the
 hook being dispatched. Eviction lists store folio ids, not folios, and
 ``list_iterate`` hands its callback a folio id. Lists are indexed: the
-registry records which list (if any) each resident folio is on, so
-detaching a folio on eviction is O(1). List operations return
-``ListStatus`` codes instead of raising, mirroring an int-returning
-kernel-style API.
+handle records which list each listed folio is on, so detaching a folio on
+eviction is O(1). List operations return ``ListStatus`` codes instead of
+raising, mirroring an int-returning kernel-style API.
 
 An evaluate-mode walk reads its window from the live list as it goes, so a
 round that stops after k nodes reads about k nodes (plus ``skip``), not the
@@ -126,11 +126,11 @@ class EvictionContext:
     The core fills in ``nr_candidates_requested`` (1..=32); the policy
     appends folio ids to ``candidates``. Entries beyond
     ``nr_candidates_proposed`` are ignored by the core, as are duplicates
-    and ids that fail registry validation.
+    and ids that are not resident, unpinned folios of the cgroup.
     """
 
     __slots__ = ("nr_candidates_requested", "nr_candidates_proposed",
-                 "candidates", "_proposed")
+                 "candidates")
 
     def __init__(self, nr_candidates_requested: int):
         if not 1 <= nr_candidates_requested <= CANDIDATES_MAX:
@@ -140,7 +140,6 @@ class EvictionContext:
         self.nr_candidates_requested = nr_candidates_requested
         self.nr_candidates_proposed = 0
         self.candidates: list[int] = []
-        self._proposed: set[int] = set()
 
     def room(self) -> int:
         return self.nr_candidates_requested - self.nr_candidates_proposed
@@ -149,62 +148,19 @@ class EvictionContext:
         """Append a candidate. Returns False when full or already proposed."""
         if self.nr_candidates_proposed >= self.nr_candidates_requested:
             return False
-        if folio_id in self._proposed:
+        if folio_id in self.candidates:
             return False
         self.candidates.append(folio_id)
-        self._proposed.add(folio_id)
         self.nr_candidates_proposed += 1
         return True
 
     def __contains__(self, folio_id: int) -> bool:
-        return folio_id in self._proposed
-
-
-class FolioRegistry:
-    """Registry of the resident folios of one cgroup.
-
-    Folios are registered on insertion and unregistered on eviction or file
-    removal, so membership doubles as candidate validation. Each entry also
-    records the folio's eviction-list membership (a list id, or None),
-    giving O(1) expected access to the folio's list node.
-
-    The bucket count is fixed at the cgroup's page limit when the registry
-    is created; it only feeds the memory-overhead estimate. Entries live in
-    a native dict.
-    """
-
-    __slots__ = ("bucket_count", "entries")
-
-    def __init__(self, bucket_count: int):
-        self.bucket_count = bucket_count
-        self.entries: dict[int, int | None] = {}
-
-    def register(self, folio_id: int) -> None:
-        if folio_id in self.entries:
-            raise RuntimeError("folio %d registered twice" % folio_id)
-        self.entries[folio_id] = None
-
-    def unregister(self, folio_id: int) -> int | None:
-        """Drop a folio; returns the list id it was on, if any."""
-        if folio_id not in self.entries:
-            raise RuntimeError("folio %d not registered" % folio_id)
-        return self.entries.pop(folio_id)
-
-    def __contains__(self, folio_id: int) -> bool:
-        return folio_id in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def membership(self, folio_id: int) -> int | None:
-        return self.entries.get(folio_id)
-
-    def memory_estimate(self) -> int:
-        return registry_memory_estimate(self.bucket_count, len(self.entries))
+        return folio_id in self.candidates
 
 
 def registry_memory_estimate(limit_pages: int, resident: int) -> int:
-    """Bytes needed for a registry hash table sized for ``limit_pages``.
+    """Bytes a kernel-side folio registry, the hash table that cachebpf
+    validates candidates against, needs when sized for ``limit_pages``.
 
     Worst-case sizing: one bucket per page the cgroup may hold, 16 bytes of
     bucket head pointers each, plus 32 bytes of list-node state per filled
@@ -234,10 +190,10 @@ class PolicyCgroup:
 
     It owns the policy's indexed eviction lists. Lists preserve insertion
     order (head = oldest position) and support head/tail insertion, O(1)
-    removal by folio id, and bounded iteration. A folio can be on at most
-    one list of the handle at a time; membership is kept in the cgroup's
-    registry. List ids from other handles are unknown here and rejected as
-    INVALID_LIST.
+    removal by folio id, and bounded iteration. Only a folio resident in the
+    cgroup can be listed, and on at most one list of the handle at a time;
+    the handle records which. List ids from other handles are unknown here
+    and rejected as INVALID_LIST.
 
     It also carries the event context the core sets before dispatching
     hooks: ``current_thread`` identifies the thread performing the current
@@ -247,18 +203,19 @@ class PolicyCgroup:
     ``resident_pages`` describe the cgroup itself.
 
     ``cgroup`` is the core's per-cgroup record; the handle reads its ``id``,
-    ``registry``, ``limit_pages`` and ``resident_pages``.
+    ``active`` and ``inactive`` lists, ``limit_pages`` and
+    ``resident_pages``.
     """
 
     def __init__(self, cgroup):
         self.cgroup_id = cgroup.id
         self._cgroup = cgroup
-        self._registry = cgroup.registry
         self._lists: dict[int, OrderedDict] = {}
+        # Folio id -> id of the list it is on, for listed folios only.
+        self._membership: dict[int, int] = {}
         self._next_id = 1
         self.current_thread = 0
         self.removal_reason: RemovalReason | None = None
-        self.debug = False
         # Evaluate-mode walks in progress, outermost first.
         self._walks: list[_Walk] = []
 
@@ -294,19 +251,18 @@ class PolicyCgroup:
         nodes = self._lists.get(list_id)
         if nodes is None:
             return ListStatus.INVALID_LIST
-        entries = self._registry.entries
-        if folio_id not in entries:
+        cgroup = self._cgroup
+        if folio_id not in cgroup.inactive and folio_id not in cgroup.active:
             return ListStatus.NOT_REGISTERED
-        if entries[folio_id] is not None:
+        membership = self._membership
+        if folio_id in membership:
             return ListStatus.ALREADY_LISTED
         if self._walks:
             self._freeze_walks()
         nodes[folio_id] = None
         if not tail:
             nodes.move_to_end(folio_id, last=False)
-        entries[folio_id] = list_id
-        if self.debug:
-            self.check_consistency()
+        membership[folio_id] = list_id
         return ListStatus.OK
 
     def list_move(self, list_id: int, folio_id: int, tail: bool) -> ListStatus:
@@ -322,8 +278,8 @@ class PolicyCgroup:
         nodes = self._lists.get(list_id)
         if nodes is None:
             return ListStatus.INVALID_LIST
-        entries = self._registry.entries
-        current = entries.get(folio_id)
+        membership = self._membership
+        current = membership.get(folio_id)
         if current is None:
             return ListStatus.NOT_LISTED
         if current == list_id:
@@ -333,29 +289,26 @@ class PolicyCgroup:
             nodes[folio_id] = None
             if not tail:
                 nodes.move_to_end(folio_id, last=False)
-            entries[folio_id] = list_id
-        if self.debug:
-            self.check_consistency()
+            membership[folio_id] = list_id
         return ListStatus.OK
 
     def list_del(self, folio_id: int) -> ListStatus:
-        entries = self._registry.entries
-        current = entries.get(folio_id)
+        current = self._membership.pop(folio_id, None)
         if current is None:
             return ListStatus.NOT_LISTED
         if self._walks:
             self._freeze_walks()
         del self._lists[current][folio_id]
-        entries[folio_id] = None
-        if self.debug:
-            self.check_consistency()
         return ListStatus.OK
 
-    def detach(self, folio_id: int, list_id: int) -> None:
-        """Framework-side removal when a folio leaves the cache."""
-        if self._walks:
-            self._freeze_walks()
-        del self._lists[list_id][folio_id]
+    def detach(self, folio_id: int) -> None:
+        """Framework-side removal when a folio leaves the cache; a no-op
+        for a folio on no list."""
+        list_id = self._membership.pop(folio_id, None)
+        if list_id is not None:
+            if self._walks:
+                self._freeze_walks()
+            del self._lists[list_id][folio_id]
 
     def _freeze_walks(self) -> None:
         """Copy the unread window of every open walk that still reads its
@@ -442,7 +395,7 @@ class PolicyCgroup:
             # This walk's moves would shift the positions the open ones read.
             self._freeze_walks()
         walks.append(walk)
-        entries = self._registry.entries
+        membership = self._membership
         examined = 0
         try:
             while True:
@@ -452,7 +405,7 @@ class PolicyCgroup:
                 pos += 1
                 left -= 1
                 # A callback may mutate lists mid-walk; skip stale ids.
-                if entries.get(folio_id) != list_id:
+                if membership.get(folio_id) != list_id:
                     continue
                 verdict = callback(folio_id)
                 examined += 1
@@ -466,7 +419,7 @@ class PolicyCgroup:
                         or verdict is Verdict.EVICT_AND_MOVE_TAIL):
                     ctx.propose(folio_id)
                     if (verdict is Verdict.EVICT_AND_MOVE_TAIL and (
-                            walk.live or entries.get(folio_id) == list_id)):
+                            walk.live or membership.get(folio_id) == list_id)):
                         nodes.move_to_end(folio_id)
                         moved = True
                     if ctx.room() <= 0:
@@ -474,7 +427,7 @@ class PolicyCgroup:
                 elif verdict is Verdict.KEEP:
                     disposition = opts.disposition
                     if (disposition is not Disposition.LEAVE_IN_PLACE and (
-                            walk.live or entries.get(folio_id) == list_id)):
+                            walk.live or membership.get(folio_id) == list_id)):
                         if disposition is Disposition.MOVE_TO_TAIL:
                             nodes.move_to_end(folio_id)
                             moved = True
@@ -500,8 +453,6 @@ class PolicyCgroup:
                     walk.unread = unread
         finally:
             walks.pop()
-        if self.debug:
-            self.check_consistency()
         return examined
 
     @staticmethod
@@ -547,22 +498,22 @@ class PolicyCgroup:
     # -- debugging ---------------------------------------------------------
 
     def check_consistency(self) -> None:
-        """Registry membership and list contents must agree exactly."""
+        """The recorded memberships and the list contents must agree
+        exactly, and every listed folio must be resident in the cgroup."""
         listed = {}
         for list_id, nodes in self._lists.items():
             for folio_id in nodes:
                 if folio_id in listed:
                     raise AssertionError("folio %d on two lists" % folio_id)
                 listed[folio_id] = list_id
-        for folio_id, list_id in listed.items():
-            if self._registry.membership(folio_id) != list_id:
-                raise AssertionError("membership mismatch for folio %d"
+        if listed != self._membership:
+            raise AssertionError("recorded memberships != list contents")
+        cgroup = self._cgroup
+        for folio_id in listed:
+            if (folio_id not in cgroup.inactive
+                    and folio_id not in cgroup.active):
+                raise AssertionError("listed folio %d is not resident"
                                      % folio_id)
-        for folio_id, list_id in self._registry.entries.items():
-            if list_id is not None and folio_id not in listed:
-                raise AssertionError("registry lists folio %d on %d but the "
-                                     "list does not contain it"
-                                     % (folio_id, list_id))
 
 
 #: Former name of ``PolicyCgroup``, kept so existing imports still work.

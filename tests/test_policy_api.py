@@ -1,4 +1,5 @@
-"""Eviction-list store, iteration modes, registry, and memory accounting."""
+"""Eviction-list store, iteration modes, list membership, and memory
+accounting."""
 
 import random
 import tracemalloc
@@ -14,7 +15,6 @@ from pagecachesim import (
     Disposition,
     EvictionContext,
     EvictionLists,
-    FolioRegistry,
     IterMode,
     IterOptions,
     ListStatus,
@@ -27,14 +27,48 @@ from pagecachesim import (
 from pagecachesim.core import CgroupSim
 
 
-def make_store(n_folios=0, bucket_count=1024):
-    cgroup = CgroupSim(0, bucket_count)
-    store = PolicyCgroup(cgroup)
-    store.debug = True
+class CheckedPolicyCgroup(PolicyCgroup):
+    """A handle that checks its own consistency after every list change and
+    every walk."""
+
+    def list_add(self, list_id, folio_id, tail):
+        status = super().list_add(list_id, folio_id, tail)
+        self.check_consistency()
+        return status
+
+    def _move(self, list_id, folio_id, tail):
+        status = super()._move(list_id, folio_id, tail)
+        self.check_consistency()
+        return status
+
+    def list_del(self, folio_id):
+        status = super().list_del(folio_id)
+        self.check_consistency()
+        return status
+
+    def list_iterate(self, list_id, callback, opts, ctx):
+        examined = super().list_iterate(list_id, callback, opts, ctx)
+        self.check_consistency()
+        return examined
+
+
+def make_store(n_folios=0, limit_pages=1024, checked=True):
+    """A handle on a bare cgroup whose inactive list holds ``n_folios``
+    resident folios; ``checked`` checks consistency after each operation."""
+    cgroup = CgroupSim(0, limit_pages)
+    store = (CheckedPolicyCgroup if checked else PolicyCgroup)(cgroup)
     fids = list(range(1, n_folios + 1))
     for fid in fids:
-        cgroup.registry.register(fid)
-    return store, cgroup.registry, fids
+        cgroup.inactive[fid] = None
+    return store, cgroup, fids
+
+
+def listed_on(store, fid):
+    """The id of the list ``fid`` is on, or None."""
+    for list_id in store.list_ids():
+        if fid in store.list_members(list_id):
+            return list_id
+    return None
 
 
 class TestListOps:
@@ -64,7 +98,7 @@ class TestListOps:
         assert store.list_members(lst) == [c, b, a]
 
     def test_add_statuses(self):
-        store, registry, (a,) = make_store(1)
+        store, _, (a,) = make_store(1)
         lst = store.list_create()
         assert store.list_add(999, a, tail=True) is ListStatus.INVALID_LIST
         assert store.list_add(lst, 12345, tail=True) is ListStatus.NOT_REGISTERED
@@ -83,7 +117,7 @@ class TestListOps:
         assert store.list_members(lst) == [c, b, a]
 
     def test_move_transfers_between_lists(self):
-        store, registry, (a, b) = make_store(2)
+        store, _, (a, b) = make_store(2)
         small = store.list_create()
         main = store.list_create()
         store.list_add(small, a, tail=True)
@@ -91,7 +125,7 @@ class TestListOps:
         assert store.list_move(main, a, tail=True) is ListStatus.OK
         assert store.list_members(small) == [b]
         assert store.list_members(main) == [a]
-        assert registry.membership(a) == main
+        assert listed_on(store, a) == main
 
     def test_move_unlisted_fails_without_changes(self):
         store, _, (a, b) = make_store(2)
@@ -101,49 +135,79 @@ class TestListOps:
         assert store.list_members(lst) == [a]
 
     def test_del_and_double_del(self):
-        store, registry, (a, b) = make_store(2)
+        store, _, (a, b) = make_store(2)
         lst = store.list_create()
         store.list_add(lst, a, tail=True)
         store.list_add(lst, b, tail=True)
         assert store.list_del(a) is ListStatus.OK
         assert store.list_members(lst) == [b]
-        assert registry.membership(a) is None
+        assert listed_on(store, a) is None
         assert store.list_del(a) is ListStatus.NOT_LISTED
 
 
-class TestRegistry:
-    def test_register_validate_unregister(self):
-        registry = FolioRegistry(16)
-        registry.register(1)
-        assert 1 in registry
-        registry.unregister(1)
-        assert 1 not in registry
-
-    def test_double_register_is_internal_error(self):
-        registry = FolioRegistry(16)
-        registry.register(1)
-        with pytest.raises(RuntimeError):
-            registry.register(1)
-        registry.unregister(1)
-        with pytest.raises(RuntimeError):
-            registry.unregister(1)
-
-    def test_unregister_reports_membership_for_auto_detach(self):
-        store, registry, (a,) = make_store(1)
+class TestMembership:
+    def test_detach_empties_the_list(self):
+        store, _, (a,) = make_store(1)
         lst = store.list_create()
         store.list_add(lst, a, tail=True)
-        list_id = registry.unregister(a)
-        assert list_id == lst
-        store.detach(a, list_id)
+        store.detach(a)
         assert store.list_length(lst) == 0
+        assert listed_on(store, a) is None
+        store.check_consistency()
 
-    def test_lists_never_exceed_registry(self):
-        store, registry, fids = make_store(10)
+    def test_detach_of_unlisted_folio_is_a_noop(self):
+        store, _, (a, b) = make_store(2)
+        lst = store.list_create()
+        store.list_add(lst, a, tail=True)
+        store.detach(b)
+        store.detach(12345)
+        assert store.list_members(lst) == [a]
+        store.check_consistency()
+
+    def test_add_of_sibling_folio_is_not_registered(self):
+        sim = Simulator()
+        sim.add_cgroup(0, 4)
+        sim.add_cgroup(1, 4)
+        sim.attach_policy(0, PolicyHooks())
+        sim.access_page(0, 1, 0)
+        sim.access_page(1, 2, 0)
+        handle = sim.cgroup(0).policy_cg
+        lst = handle.list_create()
+        own, sibling = sim.find_folio(1, 0).id, sim.find_folio(2, 0).id
+        assert handle.list_add(lst, sibling, tail=True) \
+            is ListStatus.NOT_REGISTERED
+        assert handle.list_add(lst, own, tail=True) is ListStatus.OK
+        assert handle.list_members(lst) == [own]
+        sim.check_invariants()
+
+    def test_add_of_departed_folio_is_not_registered(self):
+        sim = Simulator()
+        sim.add_cgroup(0, 4)
+        sim.attach_policy(0, PolicyHooks())
+        sim.access_page(0, 1, 0)
+        fid = sim.find_folio(1, 0).id
+        sim.remove_file(0, 1)
+        handle = sim.cgroup(0).policy_cg
+        lst = handle.list_create()
+        assert handle.list_add(lst, fid, tail=True) \
+            is ListStatus.NOT_REGISTERED
+        assert handle.list_length(lst) == 0
+
+    def test_listed_folio_that_is_not_resident_is_inconsistent(self):
+        store, cgroup, (a,) = make_store(1)
+        lst = store.list_create()
+        store.list_add(lst, a, tail=True)
+        del cgroup.inactive[a]
+        with pytest.raises(AssertionError, match="not resident"):
+            store.check_consistency()
+
+    def test_lists_never_exceed_resident(self):
+        store, cgroup, fids = make_store(10)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
         total = sum(store.list_length(i) for i in store.list_ids())
-        assert total <= len(registry)
+        assert total <= len(cgroup.active) + len(cgroup.inactive)
 
 
 class TestMemoryEstimate:
@@ -309,7 +373,7 @@ class TestIterateEvaluate:
     ])
     def test_node_the_callback_took_off_is_not_moved(self, verdict,
                                                      disposition, take_off):
-        store, registry, (a, b) = make_store(2)
+        store, _, (a, b) = make_store(2)
         walked = store.list_create()
         other = store.list_create()
         store.list_add(walked, a, tail=True)
@@ -326,10 +390,10 @@ class TestIterateEvaluate:
 
         opts = IterOptions(disposition=disposition, target_list=other)
         assert store.list_iterate(walked, judge, opts, ctx) == 2
-        assert registry.membership(a) == (other if take_off == "move"
-                                          else None)
+        assert listed_on(store, a) == (other if take_off == "move"
+                                       else None)
         expect_b = other if disposition is Disposition.MOVE_TO_LIST else walked
-        assert registry.membership(b) == expect_b
+        assert listed_on(store, b) == expect_b
         assert ctx.candidates == ([a, b] if verdict is not Verdict.KEEP
                                   else [])
 
@@ -344,7 +408,7 @@ class TestIterateEvaluate:
                                EvictionContext(1))
 
 
-def copy_window_iterate(store, registry, list_id, callback, opts, ctx):
+def copy_window_iterate(store, list_id, callback, opts, ctx):
     """Evaluate-mode ``list_iterate`` written straight: copy the window,
     then visit the copy, passing over ids no longer on the list. A node the
     callback took off the list is not moved by the walk."""
@@ -354,7 +418,7 @@ def copy_window_iterate(store, registry, list_id, callback, opts, ctx):
         return 0
 
     def move(fid, target):
-        if registry.membership(fid) == list_id:
+        if listed_on(store, fid) == list_id:
             status = store.list_move(target, fid, tail=True)
             if status is not ListStatus.OK:
                 raise ValueError(status)
@@ -363,7 +427,7 @@ def copy_window_iterate(store, registry, list_id, callback, opts, ctx):
                                          + opts.scan_limit]
     examined = 0
     for fid in window:
-        if registry.membership(fid) != list_id:
+        if listed_on(store, fid) != list_id:
             continue
         verdict = callback(fid)
         examined += 1
@@ -424,13 +488,13 @@ def run_walk_both_ways(placement, walk, script, room):
     ``copy_window_iterate``, each on its own copy of the same lists."""
     outcomes = []
     for reference in (False, True):
-        store, registry, fids = make_store(len(placement))
+        store, _, fids = make_store(len(placement))
         lists = [store.list_create(), store.list_create()]
         for fid, (where, tail) in zip(fids, placement):
             if where is not None:
                 store.list_add(lists[where], fid, tail)
         if reference:
-            iterate = partial(copy_window_iterate, store, registry)
+            iterate = partial(copy_window_iterate, store)
         else:
             iterate = store.list_iterate
         ctx = EvictionContext(room)
@@ -439,7 +503,7 @@ def run_walk_both_ways(placement, walk, script, room):
                                ctx, log)
         outcomes.append((result, log, ctx.candidates,
                          [store.list_members(lst) for lst in lists],
-                         dict(registry.entries)))
+                         {fid: listed_on(store, fid) for fid in fids}))
     return outcomes
 
 
@@ -495,7 +559,7 @@ class TestLazyWalk:
         assert lazy == reference
 
     def test_folio_leaving_the_cache_mid_walk_is_passed_over(self):
-        store, registry, fids = make_store(4)
+        store, cgroup, fids = make_store(4)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
@@ -505,7 +569,8 @@ class TestLazyWalk:
             visited.append(fid)
             if fid == fids[0]:
                 # what the core does when a folio leaves the cache
-                store.detach(fids[2], registry.unregister(fids[2]))
+                del cgroup.inactive[fids[2]]
+                store.detach(fids[2])
             return Verdict.KEEP
 
         store.list_iterate(lst, judge, IterOptions(), EvictionContext(1))
@@ -524,8 +589,7 @@ class TestLazyWalk:
 
     def test_head_proposing_rounds_do_not_read_the_window(self):
         n = 100_000
-        store, _, fids = make_store(n, bucket_count=n)
-        store.debug = False
+        store, _, fids = make_store(n, limit_pages=n, checked=False)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
@@ -637,8 +701,7 @@ class TestIterateScore:
 
     def test_round_allocates_no_window_copy(self):
         n = 100_000
-        store, _, fids = make_store(n, bucket_count=n)
-        store.debug = False
+        store, _, fids = make_store(n, limit_pages=n, checked=False)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
@@ -716,8 +779,7 @@ class TestScoreFloor:
     @pytest.mark.parametrize("floor_at_end", [False, True])
     def test_round_over_a_large_window_stays_small(self, floor_at_end):
         n = 100_000
-        store, _, fids = make_store(n, bucket_count=n)
-        store.debug = False
+        store, _, fids = make_store(n, limit_pages=n, checked=False)
         lst = store.list_create()
         for fid in fids:
             store.list_add(lst, fid, tail=True)
@@ -776,7 +838,7 @@ class TestScoreFloor:
 class TestConsistency:
     def test_random_operation_sequences_stay_consistent(self):
         rng = random.Random(5)
-        store, registry, fids = make_store(24)
+        store, _, fids = make_store(24)
         lists = [store.list_create() for _ in range(3)]
         for _ in range(2000):
             action = rng.randrange(4)
@@ -789,8 +851,7 @@ class TestConsistency:
             elif action == 2:
                 store.list_del(fid)
             else:
-                membership = registry.membership(fid)
-                if membership is not None:
+                if listed_on(store, fid) is not None:
                     continue
                 store.list_add(lst, fid, tail=True)
         store.check_consistency()
@@ -799,7 +860,7 @@ class TestConsistency:
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 9),
                               st.integers(0, 1)), max_size=80))
     def test_single_membership_property(self, ops):
-        store, registry, fids = make_store(10)
+        store, _, fids = make_store(10)
         lists = [store.list_create(), store.list_create()]
         for action, fid_idx, tail in ops:
             fid = fids[fid_idx]
