@@ -569,6 +569,82 @@ class TestInvariants:
             assert got_resident == expect_resident
 
 
+def corruptible_sim():
+    """Two 4-page cgroups that pass ``check_invariants``: cgroup 0 faulted
+    pages 0-5 of file 1 and evicted pages 0 and 1; cgroup 1 holds page 0
+    of file 2. Also returns the page index entry page (1, 0) had while it
+    was resident."""
+    sim = make_sim(limit_pages=4)
+    sim.add_cgroup(1, 4)
+    sim.access_page(0, 1, 0)
+    evicted_entry = sim._pages[1][0]
+    for page in range(1, 6):
+        sim.access_page(0, 1, page)
+    sim.access_page(1, 2, 0)
+    sim.check_invariants()
+    return sim, evicted_entry
+
+
+class TestInvariantChecks:
+    """``check_invariants`` raises for each kind of corruption it covers."""
+
+    def test_stale_page_index_entry(self):
+        sim, evicted_entry = corruptible_sim()
+        assert sim.find_folio(1, 0) is None
+        sim._pages[1][0] = evicted_entry
+        with pytest.raises(AssertionError, match="stale page index entry"):
+            sim.check_invariants()
+
+    def test_missing_page_index_entry(self):
+        sim, _ = corruptible_sim()
+        del sim._pages[1][5]
+        with pytest.raises(AssertionError, match="page index out of sync"):
+            sim.check_invariants()
+
+    def test_active_folio_on_the_inactive_list(self):
+        sim, _ = corruptible_sim()
+        sim.find_folio(1, 5).active = True
+        with pytest.raises(AssertionError,
+                           match="active folio on inactive list"):
+            sim.check_invariants()
+
+    def test_resident_count_off_by_one(self):
+        sim, _ = corruptible_sim()
+        sim.cgroup(0).resident_pages -= 1
+        with pytest.raises(AssertionError, match="resident count mismatch"):
+            sim.check_invariants()
+
+    def test_folio_listed_under_a_second_cgroup(self):
+        sim, _ = corruptible_sim()
+        folio = sim.find_folio(1, 5)
+        other = sim.cgroup(1)
+        other.inactive[folio.id] = folio
+        other.resident_pages += 1
+        with pytest.raises(AssertionError):
+            sim.check_invariants()
+
+    def test_shadow_table_over_capacity(self):
+        sim, _ = corruptible_sim()
+        shadow = sim.cgroup(0).shadow_table
+        for page in range(10, 13):
+            shadow[(1, page)] = 0
+        with pytest.raises(AssertionError,
+                           match="shadow table over capacity"):
+            sim.check_invariants()
+
+    def test_over_limit_with_nothing_pinned(self):
+        sim, _ = corruptible_sim()
+        sim.cgroup(0).limit_pages = 2
+        with pytest.raises(AssertionError, match="over limit"):
+            sim.check_invariants()
+
+    def test_over_limit_with_a_pinned_folio_passes(self):
+        sim, _ = corruptible_sim()
+        sim.pin(1, 5)
+        sim.cgroup(0).limit_pages = 2
+        sim.check_invariants()
+
+
 class TestEvictionContext:
     def test_request_bounds(self):
         with pytest.raises(ValueError):
