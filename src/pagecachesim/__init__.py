@@ -42,7 +42,6 @@ from .policy_api import (
     CANDIDATES_MAX,
     Disposition,
     EvictionContext,
-    EvictionLists,
     IterMode,
     IterOptions,
     ListStatus,

@@ -6,12 +6,15 @@ keeps the classic two-FIFO structure (inactive and active lists) plus a
 bounded shadow table used to detect thrashing refaults, and may have one
 custom eviction policy attached.
 
+Each cgroup's two lists own its folios, mapping folio id to ``Folio``.
+The page index maps file and offset straight to the ``Folio``, so a hit is
+one lookup.
+
 Eviction is strict: whenever an insertion pushes a cgroup over its page
 limit, the driver runs until the cgroup fits again. With a policy attached
-the driver asks it for candidates (each must be a resident, unpinned folio
-the cgroup owns, as the folio table shows) and falls back to the default
-two-list eviction for any shortfall, so a broken policy can never violate
-the capacity limit.
+the driver asks it for candidates (each must be an unpinned folio on the
+cgroup's own lists) and falls back to the default two-list eviction for
+any shortfall, so a broken policy can never violate the capacity limit.
 
 Everything is single-threaded and deterministic: one simulator instance is
 one isolated event loop, and independent instances share no state.
@@ -121,7 +124,9 @@ class CgroupSim:
         self.id = cgroup_id
         self.limit_pages = limit_pages
         self.resident_pages = 0
-        # Folio id -> None; OrderedDict gives FIFO order with O(1) removal.
+        # Folio id -> Folio: the cgroup's resident folios, each on the list
+        # its ``active`` flag names. OrderedDict gives FIFO order with O(1)
+        # removal.
         self.active: OrderedDict = OrderedDict()
         self.inactive: OrderedDict = OrderedDict()
         # (file, offset) -> eviction epoch at eviction time; bounded at
@@ -171,8 +176,8 @@ class Simulator:
                              % CANDIDATES_MAX)
         self._candidate_batch = candidate_batch
         self._cgroups: dict[int, CgroupSim] = {}
-        self._folios: dict[int, Folio] = {}
-        self._pages: dict[int, dict[int, int]] = {}  # file -> offset -> fid
+        # The page index: file -> offset -> Folio.
+        self._pages: dict[int, dict[int, Folio]] = {}
         self._next_folio_id = 1
         # Cgroups whose policy does deferred work; see run_deferred.
         self._deferred_cgroups: list[CgroupSim] = []
@@ -217,8 +222,8 @@ class Simulator:
             raise SimulationError("cgroup %r needs a positive page limit"
                                   % cgroup_id)
         cg.limit_pages = limit_pages
-        if cg.resident_pages > cg.limit_pages:
-            self.drive_eviction(cgroup_id)
+        if cg.resident_pages > limit_pages:
+            self._drive(cg)
 
     # -- introspection ------------------------------------------------------
 
@@ -231,21 +236,19 @@ class Simulator:
     def resident_pages(self, cgroup_id: int) -> int:
         return self._cgroup(cgroup_id).resident_pages
 
-    def limit_pages(self, cgroup_id: int) -> int:
-        return self._cgroup(cgroup_id).limit_pages
-
     def cgroup(self, cgroup_id: int) -> CgroupSim:
         return self._cgroup(cgroup_id)
 
     def folio(self, folio_id: int) -> Folio | None:
-        return self._folios.get(folio_id)
+        for cg in self._cgroups.values():
+            folio = cg.inactive.get(folio_id) or cg.active.get(folio_id)
+            if folio is not None:
+                return folio
+        return None
 
     def find_folio(self, file: int, offset: int) -> Folio | None:
         pages = self._pages.get(file)
-        if not pages:
-            return None
-        fid = pages.get(offset)
-        return None if fid is None else self._folios[fid]
+        return pages.get(offset) if pages else None
 
     def pin(self, file: int, offset: int, pinned: bool = True) -> None:
         folio = self.find_folio(file, offset)
@@ -278,9 +281,8 @@ class Simulator:
         stats = cg.stats
         stats.accesses += 1
         pages = self._pages.get(file)
-        fid = pages.get(offset) if pages else None
-        if fid is not None:
-            folio = self._folios[fid]
+        folio = pages.get(offset) if pages else None
+        if folio is not None:
             stats.hits += 1
             if write:
                 folio.dirty = True
@@ -288,8 +290,8 @@ class Simulator:
             policy = owner.policy
             if policy is None:
                 if folio.referenced and not folio.active:
-                    del owner.inactive[fid]
-                    owner.active[fid] = None
+                    del owner.inactive[folio.id]
+                    owner.active[folio.id] = folio
                     folio.active = True
             folio.referenced = True
             if policy is not None:
@@ -307,14 +309,13 @@ class Simulator:
         folio = Folio(fid, file, offset, cgroup_id, write)
         if target is InsertTarget.ACTIVE_TAIL:
             folio.active = True
-            cg.active[fid] = None
+            cg.active[fid] = folio
             stats.refault_activations += 1
         else:
-            cg.inactive[fid] = None
+            cg.inactive[fid] = folio
         if pages is None:
             pages = self._pages[file] = {}
-        pages[offset] = fid
-        self._folios[fid] = folio
+        pages[offset] = folio
         cg.resident_pages += 1
         if cg.policy is not None:
             cg.policy_cg.current_thread = thread
@@ -339,9 +340,6 @@ class Simulator:
         return InsertTarget.INACTIVE_TAIL
 
     # -- eviction -----------------------------------------------------------
-
-    def drive_eviction(self, cgroup_id: int) -> None:
-        self._drive(self._cgroup(cgroup_id))
 
     def _drive(self, cg: CgroupSim) -> None:
         """Evict until the cgroup fits. Each round asks the attached policy
@@ -375,19 +373,19 @@ class Simulator:
                 break
 
     def _evict_candidates(self, cg: CgroupSim, proposed) -> int:
-        """Validate and evict a policy's proposals. Unknown, foreign, or
-        pinned candidates and ones that are not ints (bools included) are
-        rejected and counted; duplicates are ignored. A repeat of an
-        accepted id fails validation, as its folio is gone, so earlier
-        proposals are searched for a duplicate only on a rejection."""
-        folios = self._folios
-        cgroup_id = cg.id
+        """Validate and evict a policy's proposals. A candidate is valid
+        if it is an int (not a bool) naming an unpinned folio on the
+        cgroup's own lists; a sibling's folio or an evicted one is simply
+        not found there. Invalid candidates are rejected and counted;
+        duplicates are ignored. A repeat of an accepted id fails
+        validation, as its folio is gone, so earlier proposals are
+        searched for a duplicate only on a rejection."""
+        inactive, active = cg.inactive, cg.active
         evicted = 0
         for i, fid in enumerate(proposed):
             if isinstance(fid, int) and not isinstance(fid, bool):
-                folio = folios.get(fid)
-                if (folio is not None and folio.owner == cgroup_id
-                        and not folio.pinned):
+                folio = inactive.get(fid) or active.get(fid)
+                if folio is not None and not folio.pinned:
                     self._evict_folio(cg, folio, via_policy=True)
                     evicted += 1
                     continue
@@ -408,42 +406,34 @@ class Simulator:
         cg = self._cgroup(cgroup_id)
         if needed < 1:
             raise SimulationError("needed must be >= 1")
-        folios = self._folios
         active, inactive = cg.active, cg.inactive
         while active and len(inactive) < max(needed, len(active) // 2):
             self._demote_head(cg)
         evicted = 0
         while evicted < needed:
             victim = None
-            for fid in inactive:
-                if not folios[fid].pinned:
-                    victim = fid
+            for folio in inactive.values():
+                if not folio.pinned:
+                    victim = folio
                     break
             if victim is not None:
-                self._evict_folio(cg, folios[victim], via_policy=False)
+                self._evict_folio(cg, victim, via_policy=False)
                 evicted += 1
-            elif active and any(not folios[f].pinned for f in active):
+            elif active and any(not f.pinned for f in active.values()):
                 self._demote_head(cg)
             else:
                 break
         return evicted
 
     def _demote_head(self, cg: CgroupSim) -> None:
-        fid = next(iter(cg.active))
-        del cg.active[fid]
-        cg.inactive[fid] = None
-        folio = self._folios[fid]
+        fid, folio = cg.active.popitem(last=False)
+        cg.inactive[fid] = folio
         folio.active = False
         folio.referenced = False
 
     def _evict_folio(self, cg: CgroupSim, folio: Folio, via_policy: bool):
-        """Evict one folio: list removal, shadow entry, policy-list detach,
-        hook, index cleanup, accounting."""
-        fid = folio.id
-        if folio.active:
-            del cg.active[fid]
-        else:
-            del cg.inactive[fid]
+        """Evict one folio: shadow entry, then removal (see
+        ``_forget_folio``), then accounting."""
         cg.eviction_epoch += 1
         shadow = cg.shadow_table
         key = (folio.file, folio.offset)
@@ -464,9 +454,14 @@ class Simulator:
             self.eviction_log.append((cg.id, folio.file, folio.offset))
 
     def _forget_folio(self, cg, folio, reason) -> None:
-        """Shared tail of eviction and file removal: detach from any
-        policy eviction list, fire folio_removed, drop indexes."""
+        """Shared tail of eviction and file removal: take the folio off
+        its cgroup list, detach it from any policy eviction list, fire
+        folio_removed, drop its page index entry."""
         fid = folio.id
+        if folio.active:
+            del cg.active[fid]
+        else:
+            del cg.inactive[fid]
         policy_cg = cg.policy_cg
         if policy_cg is not None:
             policy_cg.detach(fid)
@@ -480,7 +475,6 @@ class Simulator:
         del pages[folio.offset]
         if not pages:
             del self._pages[folio.file]
-        del self._folios[fid]
         cg.resident_pages -= 1
 
     # -- file removal ---------------------------------------------------------
@@ -493,18 +487,12 @@ class Simulator:
         pages = self._pages.get(file)
         if not pages:
             return 0
-        count = 0
-        for fid in list(pages.values()):
-            folio = self._folios[fid]
+        folios = list(pages.values())
+        for folio in folios:
             owner = self._cgroups[folio.owner]
-            if folio.active:
-                del owner.active[fid]
-            else:
-                del owner.inactive[fid]
             self._forget_folio(owner, folio, RemovalReason.FILE_REMOVED)
             owner.stats.file_removed_folios += 1
-            count += 1
-        return count
+        return len(folios)
 
     # -- deferred policy work ---------------------------------------------
 
@@ -530,34 +518,41 @@ class Simulator:
     # -- invariant checking (tests) -----------------------------------------
 
     def check_invariants(self) -> None:
-        """Structural consistency of counts, lists, and indexes."""
-        by_owner: dict[int, int] = {}
-        for fid, folio in self._folios.items():
-            by_owner[folio.owner] = by_owner.get(folio.owner, 0) + 1
-            if self._pages.get(folio.file, {}).get(folio.offset) != fid:
-                raise AssertionError("page index out of sync for %r" % folio)
-        for file, pages in self._pages.items():
-            for offset, fid in pages.items():
-                folio = self._folios.get(fid)
-                if folio is None or folio.file != file or folio.offset != offset:
-                    raise AssertionError("stale page index entry (%r, %r)"
-                                         % (file, offset))
+        """Structural consistency of counts, lists, and indexes.
+
+        Walks the cgroups' lists: a listed folio is keyed by its id, owned
+        by that cgroup, flagged for its list, on no other list, and indexed
+        under its file and offset, and the page index holds nothing else.
+        Counts, limits, shadow tables and policy handles are checked per
+        cgroup."""
+        listed: dict[int, Folio] = {}
+        pages = self._pages
         for cg in self._cgroups.values():
-            if cg.resident_pages != by_owner.get(cg.id, 0):
-                raise AssertionError("cgroup %r resident count mismatch" % cg.id)
-            if cg.resident_pages > cg.limit_pages:
-                if not any(self._folios[f].pinned
-                           for f in list(cg.active) + list(cg.inactive)):
-                    raise AssertionError("cgroup %r over limit" % cg.id)
-            if len(cg.active) + len(cg.inactive) != cg.resident_pages:
-                raise AssertionError("cgroup %r list lengths != resident"
+            for lst, active in ((cg.active, True), (cg.inactive, False)):
+                for fid, folio in lst.items():
+                    if fid != folio.id:
+                        raise AssertionError("%r listed under id %r"
+                                             % (folio, fid))
+                    if fid in listed:
+                        raise AssertionError("%r is on two lists" % folio)
+                    listed[fid] = folio
+                    if folio.owner != cg.id:
+                        raise AssertionError("%r listed by cgroup %r"
+                                             % (folio, cg.id))
+                    if folio.active != active:
+                        raise AssertionError(
+                            "active folio on inactive list" if folio.active
+                            else "inactive folio on active list")
+                    if pages.get(folio.file, {}).get(folio.offset) is not folio:
+                        raise AssertionError("page index out of sync for %r"
+                                             % folio)
+            if cg.resident_pages != len(cg.active) + len(cg.inactive):
+                raise AssertionError("cgroup %r resident count mismatch"
                                      % cg.id)
-            for fid in cg.active:
-                if not self._folios[fid].active:
-                    raise AssertionError("inactive folio on active list")
-            for fid in cg.inactive:
-                if self._folios[fid].active:
-                    raise AssertionError("active folio on inactive list")
+            if cg.resident_pages > cg.limit_pages and not any(
+                    folio.pinned for lst in (cg.active, cg.inactive)
+                    for folio in lst.values()):
+                raise AssertionError("cgroup %r over limit" % cg.id)
             if len(cg.shadow_table) > cg.limit_pages:
                 raise AssertionError("cgroup %r shadow table over capacity"
                                      % cg.id)
@@ -565,3 +560,7 @@ class Simulator:
                 # Also proves the policy's lists hold no more folios than
                 # are resident: every listed folio must be resident.
                 cg.policy_cg.check_consistency()
+        # Each listed folio has its own entry, so equal counts leave none
+        # stale.
+        if sum(map(len, pages.values())) != len(listed):
+            raise AssertionError("stale page index entry")

@@ -182,12 +182,6 @@ class Report:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv())
 
-    def metrics(self, cgroup: int, label: str | None = None) -> Metrics:
-        for row_label, m in self.rows:
-            if m.cgroup == cgroup and (label is None or row_label == label):
-                return m
-        raise KeyError((label, cgroup))
-
 
 def _cell(value):
     if value is None:

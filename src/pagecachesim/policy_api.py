@@ -3,10 +3,9 @@
 A policy is a set of five lifecycle hooks (see ``PolicyHooks``) attached to
 one cgroup. It never evicts pages itself: it organizes resident folios on
 *eviction lists* it creates, and when the cache core asks for victims it
-proposes candidates through an ``EvictionContext``. The core checks every
-candidate against its folio table (a resident, unpinned folio of this
-cgroup) before acting on it, so a buggy policy can degrade hit ratios but
-cannot corrupt the cache.
+proposes candidates through an ``EvictionContext``. The core accepts a
+candidate only if it finds it, unpinned, on the cgroup's own lists, so a
+buggy policy can degrade hit ratios but cannot corrupt the cache.
 
 The policy reaches its lists through one handle per cgroup,
 ``PolicyCgroup``, which owns the lists and carries the event context of the
@@ -153,9 +152,6 @@ class EvictionContext:
         self.candidates.append(folio_id)
         self.nr_candidates_proposed += 1
         return True
-
-    def __contains__(self, folio_id: int) -> bool:
-        return folio_id in self.candidates
 
 
 def registry_memory_estimate(limit_pages: int, resident: int) -> int:
@@ -514,10 +510,6 @@ class PolicyCgroup:
                     and folio_id not in cgroup.active):
                 raise AssertionError("listed folio %d is not resident"
                                      % folio_id)
-
-
-#: Former name of ``PolicyCgroup``, kept so existing imports still work.
-EvictionLists = PolicyCgroup
 
 
 class PolicyHooks:

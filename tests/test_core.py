@@ -623,6 +623,25 @@ class TestInvariantChecks:
         with pytest.raises(AssertionError):
             sim.check_invariants()
 
+    def test_folio_moved_to_a_sibling_cgroup(self):
+        sim, _ = corruptible_sim()
+        folio = sim.find_folio(1, 5)
+        del sim.cgroup(0).inactive[folio.id]
+        sim.cgroup(0).resident_pages -= 1
+        sim.cgroup(1).inactive[folio.id] = folio
+        sim.cgroup(1).resident_pages += 1
+        with pytest.raises(AssertionError, match="listed by cgroup 1"):
+            sim.check_invariants()
+
+    def test_list_key_differs_from_folio_id(self):
+        sim, _ = corruptible_sim()
+        inactive = sim.cgroup(0).inactive
+        folio = sim.find_folio(1, 5)
+        del inactive[folio.id]
+        inactive[folio.id + 100] = folio
+        with pytest.raises(AssertionError, match="listed under id"):
+            sim.check_invariants()
+
     def test_shadow_table_over_capacity(self):
         sim, _ = corruptible_sim()
         shadow = sim.cgroup(0).shadow_table

@@ -14,7 +14,6 @@ from pagecachesim import (
     CANDIDATES_MAX,
     Disposition,
     EvictionContext,
-    EvictionLists,
     IterMode,
     IterOptions,
     ListStatus,
@@ -72,9 +71,6 @@ def listed_on(store, fid):
 
 
 class TestListOps:
-    def test_former_name_is_the_handle(self):
-        assert EvictionLists is PolicyCgroup
-
     def test_create_returns_fresh_empty_lists(self):
         store, _, _ = make_store()
         first = store.list_create()
