@@ -13,6 +13,7 @@ from pagecachesim import (
     CgroupSpec,
     EvictionContext,
     FifoPolicy,
+    Folio,
     IterMode,
     IterOptions,
     LhdPolicy,
@@ -86,7 +87,7 @@ def test_c02_score_mode_matches_sort_based_min_k():
         fids = range(1, n + 1)
         lst = store.list_create()
         for fid in fids:
-            cgroup.inactive[fid] = None
+            cgroup.inactive[fid] = Folio(fid, 0, fid, 0, False)
             store.list_add(lst, fid, tail=True)
         scores = {fid: rng.randrange(-1000, 1000) for fid in fids}
         k = rng.randrange(1, 33)

@@ -19,6 +19,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 import pagecachesim as pkg  # noqa: E402
+from pagecachesim.harness import CSV_COLUMNS  # noqa: E402
 
 import run as bench  # noqa: E402
 
@@ -28,15 +29,13 @@ SEED = 1
 
 def bench_rows(tmpdir) -> str:
     """The matrix's rows, each prefixed by its workload, under a header."""
-    lines = []
+    lines = ["workload," + ",".join(CSV_COLUMNS)]
     for workload, (cache_pages, size, _) in bench.WORKLOADS.items():
         spec, _ = bench.make_workload(pkg, workload, SEED, size, False,
                                       tmpdir)
         for policy in bench.POLICIES:
             report = pkg.run(bench.scenario(pkg, spec, cache_pages, policy,
                                             SEED))
-            if not lines:
-                lines.append("workload," + report.to_csv().splitlines()[0])
             lines.append("%s,%s" % (workload, bench.csv_row(report)))
     return "\n".join(lines) + "\n"
 

@@ -14,6 +14,7 @@ from pagecachesim import (
     CANDIDATES_MAX,
     Disposition,
     EvictionContext,
+    Folio,
     IterMode,
     IterOptions,
     ListStatus,
@@ -58,7 +59,7 @@ def make_store(n_folios=0, limit_pages=1024, checked=True):
     store = (CheckedPolicyCgroup if checked else PolicyCgroup)(cgroup)
     fids = list(range(1, n_folios + 1))
     for fid in fids:
-        cgroup.inactive[fid] = None
+        cgroup.inactive[fid] = Folio(fid, 0, fid, 0, False)
     return store, cgroup, fids
 
 
