@@ -4,6 +4,7 @@ eviction rounds and through real simulator replay."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pagecachesim import (
     EvictionContext,
@@ -16,6 +17,7 @@ from pagecachesim import (
     make_policy,
 )
 from conftest import make_sim, random_accesses
+from reference_policies import fifo_trace, mru_trace
 
 
 def insert_pages(sim, n, file=1, cgroup=0, thread=0):
@@ -86,6 +88,42 @@ class TestMru:
     def test_rejects_negative_skip(self):
         with pytest.raises(ValueError):
             MruPolicy(skip=-1)
+
+
+# Page keys from a few small files, so traces mix hits and misses.
+ACCESSES = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 11)),
+                    max_size=150)
+
+
+def replay_eviction_log(policy, accesses, limit_pages):
+    """Replay ``accesses`` under ``policy`` and return the evicted keys in
+    order; every eviction must be the policy's own."""
+    sim = make_sim(limit_pages=limit_pages, policy=policy,
+                   record_evictions=True)
+    for file, page in accesses:
+        sim.access_page(0, file, page)
+    assert sim.stats(0).evictions_fallback == 0
+    sim.check_invariants()
+    return [(f, o) for _, f, o in sim.eviction_log]
+
+
+class TestStraightLineReferences:
+    """FIFO and MRU against the straight-line references in
+    ``reference_policies``: the same eviction order on any pin-free trace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(accesses=ACCESSES, limit=st.integers(1, 20))
+    def test_fifo_matches_deque_reference(self, accesses, limit):
+        assert (replay_eviction_log(FifoPolicy(), accesses, limit)
+                == fifo_trace(accesses, limit))
+
+    @settings(max_examples=200, deadline=None)
+    @given(accesses=ACCESSES, skip=st.integers(0, 6), data=st.data())
+    def test_mru_matches_stack_reference(self, accesses, skip, data):
+        # a limit above skip leaves a node at depth skip in every round
+        limit = data.draw(st.integers(skip + 1, 20), label="limit")
+        assert (replay_eviction_log(MruPolicy(skip=skip), accesses, limit)
+                == mru_trace(accesses, limit, skip))
 
 
 class TestLfu:
