@@ -15,18 +15,16 @@ handle records which list each listed folio is on, so detaching a folio on
 eviction is O(1). List operations return ``ListStatus`` codes instead of
 raising, mirroring an int-returning kernel-style API.
 
-An evaluate-mode walk reads its window from the live list as it goes, so a
-round that stops after k nodes reads about k nodes (plus ``skip``), not the
-whole window. It still visits exactly the window as it stood when the call
-began: a list operation made while a walk is open first copies the unread
-rest of every open walk.
-
-A score-mode round is one pass over the live window: it keeps the
-``ctx.room()`` lowest scores as it reads, without copying the window or its
-scores, so a score callback must leave the scored list alone. A policy that
-declares the lowest score its callback can return (``score_floor``) ends
-the pass as soon as it holds ``ctx.room()`` nodes at that floor: ties go to
-the earlier node, so no later node could displace them.
+A ``list_iterate`` walk, in either mode, is one pass over the live window:
+it reads the window as it goes, without copying it, so a round that stops
+after k nodes reads about k nodes (plus ``skip``). Its callback must leave
+the walked list alone, and may change any other. An evaluate-mode walk
+applies its own moves when it ends. A score-mode round keeps the
+``ctx.room()`` lowest scores as it reads, without copying their scores. A
+policy that declares the lowest score its callback can return
+(``score_floor``) ends the pass as soon as it holds ``ctx.room()`` nodes at
+that floor: ties go to the earlier node, so no later node could displace
+them.
 """
 
 from __future__ import annotations
@@ -169,18 +167,6 @@ def registry_memory_estimate(limit_pages: int, resident: int) -> int:
     return limit_pages * 16 + resident * 32
 
 
-class _Walk:
-    """One open evaluate-mode walk. ``unread`` yields the window nodes not
-    yet visited; while ``live`` it reads them straight from the list, after
-    that from a copy."""
-
-    __slots__ = ("unread", "live")
-
-    def __init__(self, unread):
-        self.unread = unread
-        self.live = True
-
-
 class PolicyCgroup:
     """The handle a policy gets for the cgroup it manages.
 
@@ -212,8 +198,6 @@ class PolicyCgroup:
         self._next_id = 1
         self.current_thread = 0
         self.removal_reason: RemovalReason | None = None
-        # Evaluate-mode walks in progress, outermost first.
-        self._walks: list[_Walk] = []
 
     @property
     def limit_pages(self) -> int:
@@ -253,8 +237,6 @@ class PolicyCgroup:
         membership = self._membership
         if folio_id in membership:
             return ListStatus.ALREADY_LISTED
-        if self._walks:
-            self._freeze_walks()
         nodes[folio_id] = None
         if not tail:
             nodes.move_to_end(folio_id, last=False)
@@ -262,15 +244,12 @@ class PolicyCgroup:
         return ListStatus.OK
 
     def list_move(self, list_id: int, folio_id: int, tail: bool) -> ListStatus:
-        if self._walks:
-            self._freeze_walks()
         return self._move(list_id, folio_id, tail)
 
     def _move(self, list_id: int, folio_id: int, tail: bool) -> ListStatus:
-        """``list_move`` without the open-walk copy; ``list_iterate`` uses
-        it for its own moves, which it accounts for itself. Being a separate
-        method, it is also not seen by a wrapper set on the instance's
-        ``list_move``."""
+        """``list_move``'s body. ``list_iterate`` makes its own moves
+        through it, so a wrapper set on the instance's ``list_move`` sees
+        only the policy's calls."""
         nodes = self._lists.get(list_id)
         if nodes is None:
             return ListStatus.INVALID_LIST
@@ -292,8 +271,6 @@ class PolicyCgroup:
         current = self._membership.pop(folio_id, None)
         if current is None:
             return ListStatus.NOT_LISTED
-        if self._walks:
-            self._freeze_walks()
         del self._lists[current][folio_id]
         return ListStatus.OK
 
@@ -302,17 +279,7 @@ class PolicyCgroup:
         for a folio on no list."""
         list_id = self._membership.pop(folio_id, None)
         if list_id is not None:
-            if self._walks:
-                self._freeze_walks()
             del self._lists[list_id][folio_id]
-
-    def _freeze_walks(self) -> None:
-        """Copy the unread window of every open walk that still reads its
-        list live; called before a list changes under it."""
-        for walk in self._walks:
-            if walk.live:
-                walk.unread = iter(list(walk.unread))
-                walk.live = False
 
     # -- iteration --------------------------------------------------------
 
@@ -325,20 +292,22 @@ class PolicyCgroup:
         (scan_limit, candidate capacity) and loop termination are enforced
         here, not by the callback.
 
+        Both modes make one pass over the live window, reading it lazily, so
+        a walk that stops early costs about the nodes it visited plus
+        ``skip``. The callback must therefore not change the list being
+        walked; it may change other lists. After such a change the next
+        read raises ``RuntimeError`` (a change made on the window's last
+        node goes unseen). The core counts that as a hook error and falls
+        back to default eviction for the round.
+
         Evaluate mode: the callback receives the folio id and returns a
         ``Verdict``. EVICT verdicts append the folio id to the context
         (iteration stops once it fills); KEEP verdicts apply
-        ``opts.disposition``; STOP ends the walk. The walk visits the window
-        as it stood when the call began, in order, passing over ids that
-        have left the list since. It reads the window lazily, so a walk that
-        stops early costs about the nodes it visited plus ``skip``. The
-        callback may still call ``list_add``, ``list_move``, ``list_del``
-        and a nested ``list_iterate`` on any list, this one included: each
-        first copies the unread rest of the open walks, so the window does
-        not change under them (nodes a callback adds are not visited). A
-        node the callback itself took off this list stays where the callback
-        put it: it gets no disposition and no rotation, though an EVICT
-        verdict still proposes it.
+        ``opts.disposition``; STOP ends the walk. The walk's own moves (a
+        KEEP disposition, EVICT_AND_MOVE_TAIL) are applied when it ends,
+        even by an exception, in walk order, each to the tail of its target
+        list, and only to nodes still on the walked list: a node the
+        callback took off it stays where the callback put it.
 
         Score mode: the callback receives the folio id and returns an
         integer score. The ``ctx.room()`` lowest-scoring nodes are appended
@@ -349,106 +318,66 @@ class PolicyCgroup:
         nodes scoring exactly the floor, and a window with fewer such nodes
         is scored in full; either way the candidates and their order are
         those of the full pass. A score below the floor raises
-        ``ValueError``. Scoring is one pass over the live list, so a score
-        callback must not change the list it scores: the next read after
-        such a change raises ``RuntimeError`` (a change made by the call that
-        scores the pass's last node goes unseen). The core counts either
-        error as a hook error and falls back to default eviction for the
-        round.
+        ``ValueError``, which the core also counts as a hook error.
         """
         nodes = self._lists.get(list_id)
         if nodes is None:
             return ListStatus.INVALID_LIST
         if ctx.room() <= 0:
             return 0
-        pos = opts.skip
+        window = islice(nodes, opts.skip, opts.skip + opts.scan_limit)
         if opts.mode is IterMode.SCORE:
             if opts.scan_limit < ctx.nr_candidates_requested:
                 raise ValueError("score mode needs scan_limit >= "
                                  "nr_candidates_requested")
-            window = islice(nodes, pos, pos + opts.scan_limit)
             if opts.score_floor is not None:
                 return self._score_to_floor(window, callback,
                                             opts.score_floor, ctx)
-            examined = max(0, min(opts.scan_limit, len(nodes) - pos))
+            examined = max(0, min(opts.scan_limit, len(nodes) - opts.skip))
             # Hot path: one score callback per window node, every round.
             # nsmallest is stable (and min() for one), so ties go to the
             # earlier list position.
             for folio_id in heapq.nsmallest(ctx.room(), window, key=callback):
                 ctx.propose(folio_id)
             return examined
-        # The window is list positions [pos, pos + left) of nodes not yet
-        # read. A node this walk moves leaves its position, so the ones after
-        # it shift back by one and the walk reopens its read there; nodes it
-        # moved to the tail lie past the window and are not read again.
-        left = min(opts.scan_limit, len(nodes) - pos)
-        walk = _Walk(islice(nodes, pos, pos + left))
-        # Each reopen skips ``pos`` nodes again; once those skips would add
-        # up to more than the window, copying the rest once is cheaper.
-        budget = left
-        walks = self._walks
-        if walks:
-            # This walk's moves would shift the positions the open ones read.
-            self._freeze_walks()
-        walks.append(walk)
-        membership = self._membership
+        disposition = opts.disposition
+        # The walk's own moves as (target list, folio id), applied after the
+        # loop: a node moved now would change the list being read. Moved
+        # nodes land past the window, so the walked list ends as it would
+        # had each moved at once, and no node is read twice.
+        moves = []
         examined = 0
         try:
-            while True:
-                folio_id = next(walk.unread, None)
-                if folio_id is None:
-                    break
-                pos += 1
-                left -= 1
-                # A callback may mutate lists mid-walk; skip stale ids.
-                if membership.get(folio_id) != list_id:
-                    continue
+            for folio_id in window:
                 verdict = callback(folio_id)
                 examined += 1
-                if verdict is Verdict.STOP:
-                    break
-                # Only a callback list operation, which clears ``walk.live``,
-                # can have taken the node off this list; such a node stays
-                # where the callback put it.
-                moved = False
                 if (verdict is Verdict.EVICT
                         or verdict is Verdict.EVICT_AND_MOVE_TAIL):
                     ctx.propose(folio_id)
-                    if (verdict is Verdict.EVICT_AND_MOVE_TAIL and (
-                            walk.live or membership.get(folio_id) == list_id)):
-                        nodes.move_to_end(folio_id)
-                        moved = True
+                    if verdict is Verdict.EVICT_AND_MOVE_TAIL:
+                        moves.append((list_id, folio_id))
                     if ctx.room() <= 0:
                         break
                 elif verdict is Verdict.KEEP:
-                    disposition = opts.disposition
-                    if (disposition is not Disposition.LEAVE_IN_PLACE and (
-                            walk.live or membership.get(folio_id) == list_id)):
-                        if disposition is Disposition.MOVE_TO_TAIL:
-                            nodes.move_to_end(folio_id)
-                            moved = True
-                        elif disposition is Disposition.MOVE_TO_LIST:
-                            status = self._move(opts.target_list, folio_id,
-                                                tail=True)
-                            if status is not ListStatus.OK:
-                                raise ValueError(
-                                    "bad MOVE_TO_LIST target %r: %s"
-                                    % (opts.target_list, status.name))
-                            moved = True
+                    if disposition is Disposition.MOVE_TO_TAIL:
+                        moves.append((list_id, folio_id))
+                    elif disposition is Disposition.MOVE_TO_LIST:
+                        if opts.target_list not in self._lists:
+                            raise ValueError(
+                                "bad MOVE_TO_LIST target %r: %s"
+                                % (opts.target_list,
+                                   ListStatus.INVALID_LIST.name))
+                        moves.append((opts.target_list, folio_id))
+                elif verdict is Verdict.STOP:
+                    break
                 else:
                     raise TypeError("evaluate callback returned %r"
                                     % (verdict,))
-                if moved and walk.live:
-                    pos -= 1
-                    unread = islice(nodes, pos, pos + left)
-                    if pos > budget:
-                        unread = iter(list(unread))
-                        walk.live = False
-                    else:
-                        budget -= pos
-                    walk.unread = unread
         finally:
-            walks.pop()
+            membership = self._membership
+            for target, folio_id in moves:
+                if membership.get(folio_id) == list_id:
+                    self._move(target, folio_id, tail=True)
         return examined
 
     @staticmethod
@@ -521,9 +450,10 @@ class PolicyHooks:
     evict folios directly; they may only mutate eviction lists,
     policy-private state, and the eviction context they are handed.
     ``folio_removed`` must not touch lists for the removed folio, which the
-    framework has already detached. Exceptions escaping a hook are treated
-    as policy misbehavior: the core absorbs them and falls back to default
-    eviction for the round.
+    framework has already detached. A ``list_iterate`` callback must not
+    change the list being walked; the walk raises ``RuntimeError`` if it
+    does. Exceptions escaping a hook are treated as policy misbehavior: the
+    core absorbs them and falls back to default eviction for the round.
     """
 
     name = "noop"

@@ -370,6 +370,8 @@ class TestIterateEvaluate:
     ])
     def test_node_the_callback_took_off_is_not_moved(self, verdict,
                                                      disposition, take_off):
+        # a change on the window's last node goes unseen, and the walk
+        # leaves that node where the callback put it
         store, _, (a, b) = make_store(2)
         walked = store.list_create()
         other = store.list_create()
@@ -378,19 +380,19 @@ class TestIterateEvaluate:
         ctx = EvictionContext(CANDIDATES_MAX)
 
         def judge(fid):
-            if fid == a:
+            if fid == b:
                 if take_off == "move":
-                    store.list_move(other, a, tail=True)
+                    store.list_move(other, b, tail=True)
                 else:
-                    store.list_del(a)
+                    store.list_del(b)
             return verdict
 
         opts = IterOptions(disposition=disposition, target_list=other)
         assert store.list_iterate(walked, judge, opts, ctx) == 2
-        assert listed_on(store, a) == (other if take_off == "move"
+        assert listed_on(store, b) == (other if take_off == "move"
                                        else None)
-        expect_b = other if disposition is Disposition.MOVE_TO_LIST else walked
-        assert listed_on(store, b) == expect_b
+        expect_a = other if disposition is Disposition.MOVE_TO_LIST else walked
+        assert listed_on(store, a) == expect_a
         assert ctx.candidates == ([a, b] if verdict is not Verdict.KEEP
                                   else [])
 
@@ -480,16 +482,23 @@ def scripted_walk(iterate, store, fids, lists, walk, script, ctx, log):
     return iterate(lists[list_idx], callback, opts, ctx)
 
 
+def placed_store(placement):
+    """A checked handle with two lists and one folio per ``placement``
+    entry: (list index or None, tail)."""
+    store, _, fids = make_store(len(placement))
+    lists = [store.list_create(), store.list_create()]
+    for fid, (where, tail) in zip(fids, placement):
+        if where is not None:
+            store.list_add(lists[where], fid, tail)
+    return store, fids, lists
+
+
 def run_walk_both_ways(placement, walk, script, room):
     """The outcome of one scripted walk under ``list_iterate`` and under
     ``copy_window_iterate``, each on its own copy of the same lists."""
     outcomes = []
     for reference in (False, True):
-        store, _, fids = make_store(len(placement))
-        lists = [store.list_create(), store.list_create()]
-        for fid, (where, tail) in zip(fids, placement):
-            if where is not None:
-                store.list_add(lists[where], fid, tail)
+        store, fids, lists = placed_store(placement)
         if reference:
             iterate = partial(copy_window_iterate, store)
         else:
@@ -504,39 +513,66 @@ def run_walk_both_ways(placement, walk, script, room):
     return outcomes
 
 
-WALKS = st.tuples(
-    st.integers(0, 1), st.integers(0, 4), st.integers(0, 30),
-    st.sampled_from([(Disposition.LEAVE_IN_PLACE, None),
-                     (Disposition.MOVE_TO_TAIL, None),
-                     (Disposition.MOVE_TO_LIST, 0),
-                     (Disposition.MOVE_TO_LIST, 1)]))
-LIST_OPS = st.one_of(
-    st.tuples(st.just("add"), st.integers(0, 1), st.integers(0, 24),
-              st.booleans()),
-    st.tuples(st.just("move"), st.integers(0, 1), st.integers(0, 24),
-              st.booleans()),
-    st.tuples(st.just("del"), st.integers(0, 24)))
-# KEEP most often, so that walks run long enough to meet the mutations
+DISPOSITIONS = [(Disposition.LEAVE_IN_PLACE, None),
+                (Disposition.MOVE_TO_TAIL, None),
+                (Disposition.MOVE_TO_LIST, 0),
+                (Disposition.MOVE_TO_LIST, 1)]
+WALKS = st.tuples(st.integers(0, 1), st.integers(0, 4), st.integers(0, 30),
+                  st.sampled_from(DISPOSITIONS))
+# KEEP most often, so that walks run long enough to meet the list operations
 VERDICTS = st.sampled_from([Verdict.KEEP, Verdict.KEEP, Verdict.KEEP,
                             Verdict.EVICT, Verdict.EVICT_AND_MOVE_TAIL,
                             Verdict.STOP])
-NESTED_STEPS = st.lists(st.tuples(VERDICTS, st.none() | LIST_OPS),
-                        max_size=8)
-STEPS = st.lists(st.tuples(VERDICTS, st.none() | LIST_OPS | st.tuples(
-    st.just("walk"), WALKS, NESTED_STEPS)), max_size=30)
+
+
+@st.composite
+def walk_cases(draw):
+    """A placement, a walk over list 0 or 1, and a script for it whose list
+    operations and nested walks leave the walked list unchanged.
+
+    They act on the other list, and move or delete only folios placed off
+    the walked list. The walk makes its own moves when it ends, and the
+    reference at once, so where the walk moves nodes to the other list the
+    script inserts there at the head only and runs no nested walk."""
+    placement = draw(st.lists(
+        st.tuples(st.sampled_from([0, 1, None]), st.booleans()),
+        min_size=3, max_size=25))
+    walk = draw(WALKS)
+    other = 1 - walk[0]
+    moves_to_other = walk[3][1] == other
+    tails = st.just(False) if moves_to_other else st.booleans()
+    ops = [st.tuples(st.just("add"), st.just(other), st.integers(0, 24),
+                     tails)]
+    off_walked = [i for i, (where, _) in enumerate(placement)
+                  if where != walk[0]]
+    if off_walked:
+        folios = st.sampled_from(off_walked)
+        ops += [st.tuples(st.just("move"), st.just(other), folios, tails),
+                st.tuples(st.just("del"), folios)]
+    actions = st.none() | st.one_of(ops)
+    if not moves_to_other:
+        # over the other list, moving only within it, with no list
+        # operations of its own: any would change the list it walks
+        nested = st.tuples(
+            st.just(other), st.integers(0, 4), st.integers(0, 30),
+            st.sampled_from([(Disposition.LEAVE_IN_PLACE, None),
+                             (Disposition.MOVE_TO_TAIL, None),
+                             (Disposition.MOVE_TO_LIST, other)]))
+        actions |= st.tuples(st.just("walk"), nested, st.lists(
+            st.tuples(VERDICTS, st.none()), max_size=8))
+    script = draw(st.lists(st.tuples(VERDICTS, actions), max_size=30))
+    return placement, walk, script
 
 
 class TestLazyWalk:
-    """The evaluate-mode walk reads its window lazily; it must visit and
-    change exactly what a walk over a copy of the window does."""
+    """The evaluate-mode walk reads its window lazily; with a callback that
+    leaves the walked list alone it must visit and change exactly what a
+    walk over a copy of the window does."""
 
     @settings(max_examples=300, deadline=None)
-    @given(placement=st.lists(
-               st.tuples(st.sampled_from([0, 1, None]), st.booleans()),
-               min_size=3, max_size=25),
-           walk=WALKS, script=STEPS, room=st.integers(1, CANDIDATES_MAX))
-    def test_matches_copy_window_reference(self, placement, walk, script,
-                                           room):
+    @given(case=walk_cases(), room=st.integers(1, CANDIDATES_MAX))
+    def test_matches_copy_window_reference(self, case, room):
+        placement, walk, script = case
         lazy, reference = run_walk_both_ways(placement, walk, script, room)
         assert lazy == reference
 
@@ -547,15 +583,18 @@ class TestLazyWalk:
         ("move", 1, 3, True),   # the same node, to the other list
         ("walk", (0, 0, 4, (Disposition.MOVE_TO_TAIL, None)), []),
     ])
-    def test_callback_mutation_mid_walk_matches_reference(self, action):
-        placement = [(0, True)] * 5 + [(None, True)]
+    def test_callback_changing_the_walked_list_raises(self, action):
+        store, fids, lists = placed_store([(0, True)] * 5 + [(None, True)])
         walk = (0, 0, 5, (Disposition.LEAVE_IN_PLACE, None))
         script = [(Verdict.KEEP, None), (Verdict.KEEP, action)]
-        lazy, reference = run_walk_both_ways(placement, walk, script,
-                                             CANDIDATES_MAX)
-        assert lazy == reference
+        log = []
+        with pytest.raises(RuntimeError):
+            scripted_walk(store.list_iterate, store, fids, lists, walk,
+                          script, EvictionContext(CANDIDATES_MAX), log)
+        assert log[0:2] == fids[0:2]
+        store.check_consistency()
 
-    def test_folio_leaving_the_cache_mid_walk_is_passed_over(self):
+    def test_folio_leaving_the_cache_mid_walk_raises(self):
         store, cgroup, fids = make_store(4)
         lst = store.list_create()
         for fid in fids:
@@ -570,12 +609,43 @@ class TestLazyWalk:
                 store.detach(fids[2])
             return Verdict.KEEP
 
-        store.list_iterate(lst, judge, IterOptions(), EvictionContext(1))
-        assert visited == [fids[0], fids[1], fids[3]]
+        with pytest.raises(RuntimeError):
+            store.list_iterate(lst, judge, IterOptions(), EvictionContext(1))
+        assert visited == [fids[0]]
+        store.check_consistency()
+
+    def test_callback_changing_the_walked_list_is_a_hook_error(self):
+        class RotatingPolicy(PolicyHooks):
+            def policy_init(self, cg):
+                self.cg = cg
+                self.queue = cg.list_create()
+
+            def folio_added(self, folio):
+                self.cg.list_add(self.queue, folio.id, tail=True)
+
+            def evict_folios(self, ctx, cg):
+                def judge(fid):
+                    # rotate the node by hand, then read on
+                    cg.list_move(self.queue, fid, tail=True)
+                    return Verdict.KEEP
+
+                cg.list_iterate(self.queue, judge, IterOptions(), ctx)
+
+        sim = Simulator()
+        sim.add_cgroup(0, 2)
+        sim.attach_policy(0, RotatingPolicy())
+        for page in range(6):
+            sim.access_page(0, 1, page)
+        stats = sim.stats(0)
+        assert stats.hook_errors == 4
+        assert stats.evictions_policy == 0
+        assert stats.evictions_fallback == 4
+        assert sim.resident_pages(0) == 2
+        sim.check_invariants()
 
     def test_moves_after_stays_match_reference(self):
-        # every KEEP stays and every EVICT_AND_MOVE_TAIL moves, so the walk
-        # reopens ever further in and ends up copying its unread rest
+        # every KEEP stays and every EVICT_AND_MOVE_TAIL moves: the moved
+        # nodes end on the tail in walk order
         walk = (0, 2, 60, (Disposition.LEAVE_IN_PLACE, None))
         script = [(Verdict.KEEP, None),
                   (Verdict.EVICT_AND_MOVE_TAIL, None)] * 30
