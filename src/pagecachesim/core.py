@@ -216,12 +216,16 @@ class Simulator:
             self._deferred_cgroups.append(cg)
 
     def set_limit(self, cgroup_id: int, limit_pages: int) -> None:
-        """Resize a cgroup. Shrinking evicts immediately to fit."""
+        """Resize a cgroup. Shrinking evicts immediately to fit, and drops
+        the oldest shadow entries beyond the new limit."""
         cg = self._cgroup(cgroup_id)
         if limit_pages < 1:
             raise SimulationError("cgroup %r needs a positive page limit"
                                   % cgroup_id)
         cg.limit_pages = limit_pages
+        shadow = cg.shadow_table
+        while len(shadow) > limit_pages:
+            shadow.popitem(last=False)
         if cg.resident_pages > limit_pages:
             self._drive(cg)
 

@@ -121,6 +121,16 @@ class TestRefaultCheck:
             sim.access_page(0, 1, page)
         assert len(sim.cgroup(0).shadow_table) <= 4
 
+    def test_shrinking_without_eviction_trims_the_shadow_table(self):
+        sim = make_sim(limit_pages=10)
+        for page in range(15):
+            sim.access_page(0, 1, page)
+        sim.remove_file(0, 1)
+        sim.set_limit(0, 2)  # nothing resident, so nothing to evict
+        # of the shadow entries of evicted pages 0-4, the two newest stay
+        assert list(sim.cgroup(0).shadow_table) == [(1, 3), (1, 4)]
+        sim.check_invariants()
+
 
 class TestDefaultEvict:
     def test_evicts_from_inactive_head_in_order(self):
