@@ -370,8 +370,8 @@ class LhdPolicy(PolicyHooks):
 class GetScanPolicy(PolicyHooks):
     """Application-informed policy for mixed point-read and scan traffic.
 
-    Folios inserted by threads in ``scan_threads`` go on a scan list, all
-    others on a get list; the inserting thread is read from the cgroup
+    Folios inserted by threads in ``scan_threads`` (a thread id or an
+    iterable of them) go on a scan list, all others on a get list; the inserting thread is read from the cgroup
     handle at insertion time. Both lists keep approximate-LFU frequencies,
     and eviction drains the scan list first so scan traffic cannot push
     point-query folios out of the cache.
@@ -391,6 +391,8 @@ class GetScanPolicy(PolicyHooks):
     score_floor = 1
 
     def __init__(self, scan_threads=(), scan_window: int = DEFAULT_SCAN_LIMIT):
+        if isinstance(scan_threads, int):
+            scan_threads = (scan_threads,)
         self.scan_threads = frozenset(scan_threads)
         self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window)
         self._scan_opts = IterOptions(mode=IterMode.SCORE,
@@ -445,7 +447,8 @@ def make_policy(name: str, params: dict | None = None,
     """Build a policy by name from ``POLICIES``. Returns None for "default".
 
     ``params`` may hold the parameters the table lists for the policy
-    (getscan's ``scan_threads`` is an iterable of thread ids). Unknown
+    (getscan's ``scan_threads`` is a thread id or an iterable of them).
+    Unknown
     names or parameters raise ValueError.
     """
     if name not in POLICIES:

@@ -182,6 +182,11 @@ def gen_filesearch(corpus_files: int, file_pages: int, passes: int,
     return events()
 
 
+def _thread_ids(threads) -> tuple:
+    """A thread id, or an iterable of them, as a tuple of ids."""
+    return (threads,) if isinstance(threads, int) else tuple(threads)
+
+
 def gen_getscan(count: int, get_keyspace: int,
                 get_fraction: float = 0.9995,
                 scan_fraction: float = 0.0005,
@@ -200,7 +205,8 @@ def gen_getscan(count: int, get_keyspace: int,
     from the get keyspace, issued from ``scan_threads``; scan start
     positions advance through the region so consecutive scans never
     overlap. The region defaults to four scan lengths and is rounded up to
-    a whole number of scan slots.
+    a whole number of scan slots. Each thread parameter is a thread id or
+    an iterable of them.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -208,14 +214,14 @@ def gen_getscan(count: int, get_keyspace: int,
         raise ValueError("get_fraction and scan_fraction must sum to 1")
     if scan_len_pages < 1:
         raise ValueError("scan_len_pages must be >= 1")
+    get_threads = _thread_ids(get_threads)
+    scan_threads = _thread_ids(scan_threads)
     if not set(get_threads).isdisjoint(scan_threads):
         raise ValueError("get_threads and scan_threads must be disjoint")
     if scan_region_pages is None:
         scan_region_pages = 4 * scan_len_pages
     slots = max(2, -(-scan_region_pages // scan_len_pages))
     _check_zipfian(get_keyspace, theta)
-    get_threads = tuple(get_threads)
-    scan_threads = tuple(scan_threads)
     scan_file = get_keyspace // keys_per_file + 1
 
     def events():

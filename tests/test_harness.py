@@ -461,6 +461,32 @@ class TestCli:
         assert rc == 0
         assert "getscan,0," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("workload_threads, param_threads", [
+        ("9", "8+9"), ("8+9", "9")])
+    def test_single_scan_thread_via_cli(self, capsys, tmp_path,
+                                        workload_threads, param_threads):
+        # without "+" a value parses as one int: it means that one thread
+        def ids(value):
+            return [int(t) for t in value.split("+")]
+
+        expect = run(ScenarioConfig(
+            cgroups=[CgroupSpec(0, 32 * 4096, "getscan",
+                                {"scan_threads": ids(param_threads)})],
+            workload=WorkloadSpec("getscan", {
+                "count": 2000, "get_keyspace": 400, "scan_len_pages": 16,
+                "scan_threads": ids(workload_threads)}),
+            scan_window=64)).to_csv()
+        out = tmp_path / "report.csv"
+        rc = cli_main(["run", "--workload",
+                       "getscan:count=2000,get_keyspace=400,"
+                       "scan_len_pages=16,scan_threads=" + workload_threads,
+                       "--limit-bytes", str(32 * 4096),
+                       "--policy", "getscan", "--scan-window", "64",
+                       "--param", "scan_threads=" + param_threads,
+                       "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert out.read_text() == expect
+
     def test_validation_error_exits_nonzero(self, capsys):
         rc = cli_main(["run", "--workload", "ycsb-c:keyspace=100,count=100",
                        "--limit-bytes", "3"])
