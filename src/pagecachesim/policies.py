@@ -371,10 +371,11 @@ class GetScanPolicy(PolicyHooks):
     """Application-informed policy for mixed point-read and scan traffic.
 
     Folios inserted by threads in ``scan_threads`` (a thread id or an
-    iterable of them) go on a scan list, all others on a get list; the inserting thread is read from the cgroup
-    handle at insertion time. Both lists keep approximate-LFU frequencies,
-    and eviction drains the scan list first so scan traffic cannot push
-    point-query folios out of the cache.
+    iterable of them) go on a scan list, all others on a get list; the
+    inserting thread is read from the cgroup handle at insertion time. Both
+    lists keep approximate-LFU frequencies, and eviction drains the scan
+    list first so scan traffic cannot push point-query folios out of the
+    cache.
 
     Every folio enters at frequency 1 and only gains, so the scan list
     declares a ``score_floor`` of 1. Scan pages are read once, so the scan
@@ -448,8 +449,7 @@ def make_policy(name: str, params: dict | None = None,
 
     ``params`` may hold the parameters the table lists for the policy
     (getscan's ``scan_threads`` is a thread id or an iterable of them).
-    Unknown
-    names or parameters raise ValueError.
+    Unknown names or parameters raise ValueError.
     """
     if name not in POLICIES:
         raise ValueError("unknown policy %r (expected one of %s)"

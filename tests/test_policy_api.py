@@ -513,12 +513,12 @@ def run_walk_both_ways(placement, walk, script, room):
     return outcomes
 
 
-DISPOSITIONS = [(Disposition.LEAVE_IN_PLACE, None),
-                (Disposition.MOVE_TO_TAIL, None),
-                (Disposition.MOVE_TO_LIST, 0),
-                (Disposition.MOVE_TO_LIST, 1)]
-WALKS = st.tuples(st.integers(0, 1), st.integers(0, 4), st.integers(0, 30),
-                  st.sampled_from(DISPOSITIONS))
+WALKS = st.tuples(
+    st.integers(0, 1), st.integers(0, 4), st.integers(0, 30),
+    st.sampled_from([(Disposition.LEAVE_IN_PLACE, None),
+                     (Disposition.MOVE_TO_TAIL, None),
+                     (Disposition.MOVE_TO_LIST, 0),
+                     (Disposition.MOVE_TO_LIST, 1)]))
 # KEEP most often, so that walks run long enough to meet the list operations
 VERDICTS = st.sampled_from([Verdict.KEEP, Verdict.KEEP, Verdict.KEEP,
                             Verdict.EVICT, Verdict.EVICT_AND_MOVE_TAIL,
