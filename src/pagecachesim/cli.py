@@ -10,8 +10,11 @@ Subcommands:
 Workload specs look like ``name:key=value,key=value``, e.g.
 ``ycsb-c:keyspace=40960,count=100000`` or
 ``filesearch:corpus_files=20,file_pages=100,passes=10``. Policy parameters
-are given as repeatable ``--param key=value`` flags. Exit status is 0 on
-success and 1 on validation or replay errors.
+are repeatable ``--param key=value`` flags. A value is an int, else a
+float, else a string; ``a+b`` is a list. Each policy class and generator
+checks its own parameters, so a wrong type or range exits 1 with an
+``error:`` line that names the parameter. Exit status is 0 on success
+and 1 on any validation or replay error.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .harness import (
     scenario_isolation,
 )
 from .policies import POLICY_NAMES
+from .policy_api import CANDIDATES_MAX, DEFAULT_SCAN_LIMIT
 from .workloads import TraceFormatError, write_trace
 
 
@@ -62,11 +66,8 @@ def _parse_kv(pairs):
 
 
 def _parse_workload(spec: str) -> WorkloadSpec:
-    kind, sep, rest = spec.partition(":")
-    params = {}
-    if sep:
-        params = _parse_kv(rest.split(",")) if rest else {}
-    return WorkloadSpec(kind, params)
+    kind, _, rest = spec.partition(":")
+    return WorkloadSpec(kind, _parse_kv(rest.split(",")) if rest else {})
 
 
 def _workload_from_args(args) -> WorkloadSpec:
@@ -85,10 +86,15 @@ def _add_common(parser):
     parser.add_argument("--trace", help="replay a trace CSV instead")
     parser.add_argument("--limit-bytes", type=int, default=16 << 20,
                         help="cgroup memory limit (default 16 MiB)")
+    _add_replay(parser)
+
+
+def _add_replay(parser):
+    """The flags every replaying subcommand shares."""
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--candidates", type=int, default=32,
+    parser.add_argument("--candidates", type=int, default=CANDIDATES_MAX,
                         help="eviction candidates requested per round")
-    parser.add_argument("--scan-window", type=int, default=512,
+    parser.add_argument("--scan-window", type=int, default=DEFAULT_SCAN_LIMIT,
                         help="list nodes examined per eviction scan")
     parser.add_argument("--out", help="write the report CSV here")
 
@@ -127,10 +133,7 @@ def _build_parser():
     p_iso.add_argument("--policy-b", default="mru", choices=POLICY_NAMES)
     p_iso.add_argument("--limit-bytes-a", type=int, default=16 << 20)
     p_iso.add_argument("--limit-bytes-b", type=int, default=4 << 20)
-    p_iso.add_argument("--seed", type=int, default=0)
-    p_iso.add_argument("--candidates", type=int, default=32)
-    p_iso.add_argument("--scan-window", type=int, default=512)
-    p_iso.add_argument("--out", help="write the report CSV here")
+    _add_replay(p_iso)
 
     p_gen = sub.add_parser("gen-trace",
                            help="write a generated workload as a trace CSV")
@@ -140,29 +143,25 @@ def _build_parser():
     return parser
 
 
+def _config(args, cgroup: CgroupSpec, workload: WorkloadSpec):
+    """A one-cgroup scenario with the shared replay flags."""
+    return ScenarioConfig(cgroups=[cgroup], workload=workload,
+                          seed=args.seed, candidates=args.candidates,
+                          scan_window=args.scan_window, report_path=args.out)
+
+
 def _cmd_run(args) -> int:
-    config = ScenarioConfig(
-        cgroups=[CgroupSpec(0, args.limit_bytes, args.policy,
-                            _parse_kv(args.param))],
-        workload=_workload_from_args(args),
-        seed=args.seed,
-        candidates=args.candidates,
-        scan_window=args.scan_window,
-        report_path=args.out)
-    report = run(config)
+    report = run(_config(args, CgroupSpec(0, args.limit_bytes, args.policy,
+                                          _parse_kv(args.param)),
+                         _workload_from_args(args)))
     _emit(report, args.out)
     return 0
 
 
 def _cmd_compare(args) -> int:
     params = _parse_kv(args.param)
-    config = ScenarioConfig(
-        cgroups=[CgroupSpec(0, args.limit_bytes)],
-        workload=_workload_from_args(args),
-        seed=args.seed,
-        candidates=args.candidates,
-        scan_window=args.scan_window,
-        report_path=args.out)
+    config = _config(args, CgroupSpec(0, args.limit_bytes),
+                     _workload_from_args(args))
     policies = [(name, params if name != "default" else {})
                 for name in args.policy]
     report = compare(config, policies)
@@ -171,16 +170,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_isolation(args) -> int:
-    config_a = ScenarioConfig(
-        cgroups=[CgroupSpec(0, args.limit_bytes_a, args.policy_a)],
-        workload=_parse_workload(args.workload_a),
-        seed=args.seed, candidates=args.candidates,
-        scan_window=args.scan_window)
-    config_b = ScenarioConfig(
-        cgroups=[CgroupSpec(1, args.limit_bytes_b, args.policy_b)],
-        workload=_parse_workload(args.workload_b),
-        seed=args.seed, candidates=args.candidates,
-        scan_window=args.scan_window)
+    config_a = _config(args, CgroupSpec(0, args.limit_bytes_a, args.policy_a),
+                       _parse_workload(args.workload_a))
+    config_b = _config(args, CgroupSpec(1, args.limit_bytes_b, args.policy_b),
+                       _parse_workload(args.workload_b))
     report = scenario_isolation(config_a, config_b, report_path=args.out)
     _emit(report, args.out)
     return 0

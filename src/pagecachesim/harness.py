@@ -21,10 +21,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import partial
 
 from .core import PAGE_SIZE, AccessOutcome, Simulator
 from .policies import make_policy
-from .policy_api import CANDIDATES_MAX
+from .policy_api import CANDIDATES_MAX, DEFAULT_SCAN_LIMIT
 from .workloads import (
     Op,
     TraceEvent,
@@ -93,30 +94,30 @@ class WorkloadSpec:
     params: dict = field(default_factory=dict)
 
 
-WORKLOAD_KINDS = ("ycsb-a", "ycsb-c", "uniform", "uniform-rw",
-                  "filesearch", "getscan", "trace")
+#: Workload table: kind -> builder, which checks its own parameters.
+WORKLOADS = {
+    "ycsb-a": partial(gen_ycsb, "A"),
+    "ycsb-c": partial(gen_ycsb, "C"),
+    "uniform": partial(gen_ycsb, "Uniform"),
+    "uniform-rw": partial(gen_ycsb, "UniformRW"),
+    "filesearch": gen_filesearch,
+    "getscan": gen_getscan,
+    "trace": parse_trace,
+}
 
-_YCSB_VARIANTS = {"ycsb-a": "A", "ycsb-c": "C", "uniform": "Uniform",
-                  "uniform-rw": "UniformRW"}
+WORKLOAD_KINDS = tuple(WORKLOADS)
 
 
 def build_events(spec: WorkloadSpec, seed: int):
     """Instantiate a workload's event iterator. Parameter problems raise
     ValueError/TypeError here, not at first consumption."""
-    params = dict(spec.params)
-    params.setdefault("seed", seed)
-    if spec.kind in _YCSB_VARIANTS:
-        params.setdefault("value_size", 1024)
-        return gen_ycsb(_YCSB_VARIANTS[spec.kind], **params)
-    if spec.kind == "filesearch":
-        return gen_filesearch(**params)
-    if spec.kind == "getscan":
-        return gen_getscan(**params)
+    if spec.kind not in WORKLOADS:
+        raise ValueError("unknown workload kind %r (expected one of %s)"
+                         % (spec.kind, ", ".join(WORKLOAD_KINDS)))
+    params = {"seed": seed, **spec.params}
     if spec.kind == "trace":
-        params.pop("seed", None)
-        return parse_trace(**params)
-    raise ValueError("unknown workload kind %r (expected one of %s)"
-                     % (spec.kind, ", ".join(WORKLOAD_KINDS)))
+        del params["seed"]  # a trace has none; one given is ignored
+    return WORKLOADS[spec.kind](**params)
 
 
 @dataclass
@@ -125,7 +126,7 @@ class ScenarioConfig:
     workload: WorkloadSpec | None = None
     seed: int = 0
     candidates: int = CANDIDATES_MAX
-    scan_window: int = 512
+    scan_window: int = DEFAULT_SCAN_LIMIT
     report_path: str | None = None
 
     def validate(self) -> list[str]:

@@ -13,6 +13,7 @@ statistics throughout.
 from __future__ import annotations
 
 from collections import OrderedDict
+from inspect import signature
 
 from .policy_api import (
     DEFAULT_SCAN_LIMIT,
@@ -24,6 +25,7 @@ from .policy_api import (
     RemovalReason,
     Verdict,
 )
+from .workloads import need_int, thread_ids
 
 
 class FifoPolicy(PolicyHooks):
@@ -61,9 +63,8 @@ class MruPolicy(PolicyHooks):
     name = "mru"
 
     def __init__(self, skip: int = 32, scan_window: int = DEFAULT_SCAN_LIMIT):
-        if skip < 0:
-            raise ValueError("skip must be >= 0")
-        self._opts = IterOptions(scan_limit=scan_window, skip=skip)
+        self._opts = IterOptions(scan_limit=scan_window,
+                                 skip=need_int("skip", skip, 0))
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
@@ -136,6 +137,8 @@ class S3FifoPolicy(PolicyHooks):
         if not 0.0 < small_fraction < 1.0:
             raise ValueError("small_fraction must be in (0, 1)")
         self.small_fraction = small_fraction
+        if ghost_capacity is not None:
+            need_int("ghost_capacity", ghost_capacity, 0)
         self._ghost_capacity = ghost_capacity
         self._scan_window = scan_window
 
@@ -258,11 +261,10 @@ class LhdPolicy(PolicyHooks):
     def __init__(self, reconfig_interval: int = 1 << 20,
                  age_granularity: int | None = None,
                  scan_window: int = DEFAULT_SCAN_LIMIT):
-        if reconfig_interval < 1:
-            raise ValueError("reconfig_interval must be >= 1")
-        if age_granularity is not None and age_granularity < 1:
-            raise ValueError("age_granularity must be >= 1")
-        self.reconfig_interval = reconfig_interval
+        self.reconfig_interval = need_int("reconfig_interval",
+                                          reconfig_interval)
+        if age_granularity is not None:
+            need_int("age_granularity", age_granularity)
         self._age_granularity = age_granularity
         self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window,
                                  score_floor=self.score_floor)
@@ -392,9 +394,8 @@ class GetScanPolicy(PolicyHooks):
     score_floor = 1
 
     def __init__(self, scan_threads=(), scan_window: int = DEFAULT_SCAN_LIMIT):
-        if isinstance(scan_threads, int):
-            scan_threads = (scan_threads,)
-        self.scan_threads = frozenset(scan_threads)
+        self.scan_threads = frozenset(thread_ids("scan_threads",
+                                                 scan_threads))
         self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window)
         self._scan_opts = IterOptions(mode=IterMode.SCORE,
                                       scan_limit=scan_window,
@@ -427,16 +428,16 @@ class GetScanPolicy(PolicyHooks):
         self.freq.pop(folio.id, None)
 
 
-#: Policy table: name -> (class, accepted parameters). Every class also
-#: takes ``scan_window``. "default" means no policy.
+#: Policy table: name -> class. A class's ``__init__`` owns its parameters'
+#: names, defaults and checks. "default" means no policy.
 POLICIES = {
-    "default": (None, ()),
-    "fifo": (FifoPolicy, ()),
-    "mru": (MruPolicy, ("skip",)),
-    "lfu": (LfuPolicy, ()),
-    "s3fifo": (S3FifoPolicy, ("small_fraction", "ghost_capacity")),
-    "lhd": (LhdPolicy, ("reconfig_interval", "age_granularity")),
-    "getscan": (GetScanPolicy, ("scan_threads",)),
+    "default": None,
+    "fifo": FifoPolicy,
+    "mru": MruPolicy,
+    "lfu": LfuPolicy,
+    "s3fifo": S3FifoPolicy,
+    "lhd": LhdPolicy,
+    "getscan": GetScanPolicy,
 }
 
 #: Policy names accepted by the harness.
@@ -447,15 +448,16 @@ def make_policy(name: str, params: dict | None = None,
                 scan_window: int = DEFAULT_SCAN_LIMIT) -> PolicyHooks | None:
     """Build a policy by name from ``POLICIES``. Returns None for "default".
 
-    ``params`` may hold the parameters the table lists for the policy
-    (getscan's ``scan_threads`` is a thread id or an iterable of them).
-    Unknown names or parameters raise ValueError.
+    ``params`` holds keyword parameters of the class but ``scan_window``.
+    An unknown name or parameter raises ValueError; the class raises
+    TypeError or ValueError, naming the parameter, for a bad value.
     """
     if name not in POLICIES:
         raise ValueError("unknown policy %r (expected one of %s)"
                          % (name, ", ".join(POLICY_NAMES)))
-    cls, accepted = POLICIES[name]
+    cls = POLICIES[name]
     params = params or {}
+    accepted = set(signature(cls).parameters) - {"scan_window"} if cls else ()
     unknown = sorted(set(params).difference(accepted))
     if unknown:
         raise ValueError("unknown parameters for policy %r: %s"

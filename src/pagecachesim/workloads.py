@@ -13,6 +13,7 @@ floor(offset/4096) ..= floor((offset+len-1)/4096) at replay.
 from __future__ import annotations
 
 import csv
+import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -87,27 +88,35 @@ class ZipfianSampler:
         return weight / self._total
 
 
-def _check_keyspace(keyspace: int) -> None:
-    """Raise ValueError for a keyspace below 1, TypeError for one that is
-    not an integer."""
-    if keyspace < 1:
-        raise ValueError("keyspace must be >= 1")
-    range(keyspace)  # a non-integer keyspace raises TypeError here
+def need_int(name: str, value, minimum: int = 1) -> int:
+    """Return ``value`` if it is an int (a bool is not) of at least
+    ``minimum``; otherwise raise TypeError or ValueError naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError("%s must be an int, got %r" % (name, value))
+    if value < minimum:
+        raise ValueError("%s must be >= %d" % (name, minimum))
+    return value
 
 
-def _check_zipfian(keyspace: int, theta: float) -> None:
+def thread_ids(name: str, value) -> tuple:
+    """One thread id, or an iterable of them, as a tuple of ints >= 0."""
+    ids = value if isinstance(value, Iterable) else (value,)
+    return tuple(need_int(name, tid, 0) for tid in ids)
+
+
+def _check_zipfian(keyspace: int, theta: float, name="keyspace") -> None:
     """Raise what building a ZipfianSampler would raise for these
     parameters, without building its table."""
-    _check_keyspace(keyspace)
-    if theta < 0:
+    need_int(name, keyspace)
+    if not theta >= 0:  # NaN too
         raise ValueError("theta must be >= 0")
 
 
 YCSB_VARIANTS = ("A", "C", "Uniform", "UniformRW")
 
 
-def gen_ycsb(variant: str, keyspace: int, value_size: int,
-             count: int, seed: int, cgroup: int = 0,
+def gen_ycsb(variant: str, keyspace: int, count: int, seed: int,
+             value_size: int = DEFAULT_VALUE_SIZE, cgroup: int = 0,
              thread: int = 0,
              keys_per_file: int = DEFAULT_KEYS_PER_FILE,
              theta: float = 0.99) -> Iterator[TraceEvent]:
@@ -117,24 +126,24 @@ def gen_ycsb(variant: str, keyspace: int, value_size: int,
     Zipfian, Uniform = read-only uniform, UniformRW = 50/50 uniform.
     Updates are in-place page writes.
 
-    Parameters, ``keyspace`` for every variant, are checked here, so
-    ``ScenarioConfig.validate`` reports them. The Zipfian table is built
-    on the first read, so a stream that is never read costs nothing. Each
-    key is drawn in the generator's own frame with the same ``rng`` call
-    as ``ZipfianSampler.sample``, and slotted as ``DEFAULT_KEYS_PER_FILE``
-    describes.
+    Every parameter but ``seed`` is checked here, ``theta`` for every
+    variant, so ``ScenarioConfig.validate`` reports them. The Zipfian table
+    is built on the first read, so a stream that is never read costs
+    nothing. Each key is drawn in the generator's own frame with the same
+    ``rng`` call as ``ZipfianSampler.sample``, and slotted as
+    ``DEFAULT_KEYS_PER_FILE`` describes.
     """
     if variant not in YCSB_VARIANTS:
         raise ValueError("unknown YCSB variant %r (expected one of %s)"
                          % (variant, ", ".join(YCSB_VARIANTS)))
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    need_int("count", count)
+    need_int("value_size", value_size)
+    need_int("keys_per_file", keys_per_file)
+    need_int("cgroup", cgroup, 0)
+    need_int("thread", thread, 0)
+    _check_zipfian(keyspace, theta)
     zipfian = variant in ("A", "C")
     writes = variant in ("A", "UniformRW")
-    if zipfian:
-        _check_zipfian(keyspace, theta)
-    else:
-        _check_keyspace(keyspace)
 
     def events():
         rng = random.Random(seed)
@@ -161,12 +170,11 @@ def gen_filesearch(corpus_files: int, file_pages: int, passes: int,
                    cgroup: int = 0) -> Iterator[TraceEvent]:
     """Repeated full scans of a corpus: each pass reads every page of every
     file in a fixed order, with thread ids round-robined across files."""
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
-    if corpus_files < 1 or file_pages < 1:
-        raise ValueError("corpus must contain at least one page")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    need_int("corpus_files", corpus_files)
+    need_int("file_pages", file_pages)
+    need_int("passes", passes)
+    need_int("threads", threads)
+    need_int("cgroup", cgroup, 0)
     del seed  # scans are deterministic; kept for interface uniformity
 
     def events():
@@ -180,11 +188,6 @@ def gen_filesearch(corpus_files: int, file_pages: int, passes: int,
                     seq += 1
 
     return events()
-
-
-def _thread_ids(threads) -> tuple:
-    """A thread id, or an iterable of them, as a tuple of ids."""
-    return (threads,) if isinstance(threads, int) else tuple(threads)
 
 
 def gen_getscan(count: int, get_keyspace: int,
@@ -206,22 +209,26 @@ def gen_getscan(count: int, get_keyspace: int,
     positions advance through the region so consecutive scans never
     overlap. The region defaults to four scan lengths and is rounded up to
     a whole number of scan slots. Each thread parameter is a thread id or
-    an iterable of them.
+    a non-empty iterable of them, and the two share no id.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if abs(get_fraction + scan_fraction - 1.0) > 1e-9:
+    need_int("count", count)
+    need_int("scan_len_pages", scan_len_pages)
+    need_int("value_size", value_size)
+    need_int("keys_per_file", keys_per_file)
+    need_int("cgroup", cgroup, 0)
+    if not abs(get_fraction + scan_fraction - 1.0) <= 1e-9:  # NaN too
         raise ValueError("get_fraction and scan_fraction must sum to 1")
-    if scan_len_pages < 1:
-        raise ValueError("scan_len_pages must be >= 1")
-    get_threads = _thread_ids(get_threads)
-    scan_threads = _thread_ids(scan_threads)
+    get_threads = thread_ids("get_threads", get_threads)
+    scan_threads = thread_ids("scan_threads", scan_threads)
+    if not get_threads or not scan_threads:
+        raise ValueError("get_threads and scan_threads must be non-empty")
     if not set(get_threads).isdisjoint(scan_threads):
         raise ValueError("get_threads and scan_threads must be disjoint")
     if scan_region_pages is None:
         scan_region_pages = 4 * scan_len_pages
+    need_int("scan_region_pages", scan_region_pages)
     slots = max(2, -(-scan_region_pages // scan_len_pages))
-    _check_zipfian(get_keyspace, theta)
+    _check_zipfian(get_keyspace, theta, "get_keyspace")
     scan_file = get_keyspace // keys_per_file + 1
 
     def events():
@@ -299,7 +306,9 @@ def parse_trace(path) -> Iterator[TraceEvent]:
     of the signs and of ``len``. A row that fails any of these steps, or
     spells its op in another case or with spaces around it, is handed to
     ``_check_row``, which either parses it or raises the error the row
-    reports first."""
+    reports first. ``path`` is a path, never a file descriptor."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise TypeError("path must be a str or os.PathLike, got %r" % (path,))
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), None)
     if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:

@@ -1,6 +1,7 @@
 """Scenario running, validation, comparison, isolation plumbing, and CLI."""
 
 import gc
+import os
 import random
 import warnings
 
@@ -106,13 +107,13 @@ class TestValidation:
         ("ycsb-a", {"keyspace": 100, "count": 10, "theta": -0.5},
          "theta must be >= 0"),
         ("ycsb-c", {"keyspace": 100.5, "count": 10},
-         "'float' object cannot be interpreted as an integer"),
+         "keyspace must be an int, got 100.5"),
         ("getscan", {"get_keyspace": 0, "count": 10},
-         "keyspace must be >= 1"),
+         "get_keyspace must be >= 1"),
         ("getscan", {"get_keyspace": 100, "count": 10, "theta": -1.0},
          "theta must be >= 0"),
         ("getscan", {"get_keyspace": 100.5, "count": 10},
-         "'float' object cannot be interpreted as an integer"),
+         "get_keyspace must be an int, got 100.5"),
     ])
     def test_bad_zipfian_parameters_caught(self, kind, params, message):
         """Caught when the stream is built, before its table is."""
@@ -507,6 +508,57 @@ class TestCli:
                        "--param", "age_granularity=0"])
         assert rc == 1
         assert "age_granularity must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workload, policy, name", [
+        ("ycsb-c:keyspace=100,count=10.5", [], "count"),
+        ("filesearch:corpus_files=2,file_pages=4,passes=2.5", [], "passes"),
+        ("getscan:count=50,get_keyspace=100,get_threads=", [], "get_threads"),
+        ("ycsb-c:keyspace=100,count=10,keys_per_file=0", [], "keys_per_file"),
+        ("ycsb-c:keyspace=100,count=100",
+         ["--policy", "mru", "--param", "skip=1.5"], "skip"),
+        ("ycsb-c:keyspace=100,count=100",
+         ["--policy", "s3fifo", "--param", "ghost_capacity=abc"],
+         "ghost_capacity"),
+        ("ycsb-c:keyspace=100,count=100",
+         ["--policy", "getscan", "--param", "scan_threads=xy"],
+         "scan_threads"),
+        ("getscan:count=50,get_keyspace=100,scan_threads=a+b", [],
+         "scan_threads"),
+        ("ycsb-c:keyspace=100,count=10,value_size=0", [], "value_size"),
+        ("filesearch:corpus_files=2,file_pages=4,passes=2,threads=1.5", [],
+         "threads"),
+    ])
+    def test_bad_parameter_exits_with_its_name(self, capsys, workload, policy,
+                                               name):
+        """A value of the wrong type or range is an ``error:`` naming the
+        parameter, never a traceback or a run whose policy cannot work."""
+        rc = cli_main(["run", "--workload", workload,
+                       "--limit-bytes", "65536"] + policy)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert name in err
+
+    def test_trace_path_is_never_a_file_descriptor(self, capsys):
+        """``trace:path=0`` is an error; standard input stays open, unread."""
+        header = b"seq,op,file,offset,len,thread,cgroup\n"
+        saved = os.dup(0)
+        read_end, write_end = os.pipe()
+        os.write(write_end, header)
+        os.close(write_end)
+        os.dup2(read_end, 0)
+        os.close(read_end)
+        try:
+            rc = cli_main(["run", "--workload", "trace:path=0",
+                           "--limit-bytes", "65536"])
+            unread = os.read(0, 100)
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "path" in err
+        assert unread == header
 
     def test_bad_trace_exits_nonzero(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

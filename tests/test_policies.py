@@ -557,6 +557,23 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_policy("fifo", {"skip": 3})
 
+    @pytest.mark.parametrize("cls, params, error", [
+        (MruPolicy, {"skip": 1.5}, TypeError),
+        (MruPolicy, {"skip": True}, TypeError),
+        (LhdPolicy, {"reconfig_interval": 2.5}, TypeError),
+        (S3FifoPolicy, {"ghost_capacity": "abc"}, TypeError),
+        (S3FifoPolicy, {"ghost_capacity": -1}, ValueError),
+        (GetScanPolicy, {"scan_threads": "xy"}, TypeError),
+        (GetScanPolicy, {"scan_threads": 1.5}, TypeError),
+        (GetScanPolicy, {"scan_threads": [100, -1]}, ValueError),
+    ])
+    def test_bad_values_rejected_by_name(self, cls, params, error):
+        (name,) = params
+        with pytest.raises(error, match=name):
+            cls(**params)
+        with pytest.raises(error, match=name):
+            make_policy(cls.name, params)
+
     def test_all_policies_run_under_real_eviction_pressure(self):
         rng = random.Random(12)
         trace = [(rng.randrange(3), rng.randrange(60)) for _ in range(2500)]

@@ -469,3 +469,44 @@ class TestZipfianTableBuiltOnce:
         with pytest.raises(ValueError, match="keyspace must be >= 1|"
                                              "theta must be >= 0"):
             build()
+
+
+class TestParameterChecks:
+    """Each generator checks its own parameters and names the one at
+    fault."""
+
+    @pytest.mark.parametrize("build, error, name", [
+        (lambda: gen_ycsb("C", keyspace=10, count=10.5, seed=1),
+         TypeError, "count"),
+        (lambda: gen_ycsb("C", keyspace=10, count=10, seed=1,
+                          keys_per_file=0), ValueError, "keys_per_file"),
+        (lambda: gen_ycsb("C", keyspace=10, count=10, seed=1, value_size=0),
+         ValueError, "value_size"),
+        (lambda: gen_ycsb("C", keyspace=True, count=10, seed=1),
+         TypeError, "keyspace"),
+        (lambda: gen_ycsb("C", keyspace=10, count=10, seed=1, thread=-1),
+         ValueError, "thread"),
+        (lambda: gen_ycsb("Uniform", keyspace=10, count=10, seed=1,
+                          theta=float("nan")), ValueError, "theta"),
+        (lambda: gen_filesearch(corpus_files=2, file_pages=2, passes=2.5),
+         TypeError, "passes"),
+        (lambda: gen_filesearch(corpus_files=2, file_pages=2, passes=1,
+                                threads=1.5), TypeError, "threads"),
+        (lambda: gen_filesearch(corpus_files=0, file_pages=2, passes=1),
+         ValueError, "corpus_files"),
+        (lambda: gen_getscan(count=10, get_keyspace=10, get_threads=()),
+         ValueError, "get_threads"),
+        (lambda: gen_getscan(count=10, get_keyspace=10, scan_threads=[]),
+         ValueError, "scan_threads"),
+        (lambda: gen_getscan(count=10, get_keyspace=10,
+                             scan_threads=("a", "b")), TypeError,
+         "scan_threads"),
+        (lambda: gen_getscan(count=10, get_keyspace=10, scan_region_pages=0),
+         ValueError, "scan_region_pages"),
+        (lambda: gen_getscan(count=10, get_keyspace=10, cgroup=1.0),
+         TypeError, "cgroup"),
+        (lambda: parse_trace(0), TypeError, "path"),
+    ])
+    def test_bad_parameters_raise_naming_themselves(self, build, error, name):
+        with pytest.raises(error, match=name):
+            build()
