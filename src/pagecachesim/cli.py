@@ -13,7 +13,8 @@ Workload specs look like ``name:key=value,key=value``, e.g.
 are repeatable ``--param key=value`` flags. A value is an int, else a
 float, else a string; ``a+b`` is a list. Each policy class and generator
 checks its own parameters, so a wrong type or range exits 1 with an
-``error:`` line that names the parameter. Exit status is 0 on success
+``error:`` line that names the parameter. The report goes to stdout and,
+with ``--out``, to a file the CLI writes. Exit status is 0 on success
 and 1 on any validation or replay error.
 """
 
@@ -35,7 +36,7 @@ from .harness import (
     scenario_isolation,
 )
 from .policies import POLICY_NAMES
-from .policy_api import CANDIDATES_MAX, DEFAULT_SCAN_LIMIT
+from .policy_api import DEFAULT_SCAN_LIMIT
 from .workloads import TraceFormatError, write_trace
 
 
@@ -92,8 +93,6 @@ def _add_common(parser):
 def _add_replay(parser):
     """The flags every replaying subcommand shares."""
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--candidates", type=int, default=CANDIDATES_MAX,
-                        help="eviction candidates requested per round")
     parser.add_argument("--scan-window", type=int, default=DEFAULT_SCAN_LIMIT,
                         help="list nodes examined per eviction scan")
     parser.add_argument("--out", help="write the report CSV here")
@@ -146,8 +145,7 @@ def _build_parser():
 def _config(args, cgroup: CgroupSpec, workload: WorkloadSpec):
     """A one-cgroup scenario with the shared replay flags."""
     return ScenarioConfig(cgroups=[cgroup], workload=workload,
-                          seed=args.seed, candidates=args.candidates,
-                          scan_window=args.scan_window, report_path=args.out)
+                          seed=args.seed, scan_window=args.scan_window)
 
 
 def _cmd_run(args) -> int:
@@ -174,19 +172,24 @@ def _cmd_isolation(args) -> int:
                        _parse_workload(args.workload_a))
     config_b = _config(args, CgroupSpec(1, args.limit_bytes_b, args.policy_b),
                        _parse_workload(args.workload_b))
-    report = scenario_isolation(config_a, config_b, report_path=args.out)
+    report = scenario_isolation(config_a, config_b)
     _emit(report, args.out)
     return 0
 
 
 def _cmd_gen_trace(args) -> int:
-    events = build_events(_parse_workload(args.workload), args.seed)
+    try:
+        events = build_events(_parse_workload(args.workload), args.seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("workload: %s" % exc) from exc
     count = write_trace(args.out, events)
     print("wrote %d events to %s" % (count, args.out))
     return 0
 
 
 def _emit(report, out_path) -> None:
+    if out_path:  # first, so a failed write leaves stdout empty
+        report.save(out_path)
     sys.stdout.write(report.to_csv())
     if out_path:
         print("report written to %s" % out_path, file=sys.stderr)

@@ -162,19 +162,13 @@ def _does_deferred_work(policy) -> bool:
 class Simulator:
     """Deterministic single-threaded page-cache simulation.
 
-    ``candidate_batch`` caps how many candidates one eviction round may
-    request (at most the fixed context capacity of 32). With
-    ``record_evictions`` the simulator appends ``(cgroup, file, offset)``
-    to ``eviction_log`` for every eviction, which reference-implementation
-    tests compare against.
+    One eviction round requests at most the context's fixed capacity of
+    ``CANDIDATES_MAX`` (32) candidates. With ``record_evictions`` the
+    simulator appends ``(cgroup, file, offset)`` to ``eviction_log`` for
+    every eviction, which reference-implementation tests compare against.
     """
 
-    def __init__(self, candidate_batch: int = CANDIDATES_MAX,
-                 record_evictions: bool = False):
-        if not 1 <= candidate_batch <= CANDIDATES_MAX:
-            raise ValueError("candidate_batch must be in 1..=%d"
-                             % CANDIDATES_MAX)
-        self._candidate_batch = candidate_batch
+    def __init__(self, *, record_evictions: bool = False):
         self._cgroups: dict[int, CgroupSim] = {}
         # The page index: file -> offset -> Folio.
         self._pages: dict[int, dict[int, Folio]] = {}
@@ -347,12 +341,12 @@ class Simulator:
 
     def _drive(self, cg: CgroupSim) -> None:
         """Evict until the cgroup fits. Each round asks the attached policy
-        for up to min(batch, overage) candidates, validates them, and lets
-        the default path cover any shortfall."""
+        for min(32, overage) candidates, validates them, and lets the
+        default path cover any shortfall."""
         while cg.resident_pages > cg.limit_pages:
             needed = cg.resident_pages - cg.limit_pages
-            if needed > self._candidate_batch:
-                needed = self._candidate_batch
+            if needed > CANDIDATES_MAX:
+                needed = CANDIDATES_MAX
             evicted = 0
             policy = cg.policy
             if policy is not None:

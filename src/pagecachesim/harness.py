@@ -5,15 +5,15 @@ private function, ``_replay_rows``, does every replay: it creates the
 cgroups, attaches one (policy, params) pair per cgroup from the policy
 table in ``policies``, replays an event stream page by page, checks the
 accounting identities, and collects per-cgroup ``Metrics``. The three
-entry points validate their input and then call it: ``run`` with each
-cgroup's own policy, ``compare`` once per policy on the same stream, and
-``scenario_isolation`` once per policy assignment of a two-tenant
-experiment on two interleaved workloads.
+entry points validate their input, call it and return an unsaved
+``Report``: ``run`` with each cgroup's own policy, ``compare`` once per
+policy on the same stream, and ``scenario_isolation`` once per policy
+assignment of a two-tenant experiment on two interleaved workloads.
 
 Hit ratios are the reported quantity; absolute throughput and latency are
 hardware-bound and out of scope. Reports are CSV with one row per
 (policy, cgroup) and a stable column order, and hold no timing, so reruns
-of the same seed produce byte-identical files.
+of the same seed produce byte-identical files (see ``Report.save``).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .workloads import (
     gen_filesearch,
     gen_getscan,
     gen_ycsb,
+    need_int,
     parse_trace,
 )
 
@@ -87,8 +88,8 @@ class CgroupSpec:
 @dataclass
 class WorkloadSpec:
     """A named generator plus its parameters, or kind="trace" with a
-    ``path`` parameter. The harness seed is used unless the parameters
-    carry their own."""
+    ``path`` parameter. The seed is the scenario's; parameters that carry
+    one are rejected."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -114,10 +115,11 @@ def build_events(spec: WorkloadSpec, seed: int):
     if spec.kind not in WORKLOADS:
         raise ValueError("unknown workload kind %r (expected one of %s)"
                          % (spec.kind, ", ".join(WORKLOAD_KINDS)))
-    params = {"seed": seed, **spec.params}
-    if spec.kind == "trace":
-        del params["seed"]  # a trace has none; one given is ignored
-    return WORKLOADS[spec.kind](**params)
+    if "seed" in spec.params:
+        raise ValueError("seed is set by the scenario, not the workload")
+    if spec.kind == "trace":  # a trace has no seed
+        return parse_trace(**spec.params)
+    return WORKLOADS[spec.kind](seed=seed, **spec.params)
 
 
 @dataclass
@@ -125,9 +127,7 @@ class ScenarioConfig:
     cgroups: list[CgroupSpec] = field(default_factory=list)
     workload: WorkloadSpec | None = None
     seed: int = 0
-    candidates: int = CANDIDATES_MAX
     scan_window: int = DEFAULT_SCAN_LIMIT
-    report_path: str | None = None
 
     def validate(self) -> list[str]:
         """Collect every configuration problem instead of stopping at the
@@ -141,7 +141,11 @@ class ScenarioConfig:
             if spec.id in seen:
                 errors.append("%s: duplicate id" % label)
             seen.add(spec.id)
-            if spec.limit_bytes <= 0:
+            if (not isinstance(spec.limit_bytes, int)
+                    or isinstance(spec.limit_bytes, bool)):
+                errors.append("%s: limit_bytes must be an int, got %r"
+                              % (label, spec.limit_bytes))
+            elif spec.limit_bytes <= 0:
                 errors.append("%s: limit_bytes must be positive" % label)
             elif spec.limit_bytes % PAGE_SIZE:
                 errors.append("%s: limit_bytes must be a multiple of %d"
@@ -150,10 +154,10 @@ class ScenarioConfig:
                 make_policy(spec.policy, spec.params, self.scan_window)
             except (TypeError, ValueError) as exc:
                 errors.append("%s: %s" % (label, exc))
-        if not 1 <= self.candidates <= CANDIDATES_MAX:
-            errors.append("candidates must be in 1..=%d" % CANDIDATES_MAX)
-        if self.scan_window < self.candidates:
-            errors.append("scan_window must be >= candidates")
+        try:
+            need_int("scan_window", self.scan_window, CANDIDATES_MAX)
+        except (TypeError, ValueError) as exc:
+            errors.append(str(exc))
         if self.workload is None:
             errors.append("a workload is required")
         else:
@@ -295,10 +299,10 @@ def _check_conservation(sim: Simulator, cgroup_id: int, tallies: dict):
 
 def _replay_rows(config: ScenarioConfig, assignment, events) -> list:
     """The single replay path. Builds a simulator with ``config``'s cgroups,
-    candidate batch and scan window, attaches ``assignment[i]``, a (policy
-    name, params) pair, to ``config.cgroups[i]``, replays ``events``, and
-    returns one (policy name, Metrics) row per cgroup in config order."""
-    sim = Simulator(candidate_batch=config.candidates)
+    attaches ``assignment[i]``, a (policy name, params) pair, to
+    ``config.cgroups[i]`` with ``config``'s scan window, replays ``events``,
+    and returns one (policy name, Metrics) row per cgroup in config order."""
+    sim = Simulator()
     for spec, (name, params) in zip(config.cgroups, assignment):
         sim.add_cgroup(spec.id, spec.limit_pages)
         policy = make_policy(name, params, config.scan_window)
@@ -319,15 +323,11 @@ def _raise_if(errors: list, what: str = "scenario") -> None:
 
 def run(config: ScenarioConfig) -> Report:
     """Replay one scenario, each cgroup under its own policy, and return
-    per-cgroup metrics in cgroup id order. A CSV report is written when the
-    config names a report path."""
+    per-cgroup metrics in cgroup id order."""
     _raise_if(config.validate())
     rows = _replay_rows(config, [(s.policy, s.params) for s in config.cgroups],
                         build_events(config.workload, config.seed))
-    report = Report(sorted(rows, key=lambda row: row[1].cgroup))
-    if config.report_path:
-        report.save(config.report_path)
-    return report
+    return Report(sorted(rows, key=lambda row: row[1].cgroup))
 
 
 def compare(config: ScenarioConfig, policies) -> Report:
@@ -356,10 +356,7 @@ def compare(config: ScenarioConfig, policies) -> Report:
         run_rows = _replay_rows(config, [entry] * len(config.cgroups),
                                 build_events(config.workload, config.seed))
         rows.extend(sorted(run_rows, key=lambda row: row[1].cgroup))
-    report = Report(rows)
-    if config.report_path:
-        report.save(config.report_path)
-    return report
+    return Report(rows)
 
 
 #: File ids of a merged stream's second tenant are shifted by this much so
@@ -405,8 +402,7 @@ class IsolationReport(Report):
 
 
 def scenario_isolation(config_a: ScenarioConfig,
-                       config_b: ScenarioConfig,
-                       report_path: str | None = None) -> IsolationReport:
+                       config_b: ScenarioConfig) -> IsolationReport:
     """Two tenants, four policy assignments.
 
     Each config must hold exactly one cgroup (with its tailored policy) and
@@ -444,8 +440,6 @@ def scenario_isolation(config_a: ScenarioConfig,
     ]
 
     base = ScenarioConfig(cgroups=[spec_a, spec_b],
-                          candidates=min(config_a.candidates,
-                                         config_b.candidates),
                           scan_window=max(config_a.scan_window,
                                           config_b.scan_window))
     rows = []
@@ -457,7 +451,4 @@ def scenario_isolation(config_a: ScenarioConfig,
         results[name] = {m.cgroup: m for _, m in scenario_rows}
         rows.extend(("%s/%s" % (name, label), m)
                     for label, m in scenario_rows)
-    report = IsolationReport(rows, results)
-    if report_path:
-        report.save(report_path)
-    return report
+    return IsolationReport(rows, results)

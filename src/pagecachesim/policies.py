@@ -25,7 +25,7 @@ from .policy_api import (
     RemovalReason,
     Verdict,
 )
-from .workloads import need_int, thread_ids
+from .workloads import need_int, need_real, thread_ids
 
 
 class FifoPolicy(PolicyHooks):
@@ -134,7 +134,7 @@ class S3FifoPolicy(PolicyHooks):
     def __init__(self, small_fraction: float = 0.10,
                  ghost_capacity: int | None = None,
                  scan_window: int = DEFAULT_SCAN_LIMIT):
-        if not 0.0 < small_fraction < 1.0:
+        if not 0.0 < need_real("small_fraction", small_fraction) < 1.0:
             raise ValueError("small_fraction must be in (0, 1)")
         self.small_fraction = small_fraction
         if ghost_capacity is not None:

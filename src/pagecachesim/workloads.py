@@ -98,6 +98,14 @@ def need_int(name: str, value, minimum: int = 1) -> int:
     return value
 
 
+def need_real(name: str, value):
+    """Return ``value`` if it is an int or a float (a bool is not);
+    otherwise raise TypeError naming ``name``. The caller checks the range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError("%s must be a number, got %r" % (name, value))
+    return value
+
+
 def thread_ids(name: str, value) -> tuple:
     """One thread id, or an iterable of them, as a tuple of ints >= 0."""
     ids = value if isinstance(value, Iterable) else (value,)
@@ -108,7 +116,7 @@ def _check_zipfian(keyspace: int, theta: float, name="keyspace") -> None:
     """Raise what building a ZipfianSampler would raise for these
     parameters, without building its table."""
     need_int(name, keyspace)
-    if not theta >= 0:  # NaN too
+    if not need_real("theta", theta) >= 0:  # NaN too
         raise ValueError("theta must be >= 0")
 
 
@@ -216,6 +224,8 @@ def gen_getscan(count: int, get_keyspace: int,
     need_int("value_size", value_size)
     need_int("keys_per_file", keys_per_file)
     need_int("cgroup", cgroup, 0)
+    need_real("get_fraction", get_fraction)
+    need_real("scan_fraction", scan_fraction)
     if not abs(get_fraction + scan_fraction - 1.0) <= 1e-9:  # NaN too
         raise ValueError("get_fraction and scan_fraction must sum to 1")
     get_threads = thread_ids("get_threads", get_threads)

@@ -374,16 +374,16 @@ def test_c11_reruns_are_byte_identical(tmp_path):
                 "count": 20_000, "get_keyspace": 8192, "theta": 0.5,
                 "scan_len_pages": 512, "scan_region_pages": 4096,
                 "scan_threads": (100, 101)}),
-            seed=7, scan_window=512, report_path=str(path))
-        run(config)
+            seed=7, scan_window=512)
+        run(config).save(path)
 
     def compare_csv(path):
         config = ScenarioConfig(
             cgroups=[CgroupSpec(0, 512 * PAGE)],
             workload=WorkloadSpec("ycsb-c", {"keyspace": 20480,
                                              "count": 50_000}),
-            seed=42, scan_window=512, report_path=str(path))
-        compare(config, ["default", "lfu", "s3fifo"])
+            seed=42, scan_window=512)
+        compare(config, ["default", "lfu", "s3fifo"]).save(path)
 
     def isolation_csv(path):
         _isolation_report(ycsb_count=20_000).save(str(path))

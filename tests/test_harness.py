@@ -26,7 +26,7 @@ from pagecachesim import (
     scenario_isolation,
     write_trace,
 )
-from pagecachesim.cli import main as cli_main
+from pagecachesim.cli import _build_parser, main as cli_main
 from pagecachesim.harness import CSV_COLUMNS, merge_streams
 
 
@@ -90,8 +90,21 @@ class TestValidation:
         assert leaks == []
 
     def test_scan_window_must_cover_candidates(self):
-        config = small_config(scan_window=8, candidates=32)
+        config = small_config(scan_window=8)
         with pytest.raises(ConfigError, match="scan_window"):
+            run(config)
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"cgroups": [CgroupSpec(0, "abc")]}, "limit_bytes"),
+        ({"cgroups": [CgroupSpec(0, None)]}, "limit_bytes"),
+        ({"cgroups": [CgroupSpec(0, 65536.0)]}, "limit_bytes"),
+        ({"scan_window": 100.5}, "scan_window"),
+        ({"scan_window": "64"}, "scan_window"),
+    ])
+    def test_scenario_fields_must_be_ints(self, overrides, name):
+        config = small_config(**overrides)
+        assert any(name + " must be an int" in e for e in config.validate())
+        with pytest.raises(ConfigError, match=name):
             run(config)
 
     def test_lhd_age_granularity_zero_rejected(self):
@@ -139,13 +152,13 @@ class TestRun:
     def test_csv_byte_identical_across_runs(self, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
-        run(small_config(report_path=str(out_a)))
-        run(small_config(report_path=str(out_b)))
+        run(small_config()).save(out_a)
+        run(small_config()).save(out_b)
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "r.csv"
-        run(small_config(report_path=str(out)))
+        run(small_config()).save(out)
         header, row = out.read_text().strip().split("\n")
         assert header == ",".join(CSV_COLUMNS)
         assert row.startswith("default,0,2000,")
@@ -527,6 +540,12 @@ class TestCli:
         ("ycsb-c:keyspace=100,count=10,value_size=0", [], "value_size"),
         ("filesearch:corpus_files=2,file_pages=4,passes=2,threads=1.5", [],
          "threads"),
+        ("ycsb-c:keyspace=100,count=50,seed=3", [], "seed"),
+        ("trace:path=t.csv,seed=3", [], "seed"),
+        ("ycsb-c:keyspace=100,count=100,theta=x", [], "theta"),
+        ("ycsb-c:keyspace=100,count=100",
+         ["--policy", "s3fifo", "--param", "small_fraction=abc"],
+         "small_fraction"),
     ])
     def test_bad_parameter_exits_with_its_name(self, capsys, workload, policy,
                                                name):
@@ -538,6 +557,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert name in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--workload", "ycsb-c:keyspace=100,count=500",
+         "--limit-bytes", str(8 * 4096), "--policy", "lfu"],
+        ["compare", "--workload", "ycsb-c:keyspace=100,count=500",
+         "--limit-bytes", str(8 * 4096), "--policy", "default",
+         "--policy", "fifo"],
+        ["isolation", "--workload-a", "ycsb-c:keyspace=200,count=500",
+         "--workload-b", "filesearch:corpus_files=2,file_pages=8,passes=3",
+         "--limit-bytes-a", str(24 * 4096),
+         "--limit-bytes-b", str(8 * 4096)],
+    ], ids=["run", "compare", "isolation"])
+    def test_out_file_holds_the_stdout_report(self, capsys, tmp_path, argv):
+        out = tmp_path / "report.csv"
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+    REPLAY_OPTIONS = {"-h", "--help", "--seed", "--scan-window", "--out"}
+
+    @pytest.mark.parametrize("command, options", [
+        ("run", REPLAY_OPTIONS | {"--workload", "--trace", "--limit-bytes",
+                                  "--policy", "--param"}),
+        ("compare", REPLAY_OPTIONS | {"--workload", "--trace",
+                                      "--limit-bytes", "--policy",
+                                      "--param"}),
+        ("isolation", REPLAY_OPTIONS | {"--workload-a", "--workload-b",
+                                        "--policy-a", "--policy-b",
+                                        "--limit-bytes-a",
+                                        "--limit-bytes-b"}),
+        ("gen-trace", {"-h", "--help", "--workload", "--seed", "--out"}),
+    ])
+    def test_subcommand_options_are_pinned(self, command, options):
+        """Each subcommand takes exactly these options; a new knob must
+        change this list."""
+        sub = next(a for a in _build_parser()._actions
+                   if a.dest == "command")
+        assert {opt for action in sub.choices[command]._actions
+                for opt in action.option_strings} == options
 
     def test_trace_path_is_never_a_file_descriptor(self, capsys):
         """``trace:path=0`` is an error; standard input stays open, unread."""

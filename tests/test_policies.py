@@ -563,6 +563,8 @@ class TestFactory:
         (LhdPolicy, {"reconfig_interval": 2.5}, TypeError),
         (S3FifoPolicy, {"ghost_capacity": "abc"}, TypeError),
         (S3FifoPolicy, {"ghost_capacity": -1}, ValueError),
+        (S3FifoPolicy, {"small_fraction": "abc"}, TypeError),
+        (S3FifoPolicy, {"small_fraction": True}, TypeError),
         (GetScanPolicy, {"scan_threads": "xy"}, TypeError),
         (GetScanPolicy, {"scan_threads": 1.5}, TypeError),
         (GetScanPolicy, {"scan_threads": [100, -1]}, ValueError),

@@ -505,6 +505,14 @@ class TestParameterChecks:
          ValueError, "scan_region_pages"),
         (lambda: gen_getscan(count=10, get_keyspace=10, cgroup=1.0),
          TypeError, "cgroup"),
+        (lambda: gen_ycsb("C", keyspace=10, count=10, seed=1, theta="x"),
+         TypeError, "theta"),
+        (lambda: gen_getscan(count=10, get_keyspace=10, theta=True),
+         TypeError, "theta"),
+        (lambda: gen_getscan(count=10, get_keyspace=10, get_fraction="1"),
+         TypeError, "get_fraction"),
+        (lambda: gen_getscan(count=10, get_keyspace=10, scan_fraction=None),
+         TypeError, "scan_fraction"),
         (lambda: parse_trace(0), TypeError, "path"),
     ])
     def test_bad_parameters_raise_naming_themselves(self, build, error, name):
