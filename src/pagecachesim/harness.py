@@ -158,6 +158,10 @@ class ScenarioConfig:
             need_int("scan_window", self.scan_window, CANDIDATES_MAX)
         except (TypeError, ValueError) as exc:
             errors.append(str(exc))
+        try:
+            need_int("seed", self.seed, None)  # negative seeds are fine
+        except TypeError as exc:
+            errors.append(str(exc))
         if self.workload is None:
             errors.append("a workload is required")
         else:

@@ -1,9 +1,10 @@
 """Eviction policies built on the policy hook and eviction-list API.
 
 Six policies ship here. FIFO and MRU are pure list-order policies. LFU
-and GET-SCAN use batch scoring over a bounded scan window: the lowest
-frequency folios among the first N list nodes become candidates, so they
-approximate LFU rather than tracking a global minimum. S3-FIFO filters
+and GET-SCAN evict the lowest-frequency folios among the first N folios
+in fault order, so they approximate LFU rather than tracking a global
+minimum; they keep that window ranked as folios enter it rather than
+rescoring it every round. S3-FIFO filters
 one-hit wonders through a small probation queue with a ghost table of
 recently evicted keys, and LHD ranks folios by the expected hits per unit
 of remaining lifetime of their age/class cohort, using integer fixed-point
@@ -13,6 +14,7 @@ statistics throughout.
 from __future__ import annotations
 
 from collections import OrderedDict
+from heapq import heapify, heappop, heappush, heapreplace
 from inspect import signature
 
 from .policy_api import (
@@ -80,22 +82,104 @@ class MruPolicy(PolicyHooks):
         cg.list_iterate(self.stack, _evict_all, self._opts, ctx)
 
 
-class LfuPolicy(PolicyHooks):
-    """Approximate LFU: score the first N list nodes by access frequency
-    and evict the least-frequently used among that batch.
+class _FrequencyWindow:
+    """The first ``size`` folios of a fault-ordered queue, ranked by
+    access frequency without rescoring them every round.
 
-    It declares no ``score_floor``, though frequencies start at 1: see
-    ``GetScanPolicy`` for why the floored pass would be slower here."""
+    The queue is two policy lists: ``window`` holds its first ``size``
+    folios and ``queue``, where the policy adds folios, the rest. A round
+    first refills the window from the queue's head with one evaluate-mode
+    walk, whose callback pushes each entering folio's ``(freq, fid)`` onto
+    a heap. Both lists only ever gain folios at their tails, in fault
+    order, and folio ids rise in fault order, so id order is list order
+    and the heap's tuple order breaks frequency ties by list position,
+    exactly as a score pass over the window does.
+
+    Heap entries are refreshed lazily. A folio's frequency only rises
+    while it is resident, so a stale entry sits too high, never too low,
+    and is pushed back with its current frequency when it reaches the top;
+    the entry of a folio that left is dropped there. Entries of folios
+    that left without surfacing (fallback eviction, file removal) are
+    dropped when the heap outgrows twice the window and is rebuilt from
+    the live frequencies.
+    """
+
+    __slots__ = ("queue", "window", "heap", "_freq", "_size", "_admit",
+                 "_opts")
+
+    def __init__(self, cg: PolicyCgroup, queue: int, freq: dict, size: int):
+        self.queue = queue
+        self.window = cg.list_create()
+        self.heap: list[tuple[int, int]] = []
+        self._freq = freq
+        self._size = size
+        self._opts = IterOptions(disposition=Disposition.MOVE_TO_LIST,
+                                 target_list=self.window)
+        heap = self.heap
+
+        def admit(fid):
+            heappush(heap, (freq[fid], fid))
+            return Verdict.KEEP  # moved to the window's tail
+
+        self._admit = admit
+
+    def propose(self, ctx, cg: PolicyCgroup) -> None:
+        """Propose the ``ctx.room()`` lowest-frequency window folios,
+        lowest first, ties to the earlier folio."""
+        if self._size < ctx.nr_candidates_requested:
+            # a score pass over the window raises the same
+            raise ValueError("scan_window (%d) is below the %d candidates "
+                             "requested" % (self._size,
+                                            ctx.nr_candidates_requested))
+        heap = self.heap
+        freq = self._freq
+        free = self._size - cg.list_length(self.window)
+        if free > 0:
+            self._opts.scan_limit = free
+            cg.list_iterate(self.queue, self._admit, self._opts, ctx)
+            if len(heap) > 2 * self._size:
+                heap[:] = [(freq[fid], fid) for _, fid in heap if fid in freq]
+                heapify(heap)
+        room = ctx.room()
+        taken = []
+        while heap:
+            f, fid = heap[0]
+            current = freq.get(fid)
+            if current is None:
+                heappop(heap)
+            elif current != f:
+                heapreplace(heap, (current, fid))
+            else:
+                ctx.propose(fid)
+                room -= 1
+                if room <= 0:
+                    break
+                taken.append(heappop(heap))
+        # Proposed folios stay listed: a pinned one is rejected and stays
+        # resident, and an evicted one's entry is dropped when it surfaces.
+        for entry in taken:
+            heappush(heap, entry)
+
+
+class LfuPolicy(PolicyHooks):
+    """Windowed LFU: evict the least-frequently used of the first
+    ``scan_window`` folios in fault order, ties to the earlier folio.
+
+    The window's ranking is kept incrementally (see ``_FrequencyWindow``),
+    so a round costs about the folios it admits to the window plus a few
+    heap steps, not a score pass over the window."""
 
     name = "lfu"
 
     def __init__(self, scan_window: int = DEFAULT_SCAN_LIMIT):
-        self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window)
+        self._scan_window = scan_window
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
         self.queue = cg.list_create()
         self.freq: dict[int, int] = {}
+        self.ranking = _FrequencyWindow(cg, self.queue, self.freq,
+                                        self._scan_window)
 
     def folio_added(self, folio):
         self.cg.list_add(self.queue, folio.id, tail=True)
@@ -105,7 +189,7 @@ class LfuPolicy(PolicyHooks):
         self.freq[folio.id] += 1
 
     def evict_folios(self, ctx, cg):
-        cg.list_iterate(self.queue, self.freq.__getitem__, self._opts, ctx)
+        self.ranking.propose(ctx, cg)
 
     def folio_removed(self, folio):
         self.freq.pop(folio.id, None)
@@ -375,18 +459,17 @@ class GetScanPolicy(PolicyHooks):
     Folios inserted by threads in ``scan_threads`` (a thread id or an
     iterable of them) go on a scan list, all others on a get list; the
     inserting thread is read from the cgroup handle at insertion time. Both
-    lists keep approximate-LFU frequencies, and eviction drains the scan
+    lists keep windowed-LFU frequencies, and eviction drains the scan
     list first so scan traffic cannot push point-query folios out of the
     cache.
 
-    Every folio enters at frequency 1 and only gains, so the scan list
-    declares a ``score_floor`` of 1. Scan pages are read once, so the scan
-    list's head holds them and a round usually ends at its first node. The
-    get list declares no floor, and neither does ``LfuPolicy``: their
-    heads hold the folios that survived earlier rounds, so a frequency-1
-    folio sits deep in the window or is absent, and the unfloored pass,
-    which runs in C, scores the whole window faster than the floored one
-    reaches it.
+    The scan list is scored in place. Every folio enters at frequency 1
+    and only gains, so it declares a ``score_floor`` of 1; scan pages are
+    read once, so the scan list's head holds them and a round usually ends
+    at its first node. The get list's window is ranked as ``LfuPolicy``
+    ranks its own (see ``_FrequencyWindow``): its head holds the folios
+    that survived earlier rounds, so a frequency-1 folio sits deep in the
+    window or is absent, and a score pass would read the whole window.
     """
 
     name = "getscan"
@@ -396,7 +479,7 @@ class GetScanPolicy(PolicyHooks):
     def __init__(self, scan_threads=(), scan_window: int = DEFAULT_SCAN_LIMIT):
         self.scan_threads = frozenset(thread_ids("scan_threads",
                                                  scan_threads))
-        self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window)
+        self._scan_window = scan_window
         self._scan_opts = IterOptions(mode=IterMode.SCORE,
                                       scan_limit=scan_window,
                                       score_floor=self.score_floor)
@@ -406,6 +489,8 @@ class GetScanPolicy(PolicyHooks):
         self.get_list = cg.list_create()
         self.scan_list = cg.list_create()
         self.freq: dict[int, int] = {}
+        self.get_ranking = _FrequencyWindow(cg, self.get_list, self.freq,
+                                            self._scan_window)
 
     def folio_added(self, folio):
         if self.cg.current_thread in self.scan_threads:
@@ -419,10 +504,10 @@ class GetScanPolicy(PolicyHooks):
         self.freq[folio.id] += 1
 
     def evict_folios(self, ctx, cg):
-        score = self.freq.__getitem__
-        cg.list_iterate(self.scan_list, score, self._scan_opts, ctx)
+        cg.list_iterate(self.scan_list, self.freq.__getitem__,
+                        self._scan_opts, ctx)
         if ctx.room() > 0:
-            cg.list_iterate(self.get_list, score, self._opts, ctx)
+            self.get_ranking.propose(ctx, cg)
 
     def folio_removed(self, folio):
         self.freq.pop(folio.id, None)

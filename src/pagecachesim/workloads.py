@@ -88,12 +88,13 @@ class ZipfianSampler:
         return weight / self._total
 
 
-def need_int(name: str, value, minimum: int = 1) -> int:
+def need_int(name: str, value, minimum: int | None = 1) -> int:
     """Return ``value`` if it is an int (a bool is not) of at least
-    ``minimum``; otherwise raise TypeError or ValueError naming ``name``."""
+    ``minimum`` (any int if None); otherwise raise TypeError or ValueError
+    naming ``name``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError("%s must be an int, got %r" % (name, value))
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError("%s must be >= %d" % (name, minimum))
     return value
 

@@ -100,6 +100,10 @@ class TestValidation:
         ({"cgroups": [CgroupSpec(0, 65536.0)]}, "limit_bytes"),
         ({"scan_window": 100.5}, "scan_window"),
         ({"scan_window": "64"}, "scan_window"),
+        ({"seed": None}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "x"}, "seed"),
+        ({"seed": True}, "seed"),
     ])
     def test_scenario_fields_must_be_ints(self, overrides, name):
         config = small_config(**overrides)

@@ -10,6 +10,8 @@ from pagecachesim import (
     EvictionContext,
     FifoPolicy,
     GetScanPolicy,
+    IterMode,
+    IterOptions,
     LfuPolicy,
     LhdPolicy,
     MruPolicy,
@@ -17,7 +19,7 @@ from pagecachesim import (
     make_policy,
 )
 from conftest import make_sim, random_accesses
-from reference_policies import fifo_trace, mru_trace
+from reference_policies import fifo_trace, getscan_trace, lfu_trace, mru_trace
 
 
 def insert_pages(sim, n, file=1, cgroup=0, thread=0):
@@ -95,20 +97,36 @@ ACCESSES = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 11)),
                     max_size=150)
 
 
-def replay_eviction_log(policy, accesses, limit_pages):
-    """Replay ``accesses`` under ``policy`` and return the evicted keys in
+# (thread, page key) accesses; thread 9 is GET-SCAN's scan thread.
+THREAD_ACCESSES = st.lists(st.tuples(st.sampled_from((0, 1, 9)),
+                                     st.tuples(st.integers(1, 3),
+                                               st.integers(0, 11))),
+                           max_size=150)
+
+
+def replay_eviction_log(policy, accesses, limit_pages, threads=None):
+    """Replay ``accesses`` under ``policy``, the i-th from thread
+    ``threads[i]`` (thread 0 if None), and return the evicted keys in
     order; every eviction must be the policy's own."""
     sim = make_sim(limit_pages=limit_pages, policy=policy,
                    record_evictions=True)
-    for file, page in accesses:
-        sim.access_page(0, file, page)
+    threads = threads or [0] * len(accesses)
+    for (file, page), thread in zip(accesses, threads):
+        sim.access_page(0, file, page, thread=thread)
     assert sim.stats(0).evictions_fallback == 0
     sim.check_invariants()
     return [(f, o) for _, f, o in sim.eviction_log]
 
 
+def window_below_limit(data):
+    """(limit, window) with the window shorter than the limit, so the
+    window's boundary decides rounds."""
+    limit = data.draw(st.integers(2, 20), label="limit")
+    return limit, data.draw(st.integers(1, limit - 1), label="window")
+
+
 class TestStraightLineReferences:
-    """FIFO and MRU against the straight-line references in
+    """FIFO, MRU, LFU and GET-SCAN against the straight-line references in
     ``reference_policies``: the same eviction order on any pin-free trace."""
 
     @settings(max_examples=200, deadline=None)
@@ -124,6 +142,24 @@ class TestStraightLineReferences:
         limit = data.draw(st.integers(skip + 1, 20), label="limit")
         assert (replay_eviction_log(MruPolicy(skip=skip), accesses, limit)
                 == mru_trace(accesses, limit, skip))
+
+    @settings(max_examples=200, deadline=None)
+    @given(accesses=ACCESSES, data=st.data())
+    def test_lfu_matches_list_reference(self, accesses, data):
+        limit, window = window_below_limit(data)
+        assert (replay_eviction_log(LfuPolicy(scan_window=window), accesses,
+                                    limit)
+                == lfu_trace(accesses, limit, window))
+
+    @settings(max_examples=200, deadline=None)
+    @given(accesses=THREAD_ACCESSES, data=st.data())
+    def test_getscan_matches_two_list_reference(self, accesses, data):
+        limit, window = window_below_limit(data)
+        policy = GetScanPolicy(scan_threads=(9,), scan_window=window)
+        keys = [key for _, key in accesses]
+        threads = [thread for thread, _ in accesses]
+        assert (replay_eviction_log(policy, keys, limit, threads)
+                == getscan_trace(accesses, limit, window, {9}))
 
 
 class TestLfu:
@@ -162,17 +198,139 @@ class TestLfu:
         rng = random.Random(2)
         for _ in range(20):
             policy = LfuPolicy(scan_window=64)
-            sim = make_sim(limit_pages=512, policy=policy)
-            n = rng.randrange(4, 60)
+            sim = make_sim(limit_pages=96, policy=policy)
+            n = rng.randrange(65, 200)
             insert_pages(sim, n)
             for _ in range(200):
                 sim.access_page(0, 1, rng.randrange(n))
             k = rng.randrange(1, 9)
-            members = policy.cg.list_members(policy.queue)[:64]
+            cg = policy.cg
+            members = (cg.list_members(policy.ranking.window)
+                       + cg.list_members(policy.queue))
+            # fault order: the window's ranking breaks ties by folio id
+            assert members == sorted(members)
             expect = [fid for _, _, fid in
                       sorted((policy.freq[f], i, f)
-                             for i, f in enumerate(members))][:k]
+                             for i, f in enumerate(members[:64]))][:k]
             assert ask_candidates(policy, k) == expect
+
+
+class ScoredLfu(LfuPolicy):
+    """LFU as one list whose first ``scan_window`` nodes are scored in
+    full every round: the ranking ``LfuPolicy`` keeps incrementally."""
+
+    def evict_folios(self, ctx, cg):
+        cg.list_iterate(self.queue, self.freq.__getitem__,
+                        IterOptions(mode=IterMode.SCORE,
+                                    scan_limit=self._scan_window), ctx)
+
+
+class ScoredGetScan(GetScanPolicy):
+    """GET-SCAN with its get list scored in full every round."""
+
+    def evict_folios(self, ctx, cg):
+        score = self.freq.__getitem__
+        cg.list_iterate(self.scan_list, score, self._scan_opts, ctx)
+        if ctx.room() > 0:
+            cg.list_iterate(self.get_list, score,
+                            IterOptions(mode=IterMode.SCORE,
+                                        scan_limit=self._scan_window), ctx)
+
+
+def replay_hostile(policy, seed, limit_pages):
+    """Replay a mixed trace with pins, file removals, scans from thread 9
+    and limit changes. Returns the eviction log and every stats counter."""
+    rng = random.Random(seed)
+    sim = make_sim(limit_pages=limit_pages, policy=policy,
+                   record_evictions=True)
+    for _ in range(2500):
+        r = rng.random()
+        if r < 0.01:
+            sim.remove_file(0, rng.randrange(4))
+        elif r < 0.03:
+            file, page = rng.randrange(4), rng.randrange(60)
+            if sim.find_folio(file, page) is not None:
+                sim.pin(file, page, rng.random() < 0.7)
+        elif r < 0.035:
+            sim.set_limit(0, rng.randrange(max(1, limit_pages - 40),
+                                           limit_pages + 10))
+        elif r < 0.05:
+            start = rng.randrange(200)
+            for page in range(start, start + 30):
+                sim.access_page(0, 5, page, thread=9)
+        elif r < 0.5:
+            sim.access_page(0, rng.randrange(2), rng.randrange(20),
+                            thread=rng.randrange(3))
+        else:
+            sim.access_page(0, rng.randrange(4), rng.randrange(60),
+                            thread=rng.randrange(3))
+    sim.check_invariants()
+    stats = sim.stats(0)
+    return sim.eviction_log, {name: getattr(stats, name)
+                              for name in type(stats).__slots__}
+
+
+class TestFrequencyWindow:
+    """The incrementally ranked window of LFU and GET-SCAN's get list."""
+
+    @pytest.mark.parametrize("make, make_scored", [
+        (LfuPolicy, ScoredLfu),
+        (lambda **kw: GetScanPolicy(scan_threads=(9,), **kw),
+         lambda **kw: ScoredGetScan(scan_threads=(9,), **kw)),
+    ])
+    def test_evicts_as_a_full_score_pass(self, make, make_scored):
+        totals = dict.fromkeys(("hook_errors", "invalid_candidates",
+                                "evictions_fallback", "file_removed_folios"),
+                               0)
+        for window in (4, 40, 512):
+            for seed in range(3):
+                got = replay_hostile(make(scan_window=window), seed, 64)
+                assert got == replay_hostile(
+                    make_scored(scan_window=window), seed, 64)
+                for name in totals:
+                    totals[name] += got[1][name]
+        # the traces reached every path: a window below the request,
+        # pinned candidates, fallback eviction and file removal
+        assert all(totals.values()), totals
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_repeated_rounds_without_eviction_agree(self, k):
+        rng = random.Random(k)
+        for policy in (LfuPolicy(scan_window=16),
+                       GetScanPolicy(scan_threads=(9,), scan_window=16)):
+            sim = make_sim(limit_pages=64, policy=policy)
+            for _ in range(300):
+                sim.access_page(0, 1, rng.randrange(40),
+                                thread=rng.choice((0, 9)))
+            first = ask_candidates(policy, k)
+            assert len(first) == k
+            assert ask_candidates(policy, k) == first
+
+    def test_heap_bounded_under_file_removals(self):
+        rng = random.Random(3)
+        policy = LfuPolicy(scan_window=8)
+        sim = make_sim(limit_pages=32, policy=policy)
+        heap = policy.ranking.heap
+        longest = 0
+        for _ in range(3000):
+            if rng.random() < 0.05:
+                sim.remove_file(0, rng.randrange(6))
+            else:
+                sim.access_page(0, rng.randrange(6), rng.randrange(12))
+            assert len(heap) <= 2 * 8
+            longest = max(longest, len(heap))
+        # entries of removed folios lingered until a rebuild dropped them
+        assert longest > 8
+        sim.check_invariants()
+
+    def test_window_below_request_is_a_hook_error(self):
+        sim = make_sim(limit_pages=20, policy=LfuPolicy(scan_window=4))
+        insert_pages(sim, 30)
+        sim.set_limit(0, 10)  # one round asks for 10 candidates
+        insert_pages(sim, 10, file=2)
+        stats = sim.stats(0)
+        assert (stats.hook_errors, stats.evictions_policy,
+                stats.evictions_fallback) == (1, 20, 10)
 
 
 class TestS3Fifo:
