@@ -133,6 +133,15 @@ class ScenarioConfig:
         """Collect every configuration problem instead of stopping at the
         first one."""
         errors = []
+        try:
+            need_int("scan_window", self.scan_window, CANDIDATES_MAX)
+            window_error = None
+            window = self.scan_window
+        except (TypeError, ValueError) as exc:
+            # reported once below; the policies' own parameters are checked
+            # with the default window
+            window_error = str(exc)
+            window = DEFAULT_SCAN_LIMIT
         if not self.cgroups:
             errors.append("at least one cgroup is required")
         seen = set()
@@ -151,13 +160,11 @@ class ScenarioConfig:
                 errors.append("%s: limit_bytes must be a multiple of %d"
                               % (label, PAGE_SIZE))
             try:
-                make_policy(spec.policy, spec.params, self.scan_window)
+                make_policy(spec.policy, spec.params, window)
             except (TypeError, ValueError) as exc:
                 errors.append("%s: %s" % (label, exc))
-        try:
-            need_int("scan_window", self.scan_window, CANDIDATES_MAX)
-        except (TypeError, ValueError) as exc:
-            errors.append(str(exc))
+        if window_error is not None:
+            errors.append(window_error)
         try:
             need_int("seed", self.seed, None)  # negative seeds are fine
         except TypeError as exc:

@@ -36,7 +36,8 @@ class FifoPolicy(PolicyHooks):
     name = "fifo"
 
     def __init__(self, scan_window: int = DEFAULT_SCAN_LIMIT):
-        self._opts = IterOptions(scan_limit=scan_window)
+        self._opts = IterOptions(scan_limit=need_int("scan_window",
+                                                     scan_window))
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
@@ -65,7 +66,8 @@ class MruPolicy(PolicyHooks):
     name = "mru"
 
     def __init__(self, skip: int = 32, scan_window: int = DEFAULT_SCAN_LIMIT):
-        self._opts = IterOptions(scan_limit=scan_window,
+        self._opts = IterOptions(scan_limit=need_int("scan_window",
+                                                     scan_window),
                                  skip=need_int("skip", skip, 0))
 
     def policy_init(self, cg: PolicyCgroup):
@@ -86,39 +88,55 @@ class _FrequencyWindow:
     """The first ``size`` folios of a fault-ordered queue, ranked by
     access frequency without rescoring them every round.
 
-    The queue is two policy lists: ``window`` holds its first ``size``
-    folios and ``queue``, where the policy adds folios, the rest. A round
-    first refills the window from the queue's head with one evaluate-mode
-    walk, whose callback pushes each entering folio's ``(freq, fid)`` onto
-    a heap. Both lists only ever gain folios at their tails, in fault
-    order, and folio ids rise in fault order, so id order is list order
-    and the heap's tuple order breaks frequency ties by list position,
-    exactly as a score pass over the window does.
+    The queue is two policy lists: ``window`` holds its first folios, at
+    most ``size`` of them, and ``queue``, where the policy adds folios, the
+    rest. Both lists only ever gain folios at their tails, in fault order,
+    and folio ids rise in fault order, so id order is list order and the
+    heap of ``(freq, fid)`` entries breaks frequency ties by list position,
+    exactly as a score pass over the first ``size`` folios does.
+
+    A round answers from the heap while its top is at ``floor``, the
+    lowest frequency a folio can have: every folio still on the queue
+    comes later and has at least that frequency, so none could displace
+    the top. Only when the top is above the floor, or the heap holds no
+    live entry, does the round refill the window from the queue's head
+    with one evaluate-mode walk, whose callback pushes each entering
+    folio's entry, and carry on popping. A frequency below the floor
+    breaks the declaration and raises ``ValueError`` there. A ``floor`` of
+    None declares none, and every round refills the window first.
 
     Heap entries are refreshed lazily. A folio's frequency only rises
     while it is resident, so a stale entry sits too high, never too low,
     and is pushed back with its current frequency when it reaches the top;
     the entry of a folio that left is dropped there. Entries of folios
     that left without surfacing (fallback eviction, file removal) are
-    dropped when the heap outgrows twice the window and is rebuilt from
-    the live frequencies.
+    dropped when a round ends with the heap past twice the window, by
+    rebuilding it from the live frequencies.
     """
 
-    __slots__ = ("queue", "window", "heap", "_freq", "_size", "_admit",
-                 "_opts")
+    __slots__ = ("queue", "window", "heap", "_freq", "_size", "_floor",
+                 "_admit", "_opts")
 
-    def __init__(self, cg: PolicyCgroup, queue: int, freq: dict, size: int):
+    def __init__(self, cg: PolicyCgroup, queue: int, freq: dict, size: int,
+                 floor: int | None):
+        if floor is None:  # none declared: every round refills first
+            floor = float("-inf")
         self.queue = queue
         self.window = cg.list_create()
         self.heap: list[tuple[int, int]] = []
         self._freq = freq
         self._size = size
+        self._floor = floor
         self._opts = IterOptions(disposition=Disposition.MOVE_TO_LIST,
                                  target_list=self.window)
         heap = self.heap
 
         def admit(fid):
-            heappush(heap, (freq[fid], fid))
+            f = freq[fid]
+            if f < floor:
+                raise ValueError("frequency %r is below the declared floor %r"
+                                 % (f, floor))
+            heappush(heap, (f, fid))
             return Verdict.KEEP  # moved to the window's tail
 
         self._admit = admit
@@ -126,60 +144,77 @@ class _FrequencyWindow:
     def propose(self, ctx, cg: PolicyCgroup) -> None:
         """Propose the ``ctx.room()`` lowest-frequency window folios,
         lowest first, ties to the earlier folio."""
-        if self._size < ctx.nr_candidates_requested:
+        size = self._size
+        if size < ctx.nr_candidates_requested:
             # a score pass over the window raises the same
             raise ValueError("scan_window (%d) is below the %d candidates "
-                             "requested" % (self._size,
-                                            ctx.nr_candidates_requested))
+                             "requested" % (size, ctx.nr_candidates_requested))
         heap = self.heap
         freq = self._freq
-        free = self._size - cg.list_length(self.window)
-        if free > 0:
-            self._opts.scan_limit = free
-            cg.list_iterate(self.queue, self._admit, self._opts, ctx)
-            if len(heap) > 2 * self._size:
-                heap[:] = [(freq[fid], fid) for _, fid in heap if fid in freq]
-                heapify(heap)
+        floor = self._floor
         room = ctx.room()
         taken = []
-        while heap:
-            f, fid = heap[0]
-            current = freq.get(fid)
-            if current is None:
-                heappop(heap)
-            elif current != f:
-                heapreplace(heap, (current, fid))
-            else:
-                ctx.propose(fid)
-                room -= 1
-                if room <= 0:
+        refilled = False
+        try:
+            while True:
+                if heap:
+                    f, fid = heap[0]
+                    current = freq.get(fid)
+                    if current is None:
+                        heappop(heap)
+                        continue
+                    if current != f:
+                        heapreplace(heap, (current, fid))
+                        continue
+                    if f <= floor or refilled:
+                        ctx.propose(fid)
+                        room -= 1
+                        if room <= 0:
+                            break
+                        taken.append(heappop(heap))
+                        continue
+                elif refilled:
                     break
-                taken.append(heappop(heap))
-        # Proposed folios stay listed: a pinned one is rejected and stays
-        # resident, and an evicted one's entry is dropped when it surfaces.
-        for entry in taken:
-            heappush(heap, entry)
+                free = size - cg.list_length(self.window)
+                if free > 0:
+                    self._opts.scan_limit = free
+                    cg.list_iterate(self.queue, self._admit, self._opts, ctx)
+                refilled = True
+        finally:
+            # Proposed folios stay listed: a pinned one is rejected and
+            # stays resident, and an evicted one's entry is dropped when it
+            # surfaces.
+            for entry in taken:
+                heappush(heap, entry)
+            if len(heap) > 2 * size:
+                heap[:] = [(freq[fid], fid) for _, fid in heap if fid in freq]
+                heapify(heap)
 
 
 class LfuPolicy(PolicyHooks):
     """Windowed LFU: evict the least-frequently used of the first
     ``scan_window`` folios in fault order, ties to the earlier folio.
 
-    The window's ranking is kept incrementally (see ``_FrequencyWindow``),
-    so a round costs about the folios it admits to the window plus a few
-    heap steps, not a score pass over the window."""
+    The window's ranking is kept incrementally (see ``_FrequencyWindow``).
+    Every folio enters at frequency 1 and only gains, so the window
+    declares a ``score_floor`` of 1: a round whose lowest window folio is
+    at 1 costs a few heap steps, and only other rounds walk the queue to
+    refill the window. On a stream of misses that is one walk per
+    ``scan_window`` evictions."""
 
     name = "lfu"
+    #: Lowest frequency a folio can have; see ``_FrequencyWindow``.
+    score_floor = 1
 
     def __init__(self, scan_window: int = DEFAULT_SCAN_LIMIT):
-        self._scan_window = scan_window
+        self._scan_window = need_int("scan_window", scan_window)
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
         self.queue = cg.list_create()
         self.freq: dict[int, int] = {}
         self.ranking = _FrequencyWindow(cg, self.queue, self.freq,
-                                        self._scan_window)
+                                        self._scan_window, self.score_floor)
 
     def folio_added(self, folio):
         self.cg.list_add(self.queue, folio.id, tail=True)
@@ -224,7 +259,7 @@ class S3FifoPolicy(PolicyHooks):
         if ghost_capacity is not None:
             need_int("ghost_capacity", ghost_capacity, 0)
         self._ghost_capacity = ghost_capacity
-        self._scan_window = scan_window
+        self._scan_window = need_int("scan_window", scan_window)
 
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
@@ -350,7 +385,9 @@ class LhdPolicy(PolicyHooks):
         if age_granularity is not None:
             need_int("age_granularity", age_granularity)
         self._age_granularity = age_granularity
-        self._opts = IterOptions(mode=IterMode.SCORE, scan_limit=scan_window,
+        self._opts = IterOptions(mode=IterMode.SCORE,
+                                 scan_limit=need_int("scan_window",
+                                                     scan_window),
                                  score_floor=self.score_floor)
 
     def policy_init(self, cg: PolicyCgroup):
@@ -463,23 +500,25 @@ class GetScanPolicy(PolicyHooks):
     list first so scan traffic cannot push point-query folios out of the
     cache.
 
-    The scan list is scored in place. Every folio enters at frequency 1
-    and only gains, so it declares a ``score_floor`` of 1; scan pages are
-    read once, so the scan list's head holds them and a round usually ends
-    at its first node. The get list's window is ranked as ``LfuPolicy``
-    ranks its own (see ``_FrequencyWindow``): its head holds the folios
-    that survived earlier rounds, so a frequency-1 folio sits deep in the
-    window or is absent, and a score pass would read the whole window.
+    Every folio enters at frequency 1 and only gains, so both lists
+    declare a ``score_floor`` of 1. The scan list is scored in place:
+    scan pages are read once, so the scan list's head holds them and a
+    round usually ends at its first node, and a round on an empty scan
+    list costs one length test. The get list's window is ranked as
+    ``LfuPolicy`` ranks its own (see ``_FrequencyWindow``): its head holds
+    the folios that survived earlier rounds, so a frequency-1 folio sits
+    deep in the window or is absent, and a score pass would read the whole
+    window; the ranked window answers at the floor without walking.
     """
 
     name = "getscan"
-    #: Lowest frequency on the scan list; see ``IterOptions.score_floor``.
+    #: Lowest frequency on either list; see ``IterOptions.score_floor``.
     score_floor = 1
 
     def __init__(self, scan_threads=(), scan_window: int = DEFAULT_SCAN_LIMIT):
         self.scan_threads = frozenset(thread_ids("scan_threads",
                                                  scan_threads))
-        self._scan_window = scan_window
+        self._scan_window = need_int("scan_window", scan_window)
         self._scan_opts = IterOptions(mode=IterMode.SCORE,
                                       scan_limit=scan_window,
                                       score_floor=self.score_floor)
@@ -490,7 +529,8 @@ class GetScanPolicy(PolicyHooks):
         self.scan_list = cg.list_create()
         self.freq: dict[int, int] = {}
         self.get_ranking = _FrequencyWindow(cg, self.get_list, self.freq,
-                                            self._scan_window)
+                                            self._scan_window,
+                                            self.score_floor)
 
     def folio_added(self, folio):
         if self.cg.current_thread in self.scan_threads:

@@ -288,9 +288,12 @@ class PolicyCgroup:
         """Walk a list and let the callback judge each examined node.
 
         Returns the number of nodes examined, or ``ListStatus.INVALID_LIST``.
-        Returns 0 immediately when the context is already full. Bounds
-        (scan_limit, candidate capacity) and loop termination are enforced
-        here, not by the callback.
+        Returns 0 immediately when the context is already full. An empty
+        list returns 0 without a callback call once the options pass the
+        checks a non-empty list makes before its first read: the score-mode
+        ``scan_limit`` check and the ``skip`` and ``scan_limit`` bounds.
+        Bounds (scan_limit, candidate capacity) and loop termination are
+        enforced here, not by the callback.
 
         Both modes make one pass over the live window, reading it lazily, so
         a walk that stops early costs about the nodes it visited plus
@@ -326,10 +329,14 @@ class PolicyCgroup:
         if ctx.room() <= 0:
             return 0
         window = islice(nodes, opts.skip, opts.skip + opts.scan_limit)
-        if opts.mode is IterMode.SCORE:
-            if opts.scan_limit < ctx.nr_candidates_requested:
-                raise ValueError("score mode needs scan_limit >= "
-                                 "nr_candidates_requested")
+        score_mode = opts.mode is IterMode.SCORE
+        if score_mode and opts.scan_limit < ctx.nr_candidates_requested:
+            raise ValueError("score mode needs scan_limit >= "
+                             "nr_candidates_requested")
+        if not nodes:
+            # after every check a non-empty list makes before its first read
+            return 0
+        if score_mode:
             if opts.score_floor is not None:
                 return self._score_to_floor(window, callback,
                                             opts.score_floor, ctx)

@@ -94,6 +94,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="scan_window"):
             run(config)
 
+    @pytest.mark.parametrize("window", [0, 2.5, 8])
+    def test_bad_scan_window_is_one_problem(self, window):
+        # the policies check the window too; validate reports it once and
+        # still checks their own parameters
+        config = small_config(scan_window=window, cgroups=[
+            CgroupSpec(0, 64 * 4096, "lfu"),
+            CgroupSpec(1, 64 * 4096, "mru", {"skip": -1})])
+        errors = config.validate()
+        assert sum("scan_window" in e for e in errors) == 1
+        assert any("skip must be >= 0" in e for e in errors)
+
     @pytest.mark.parametrize("overrides, name", [
         ({"cgroups": [CgroupSpec(0, "abc")]}, "limit_bytes"),
         ({"cgroups": [CgroupSpec(0, None)]}, "limit_bytes"),

@@ -332,6 +332,63 @@ class TestFrequencyWindow:
         assert (stats.hook_errors, stats.evictions_policy,
                 stats.evictions_fallback) == (1, 20, 10)
 
+    # In both floor cases below, window 4, limit 8: pages 0..7 fill the
+    # cache, page 8 evicts page 0 and leaves pages 1..3 in the window, and
+    # the queue's head, page 4, is at the floor.
+    FILL = [(1, p) for p in range(9)]
+
+    def test_round_above_the_floor_refills_first(self):
+        # pages 1..3 rise to 2, so the round must admit page 4 and take it
+        accesses = self.FILL + [(1, 1), (1, 2), (1, 3), (1, 9)]
+        got = replay_eviction_log(LfuPolicy(scan_window=4), accesses, 8)
+        assert got == lfu_trace(accesses, 8, 4) == [(1, 0), (1, 4)]
+
+    def test_round_refills_once_its_top_leaves_the_floor(self):
+        # page 1 stays at the floor and is taken without a refill; the
+        # round's second candidate is then page 4, not page 2
+        policy = LfuPolicy(scan_window=4)
+        sim = make_sim(limit_pages=8, policy=policy, record_evictions=True)
+        for file, page in self.FILL + [(1, 2), (1, 3)]:
+            sim.access_page(0, file, page)
+        sim.set_limit(0, 6)  # one round asks for 2 candidates
+        assert [key for _, *key in sim.eviction_log] == [[1, 0], [1, 1],
+                                                        [1, 4]]
+        assert sim.stats(0).evictions_fallback == 0
+        sim.check_invariants()
+
+    def test_frequency_below_the_floor_is_a_hook_error(self):
+        class ZeroStartLfu(LfuPolicy):
+            def folio_added(self, folio):
+                super().folio_added(folio)
+                self.freq[folio.id] = 0
+
+        sim = make_sim(limit_pages=10, policy=ZeroStartLfu())
+        insert_pages(sim, 50)
+        stats = sim.stats(0)
+        assert (stats.hook_errors, stats.evictions_policy,
+                stats.evictions_fallback) == (40, 0, 40)
+        sim.check_invariants()
+
+    def test_stream_of_misses_refills_once_per_window(self):
+        # filesearch-loop: 10 files x 100 pages, 5 passes, 700 pages; every
+        # access misses, so 4,300 rounds each take the window's head
+        policy = LfuPolicy()
+        sim = make_sim(limit_pages=700, policy=policy)
+        cg = policy.cg
+        iterate = cg.list_iterate
+        walks = []
+
+        def counting(list_id, callback, opts, ctx):
+            walks.append(list_id)
+            return iterate(list_id, callback, opts, ctx)
+
+        cg.list_iterate = counting
+        for _ in range(5):
+            for file in range(10):
+                insert_pages(sim, 100, file=file)
+        assert sim.stats(0).evictions_policy == 4300
+        assert walks.count(policy.queue) <= 10
+
 
 class TestS3Fifo:
     def test_new_folios_enter_small_queue(self):
@@ -733,6 +790,18 @@ class TestFactory:
             cls(**params)
         with pytest.raises(error, match=name):
             make_policy(cls.name, params)
+
+    @pytest.mark.parametrize("cls", [FifoPolicy, MruPolicy, LfuPolicy,
+                                     S3FifoPolicy, LhdPolicy, GetScanPolicy])
+    @pytest.mark.parametrize("window, error", [
+        (0, ValueError), (-4, ValueError), (2.5, TypeError),
+        (True, TypeError)])
+    def test_bad_scan_window_rejected(self, cls, window, error):
+        # an unchecked window left a policy inert or raising every round
+        with pytest.raises(error, match="scan_window"):
+            cls(scan_window=window)
+        with pytest.raises(error, match="scan_window"):
+            make_policy(cls.name, {}, scan_window=window)
 
     def test_all_policies_run_under_real_eviction_pressure(self):
         rng = random.Random(12)

@@ -902,6 +902,48 @@ class TestScoreFloor:
         sim.check_invariants()
 
 
+class TestEmptyList:
+    """An empty list answers after the checks a non-empty list makes
+    before its first read, and never calls the callback."""
+
+    MODES = [IterOptions(),
+             IterOptions(disposition=Disposition.MOVE_TO_LIST,
+                         target_list=42),
+             IterOptions(mode=IterMode.SCORE),
+             IterOptions(mode=IterMode.SCORE, score_floor=0)]
+
+    @pytest.mark.parametrize("opts", MODES)
+    def test_returns_zero_without_a_callback(self, opts):
+        store, _, _ = make_store()
+        lst = store.list_create()
+        calls = []
+        ctx = EvictionContext(2)
+        assert store.list_iterate(lst, calls.append, opts, ctx) == 0
+        assert calls == [] and ctx.candidates == []
+
+    def test_unknown_list_is_invalid(self):
+        store, _, _ = make_store()
+        assert store.list_iterate(42, lambda fid: 0, IterOptions(),
+                                  EvictionContext(1)) is ListStatus.INVALID_LIST
+
+    def test_score_window_below_the_request_raises(self):
+        store, _, _ = make_store()
+        lst = store.list_create()
+        with pytest.raises(ValueError, match="scan_limit"):
+            store.list_iterate(lst, lambda fid: 0,
+                               IterOptions(mode=IterMode.SCORE, scan_limit=2),
+                               EvictionContext(4))
+
+    @pytest.mark.parametrize("mode", [IterMode.EVALUATE, IterMode.SCORE])
+    @pytest.mark.parametrize("skip, scan_limit", [(-1, 8), (0, -1)])
+    def test_bounds_outside_islice_raise(self, mode, skip, scan_limit):
+        store, _, _ = make_store()
+        lst = store.list_create()
+        opts = IterOptions(mode=mode, skip=skip, scan_limit=scan_limit)
+        with pytest.raises(ValueError, match="islice"):
+            store.list_iterate(lst, lambda fid: 0, opts, EvictionContext(1))
+
+
 class TestConsistency:
     def test_random_operation_sequences_stay_consistent(self):
         rng = random.Random(5)
