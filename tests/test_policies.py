@@ -351,8 +351,8 @@ class TestFrequencyWindow:
         for file, page in self.FILL + [(1, 2), (1, 3)]:
             sim.access_page(0, file, page)
         sim.set_limit(0, 6)  # one round asks for 2 candidates
-        assert [key for _, *key in sim.eviction_log] == [[1, 0], [1, 1],
-                                                        [1, 4]]
+        assert ([(f, o) for _, f, o in sim.eviction_log]
+                == [(1, 0), (1, 1), (1, 4)])
         assert sim.stats(0).evictions_fallback == 0
         sim.check_invariants()
 

@@ -923,8 +923,9 @@ class TestEmptyList:
 
     def test_unknown_list_is_invalid(self):
         store, _, _ = make_store()
-        assert store.list_iterate(42, lambda fid: 0, IterOptions(),
-                                  EvictionContext(1)) is ListStatus.INVALID_LIST
+        status = store.list_iterate(42, lambda fid: 0, IterOptions(),
+                                    EvictionContext(1))
+        assert status is ListStatus.INVALID_LIST
 
     def test_score_window_below_the_request_raises(self):
         store, _, _ = make_store()
