@@ -84,6 +84,10 @@ class MruPolicy(PolicyHooks):
         cg.list_iterate(self.stack, _evict_all, self._opts, ctx)
 
 
+#: The frequency LFU and GET-SCAN folios enter at; it only rises.
+_MIN_FREQ = 1
+
+
 class _FrequencyWindow:
     """The first ``size`` folios of a fault-ordered queue, ranked by
     access frequency without rescoring them every round.
@@ -95,15 +99,14 @@ class _FrequencyWindow:
     heap of ``(freq, fid)`` entries breaks frequency ties by list position,
     exactly as a score pass over the first ``size`` folios does.
 
-    A round answers from the heap while its top is at ``floor``, the
-    lowest frequency a folio can have: every folio still on the queue
-    comes later and has at least that frequency, so none could displace
-    the top. Only when the top is above the floor, or the heap holds no
-    live entry, does the round refill the window from the queue's head
-    with one evaluate-mode walk, whose callback pushes each entering
-    folio's entry, and carry on popping. A frequency below the floor
-    breaks the declaration and raises ``ValueError`` there. A ``floor`` of
-    None declares none, and every round refills the window first.
+    A round answers from the heap while its top is at ``_MIN_FREQ``, the
+    frequency every folio enters at and never falls below: every folio
+    still on the queue comes later and has at least that frequency, so
+    none could displace the top. Only when the top is above the floor, or
+    the heap holds no live entry, does the round refill the window from
+    the queue's head with one evaluate-mode walk, whose callback pushes
+    each entering folio's entry, and carry on popping. An entering
+    frequency below the floor breaks that rule and raises ``ValueError``.
 
     Heap entries are refreshed lazily. A folio's frequency only rises
     while it is resident, so a stale entry sits too high, never too low,
@@ -114,28 +117,24 @@ class _FrequencyWindow:
     rebuilding it from the live frequencies.
     """
 
-    __slots__ = ("queue", "window", "heap", "_freq", "_size", "_floor",
-                 "_admit", "_opts")
+    __slots__ = ("queue", "window", "heap", "_freq", "_size", "_admit",
+                 "_opts")
 
-    def __init__(self, cg: PolicyCgroup, queue: int, freq: dict, size: int,
-                 floor: int | None):
-        if floor is None:  # none declared: every round refills first
-            floor = float("-inf")
+    def __init__(self, cg: PolicyCgroup, queue: int, freq: dict, size: int):
         self.queue = queue
         self.window = cg.list_create()
         self.heap: list[tuple[int, int]] = []
         self._freq = freq
         self._size = size
-        self._floor = floor
         self._opts = IterOptions(disposition=Disposition.MOVE_TO_LIST,
                                  target_list=self.window)
         heap = self.heap
 
         def admit(fid):
             f = freq[fid]
-            if f < floor:
-                raise ValueError("frequency %r is below the declared floor %r"
-                                 % (f, floor))
+            if f < _MIN_FREQ:
+                raise ValueError("frequency %r is below the floor %r"
+                                 % (f, _MIN_FREQ))
             heappush(heap, (f, fid))
             return Verdict.KEEP  # moved to the window's tail
 
@@ -151,7 +150,6 @@ class _FrequencyWindow:
                              "requested" % (size, ctx.nr_candidates_requested))
         heap = self.heap
         freq = self._freq
-        floor = self._floor
         room = ctx.room()
         taken = []
         refilled = False
@@ -166,7 +164,7 @@ class _FrequencyWindow:
                     if current != f:
                         heapreplace(heap, (current, fid))
                         continue
-                    if f <= floor or refilled:
+                    if f == _MIN_FREQ or refilled:
                         ctx.propose(fid)
                         room -= 1
                         if room <= 0:
@@ -196,15 +194,12 @@ class LfuPolicy(PolicyHooks):
     ``scan_window`` folios in fault order, ties to the earlier folio.
 
     The window's ranking is kept incrementally (see ``_FrequencyWindow``).
-    Every folio enters at frequency 1 and only gains, so the window
-    declares a ``score_floor`` of 1: a round whose lowest window folio is
-    at 1 costs a few heap steps, and only other rounds walk the queue to
-    refill the window. On a stream of misses that is one walk per
-    ``scan_window`` evictions."""
+    Every folio enters at frequency 1 and only gains, so a round whose
+    lowest window folio is at 1 costs a few heap steps, and only other
+    rounds walk the queue to refill the window. On a stream of misses that
+    is one walk per ``scan_window`` evictions."""
 
     name = "lfu"
-    #: Lowest frequency a folio can have; see ``_FrequencyWindow``.
-    score_floor = 1
 
     def __init__(self, scan_window: int = DEFAULT_SCAN_LIMIT):
         self._scan_window = need_int("scan_window", scan_window)
@@ -214,7 +209,7 @@ class LfuPolicy(PolicyHooks):
         self.queue = cg.list_create()
         self.freq: dict[int, int] = {}
         self.ranking = _FrequencyWindow(cg, self.queue, self.freq,
-                                        self._scan_window, self.score_floor)
+                                        self._scan_window)
 
     def folio_added(self, folio):
         self.cg.list_add(self.queue, folio.id, tail=True)
@@ -500,19 +495,19 @@ class GetScanPolicy(PolicyHooks):
     list first so scan traffic cannot push point-query folios out of the
     cache.
 
-    Every folio enters at frequency 1 and only gains, so both lists
-    declare a ``score_floor`` of 1. The scan list is scored in place:
-    scan pages are read once, so the scan list's head holds them and a
-    round usually ends at its first node, and a round on an empty scan
-    list costs one length test. The get list's window is ranked as
-    ``LfuPolicy`` ranks its own (see ``_FrequencyWindow``): its head holds
-    the folios that survived earlier rounds, so a frequency-1 folio sits
-    deep in the window or is absent, and a score pass would read the whole
-    window; the ranked window answers at the floor without walking.
+    The scan list is scored in place. Every folio enters at frequency 1
+    and only gains, so it declares a ``score_floor`` of 1; scan pages are
+    read once, so the scan list's head holds them and a round usually ends
+    at its first node, and a round on an empty scan list costs one length
+    test. The get list's window is ranked as ``LfuPolicy`` ranks its own
+    (see ``_FrequencyWindow``): its head holds the folios that survived
+    earlier rounds, so a frequency-1 folio sits deep in the window or is
+    absent, and a score pass would read the whole window; the ranked
+    window answers at frequency 1 without walking.
     """
 
     name = "getscan"
-    #: Lowest frequency on either list; see ``IterOptions.score_floor``.
+    #: Lowest frequency on the scan list; see ``IterOptions.score_floor``.
     score_floor = 1
 
     def __init__(self, scan_threads=(), scan_window: int = DEFAULT_SCAN_LIMIT):
@@ -529,8 +524,7 @@ class GetScanPolicy(PolicyHooks):
         self.scan_list = cg.list_create()
         self.freq: dict[int, int] = {}
         self.get_ranking = _FrequencyWindow(cg, self.get_list, self.freq,
-                                            self._scan_window,
-                                            self.score_floor)
+                                            self._scan_window)
 
     def folio_added(self, folio):
         if self.cg.current_thread in self.scan_threads:

@@ -1,3 +1,5 @@
+import importlib.util
+import os
 import random
 
 import pytest
@@ -41,6 +43,16 @@ class RecordingPolicy(PolicyHooks):
 @pytest.fixture
 def recording_policy():
     return RecordingPolicy()
+
+
+def load_tool(name):
+    """Import ``tools/<name>.py``, which is not in a package, by path."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "tools", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_sim(limit_pages, policy=None, cgroup=0, **kwargs):

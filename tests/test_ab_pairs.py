@@ -1,16 +1,11 @@
 """The summary of tools/ab_pairs.py, the alternating-pairs benchmark
 runner."""
 
-import importlib.util
-import os
-
 import pytest
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "tools", "ab_pairs.py")
-_spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
-ab_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(ab_pairs)
+from conftest import load_tool
+
+ab_pairs = load_tool("ab_pairs")
 
 BETTER = {"pages_per_s.lfu": "higher", "setup_s": "lower"}
 

@@ -1,16 +1,12 @@
 """tools/diff_replay.py, the differential replay of two source trees."""
 
-import importlib.util
 import os
 import shutil
 
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_spec = importlib.util.spec_from_file_location(
-    "diff_replay", os.path.join(_ROOT, "tools", "diff_replay.py"))
-diff_replay = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(diff_replay)
+from conftest import load_tool
 
-SRC = os.path.join(_ROOT, "src")
+diff_replay = load_tool("diff_replay")
+SRC = os.path.join(diff_replay.ROOT, "src")
 BUDGET = dict(windows=(4, 64), limits=(20,), seeds=2, events=600)
 
 

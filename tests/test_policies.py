@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pagecachesim
 from pagecachesim import (
     EvictionContext,
     FifoPolicy,
@@ -18,8 +19,10 @@ from pagecachesim import (
     S3FifoPolicy,
     make_policy,
 )
-from conftest import make_sim, random_accesses
+from conftest import load_tool, make_sim, random_accesses
 from reference_policies import fifo_trace, getscan_trace, lfu_trace, mru_trace
+
+diff_replay = load_tool("diff_replay")
 
 
 def insert_pages(sim, n, file=1, cgroup=0, thread=0):
@@ -238,36 +241,13 @@ class ScoredGetScan(GetScanPolicy):
 
 
 def replay_hostile(policy, seed, limit_pages):
-    """Replay a mixed trace with pins, file removals, scans from thread 9
-    and limit changes. Returns the eviction log and every stats counter."""
-    rng = random.Random(seed)
-    sim = make_sim(limit_pages=limit_pages, policy=policy,
-                   record_evictions=True)
-    for _ in range(2500):
-        r = rng.random()
-        if r < 0.01:
-            sim.remove_file(0, rng.randrange(4))
-        elif r < 0.03:
-            file, page = rng.randrange(4), rng.randrange(60)
-            if sim.find_folio(file, page) is not None:
-                sim.pin(file, page, rng.random() < 0.7)
-        elif r < 0.035:
-            sim.set_limit(0, rng.randrange(max(1, limit_pages - 40),
-                                           limit_pages + 10))
-        elif r < 0.05:
-            start = rng.randrange(200)
-            for page in range(start, start + 30):
-                sim.access_page(0, 5, page, thread=9)
-        elif r < 0.5:
-            sim.access_page(0, rng.randrange(2), rng.randrange(20),
-                            thread=rng.randrange(3))
-        else:
-            sim.access_page(0, rng.randrange(4), rng.randrange(60),
-                            thread=rng.randrange(3))
-    sim.check_invariants()
-    stats = sim.stats(0)
-    return sim.eviction_log, {name: getattr(stats, name)
-                              for name in type(stats).__slots__}
+    """Replay ``tools/diff_replay.py``'s hostile trace for ``seed``: pins,
+    file removals, scans from thread 9 and limit changes. Returns the
+    eviction log and every stats counter."""
+    got = diff_replay.replay(pagecachesim, lambda: policy, limit_pages,
+                             diff_replay.hostile_ops(seed, limit_pages))
+    assert not isinstance(got[0], str), got[0]
+    return got
 
 
 class TestFrequencyWindow:

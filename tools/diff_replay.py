@@ -20,12 +20,14 @@ the eviction log and every ``CgroupStats`` counter must be equal. The
 tool prints each mismatch, then the number of configs and the totals of
 hook errors, invalid candidates, fallback evictions and file-removed
 folios, which show the paths the traces reached. It exits 1 on any
-mismatch. Standard library only.
+mismatch. Standard library only. ``hostile_ops`` and ``replay`` also
+drive the full-pass comparisons in ``tests/test_policies.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import itertools
 import os
@@ -39,6 +41,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARAMS = {"getscan": {"scan_threads": [9]}, "lhd": {"reconfig_interval": 64}}
 WINDOWS = (4, 8, 32, 40, 64, 512)
 LIMITS = (8, 20, 50, 100)
+#: Operations per trace.
+EVENTS = 2500
 #: The counters whose totals are printed.
 REACHED = ("hook_errors", "invalid_candidates", "evictions_fallback",
            "file_removed_folios")
@@ -68,7 +72,7 @@ def load_package(src: str):
     return package
 
 
-def hostile_ops(seed: int, limit: int, events: int) -> list[tuple]:
+def hostile_ops(seed: int, limit: int, events: int = EVENTS) -> list[tuple]:
     """A seeded trace of simulator operations around a cgroup limit."""
     rng = random.Random(seed)
     ops = []
@@ -93,14 +97,14 @@ def hostile_ops(seed: int, limit: int, events: int) -> list[tuple]:
     return ops
 
 
-def replay(package, policy: str, window: int, limit: int, ops) -> tuple:
-    """Run ``ops`` on cgroup 0 under ``policy``. Returns the eviction log
-    and every stats counter, or the repr of an exception that escaped."""
+def replay(package, make_policy, limit: int, ops) -> tuple:
+    """Run ``ops`` on cgroup 0 of ``package``'s simulator under the policy
+    ``make_policy()`` builds. Returns the eviction log and every stats
+    counter, or the repr of an exception that escaped."""
     try:
         sim = package.Simulator(record_evictions=True)
         sim.add_cgroup(0, limit)
-        sim.attach_policy(0, package.make_policy(policy, PARAMS.get(policy),
-                                                 scan_window=window))
+        sim.attach_policy(0, make_policy())
         for op in ops:
             kind = op[0]
             if kind == "read":
@@ -147,7 +151,7 @@ def describe(base: tuple, change: tuple) -> str:
 
 
 def compare(base_src: str, change_src: str, policies, windows=WINDOWS,
-            limits=LIMITS, seeds=10, events=2500) -> tuple:
+            limits=LIMITS, seeds=10, events=EVENTS) -> tuple:
     """Replay every (policy, window, limit, seed) config in both trees.
 
     Returns the mismatch lines, the number of configs, and the change
@@ -161,7 +165,9 @@ def compare(base_src: str, change_src: str, policies, windows=WINDOWS,
             ops = hostile_ops(seed, limit, events)
             for policy, window in itertools.product(policies, windows):
                 configs += 1
-                got = [replay(tree, policy, window, limit, ops)
+                got = [replay(tree, functools.partial(
+                           tree.make_policy, policy, PARAMS.get(policy),
+                           scan_window=window), limit, ops)
                        for tree in (base, change)]
                 if got[0] != got[1]:
                     mismatches.append(
@@ -179,10 +185,6 @@ def main(argv=None) -> int:
     parser.add_argument("--policies", default="lfu,getscan",
                         help="comma-separated policy names "
                              "(default: lfu,getscan)")
-    parser.add_argument("--seeds", type=int, default=10,
-                        help="seeds per (policy, window, limit)")
-    parser.add_argument("--events", type=int, default=2500,
-                        help="operations per trace")
     args = parser.parse_args(argv)
     ab_pairs = load_module(os.path.join(ROOT, "tools", "ab_pairs.py"),
                            "ab_pairs")
@@ -190,7 +192,7 @@ def main(argv=None) -> int:
         ab_pairs.unpack(args.base, base_tree)
         mismatches, configs, totals = compare(
             os.path.join(base_tree, "src"), os.path.join(ROOT, "src"),
-            args.policies.split(","), seeds=args.seeds, events=args.events)
+            args.policies.split(","))
     for line in mismatches:
         print(line)
     print("%d configs, %d mismatches; %s" % (
