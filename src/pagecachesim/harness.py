@@ -150,15 +150,12 @@ class ScenarioConfig:
             if spec.id in seen:
                 errors.append("%s: duplicate id" % label)
             seen.add(spec.id)
-            if (not isinstance(spec.limit_bytes, int)
-                    or isinstance(spec.limit_bytes, bool)):
-                errors.append("%s: limit_bytes must be an int, got %r"
-                              % (label, spec.limit_bytes))
-            elif spec.limit_bytes <= 0:
-                errors.append("%s: limit_bytes must be positive" % label)
-            elif spec.limit_bytes % PAGE_SIZE:
-                errors.append("%s: limit_bytes must be a multiple of %d"
-                              % (label, PAGE_SIZE))
+            try:
+                if need_int("limit_bytes", spec.limit_bytes) % PAGE_SIZE:
+                    errors.append("%s: limit_bytes must be a multiple of %d"
+                                  % (label, PAGE_SIZE))
+            except (TypeError, ValueError) as exc:
+                errors.append("%s: %s" % (label, exc))
             try:
                 make_policy(spec.policy, spec.params, window)
             except (TypeError, ValueError) as exc:
@@ -421,7 +418,9 @@ def scenario_isolation(config_a: ScenarioConfig,
     lengths, and replayed under: both cgroups on the default policy, both
     on tenant A's policy, both on tenant B's policy, and the tailored
     assignment. Tenant B's files are shifted into a disjoint namespace so
-    the tenants never share pages.
+    the tenants never share pages. The merged replay has one scan window
+    and names scenarios by policy, so the configs must share their
+    ``scan_window``, and two tenants on one policy its params.
     """
     for label, cfg in (("first", config_a), ("second", config_b)):
         errors = cfg.validate()
@@ -433,6 +432,14 @@ def scenario_isolation(config_a: ScenarioConfig,
     spec_a, spec_b = config_a.cgroups[0], config_b.cgroups[0]
     if spec_a.id == spec_b.id:
         raise ConfigError("isolation needs two distinct cgroup ids")
+    if config_a.scan_window != config_b.scan_window:
+        raise ConfigError("isolation needs one scan_window for both tenants, "
+                          "got %r and %r" % (config_a.scan_window,
+                                             config_b.scan_window))
+    if spec_a.policy == spec_b.policy and spec_a.params != spec_b.params:
+        raise ConfigError("isolation needs one set of params per policy: "
+                          "%r has %r and %r" % (spec_a.policy, spec_a.params,
+                                                spec_b.params))
 
     stream_a = list(_retarget(build_events(config_a.workload, config_a.seed),
                               spec_a.id))
@@ -451,8 +458,7 @@ def scenario_isolation(config_a: ScenarioConfig,
     ]
 
     base = ScenarioConfig(cgroups=[spec_a, spec_b],
-                          scan_window=max(config_a.scan_window,
-                                          config_b.scan_window))
+                          scan_window=config_a.scan_window)
     rows = []
     results: dict = {}
     for name, policy_a, policy_b in scenarios:

@@ -1,10 +1,11 @@
 """Eviction policies built on the policy hook and eviction-list API.
 
-Six policies ship here. FIFO and MRU are pure list-order policies. LFU
-and GET-SCAN evict the lowest-frequency folios among the first N folios
-in fault order, so they approximate LFU rather than tracking a global
-minimum; they keep that window ranked as folios enter it rather than
-rescoring it every round. S3-FIFO filters
+Six policies ship here. FIFO and MRU are pure list-order policies; MRU
+is FIFO's queue walked from its newest end. LFU evicts the
+lowest-frequency folios among the first N folios in fault order, so it
+approximates LFU rather than tracking a global minimum; it keeps that
+window ranked as folios enter it rather than rescoring it every round.
+GET-SCAN is LFU plus a scan list that it drains first. S3-FIFO filters
 one-hit wonders through a small probation queue with a ghost table of
 recently evicted keys, and LHD ranks folios by the expected hits per unit
 of remaining lifetime of their age/class cohort, using integer fixed-point
@@ -54,34 +55,27 @@ def _evict_all(fid):
     return Verdict.EVICT
 
 
-class MruPolicy(PolicyHooks):
-    """Evict the most recently used folios first.
+class MruPolicy(FifoPolicy):
+    """Evict the most recently used folios first: FIFO's queue walked from
+    its newest end.
 
-    Insertions and accesses both go to the list head; eviction walks from
-    the head. The first ``skip`` folios are passed over so that pages still
-    being used to service the current request are not proposed immediately
-    after insertion.
+    Insertions and accesses both go to the queue's head, where eviction
+    walks from. The first ``skip`` folios are passed over so that pages
+    still being used to service the current request are not proposed
+    immediately after insertion.
     """
 
     name = "mru"
 
     def __init__(self, skip: int = 32, scan_window: int = DEFAULT_SCAN_LIMIT):
-        self._opts = IterOptions(scan_limit=need_int("scan_window",
-                                                     scan_window),
-                                 skip=need_int("skip", skip, 0))
-
-    def policy_init(self, cg: PolicyCgroup):
-        self.cg = cg
-        self.stack = cg.list_create()
+        super().__init__(scan_window)
+        self._opts.skip = need_int("skip", skip, 0)
 
     def folio_added(self, folio):
-        self.cg.list_add(self.stack, folio.id, tail=False)
+        self.cg.list_add(self.queue, folio.id, tail=False)
 
     def folio_accessed(self, folio):
-        self.cg.list_move(self.stack, folio.id, tail=False)
-
-    def evict_folios(self, ctx, cg):
-        cg.list_iterate(self.stack, _evict_all, self._opts, ctx)
+        self.cg.list_move(self.queue, folio.id, tail=False)
 
 
 #: The frequency LFU and GET-SCAN folios enter at; it only rises.
@@ -213,7 +207,7 @@ class LfuPolicy(PolicyHooks):
 
     def folio_added(self, folio):
         self.cg.list_add(self.queue, folio.id, tail=True)
-        self.freq[folio.id] = 1
+        self.freq[folio.id] = _MIN_FREQ
 
     def folio_accessed(self, folio):
         self.freq[folio.id] += 1
@@ -485,66 +479,49 @@ class LhdPolicy(PolicyHooks):
                     density[a] = d if d < cap else cap
 
 
-class GetScanPolicy(PolicyHooks):
-    """Application-informed policy for mixed point-read and scan traffic.
+class GetScanPolicy(LfuPolicy):
+    """Application-informed policy for mixed point-read and scan traffic:
+    LFU plus a scan list.
 
     Folios inserted by threads in ``scan_threads`` (a thread id or an
-    iterable of them) go on a scan list, all others on a get list; the
-    inserting thread is read from the cgroup handle at insertion time. Both
-    lists keep windowed-LFU frequencies, and eviction drains the scan
-    list first so scan traffic cannot push point-query folios out of the
-    cache.
+    iterable of them) go on a scan list, all others on LFU's queue; the
+    inserting thread is read from the cgroup handle at insertion time.
+    Both keep LFU's frequencies, and eviction drains the scan list first
+    so scan traffic cannot push point-query folios out of the cache.
 
-    The scan list is scored in place. Every folio enters at frequency 1
-    and only gains, so it declares a ``score_floor`` of 1; scan pages are
-    read once, so the scan list's head holds them and a round usually ends
-    at its first node, and a round on an empty scan list costs one length
-    test. The get list's window is ranked as ``LfuPolicy`` ranks its own
-    (see ``_FrequencyWindow``): its head holds the folios that survived
-    earlier rounds, so a frequency-1 folio sits deep in the window or is
-    absent, and a score pass would read the whole window; the ranked
-    window answers at frequency 1 without walking.
+    The scan list is scored in place down to ``score_floor``. Scan pages
+    are read once, so the scan list's head holds floor folios and a round
+    usually ends at its first node, and a round on an empty scan list
+    costs one length test. The queue's window is ranked as LFU ranks it.
     """
 
     name = "getscan"
     #: Lowest frequency on the scan list; see ``IterOptions.score_floor``.
-    score_floor = 1
+    score_floor = _MIN_FREQ
 
     def __init__(self, scan_threads=(), scan_window: int = DEFAULT_SCAN_LIMIT):
         self.scan_threads = frozenset(thread_ids("scan_threads",
                                                  scan_threads))
-        self._scan_window = need_int("scan_window", scan_window)
+        super().__init__(scan_window)
         self._scan_opts = IterOptions(mode=IterMode.SCORE,
-                                      scan_limit=scan_window,
+                                      scan_limit=self._scan_window,
                                       score_floor=self.score_floor)
 
     def policy_init(self, cg: PolicyCgroup):
-        self.cg = cg
-        self.get_list = cg.list_create()
+        super().policy_init(cg)
         self.scan_list = cg.list_create()
-        self.freq: dict[int, int] = {}
-        self.get_ranking = _FrequencyWindow(cg, self.get_list, self.freq,
-                                            self._scan_window)
 
     def folio_added(self, folio):
-        if self.cg.current_thread in self.scan_threads:
-            target = self.scan_list
-        else:
-            target = self.get_list
-        self.cg.list_add(target, folio.id, tail=True)
-        self.freq[folio.id] = 1
-
-    def folio_accessed(self, folio):
-        self.freq[folio.id] += 1
+        cg = self.cg
+        cg.list_add(self.scan_list if cg.current_thread in self.scan_threads
+                    else self.queue, folio.id, tail=True)
+        self.freq[folio.id] = _MIN_FREQ
 
     def evict_folios(self, ctx, cg):
         cg.list_iterate(self.scan_list, self.freq.__getitem__,
                         self._scan_opts, ctx)
         if ctx.room() > 0:
-            self.get_ranking.propose(ctx, cg)
-
-    def folio_removed(self, folio):
-        self.freq.pop(folio.id, None)
+            self.ranking.propose(ctx, cg)
 
 
 #: Policy table: name -> class. A class's ``__init__`` owns its parameters'

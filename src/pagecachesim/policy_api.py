@@ -104,9 +104,7 @@ class IterOptions:
     return, or None if the policy declares none. With a floor the pass
     stops once it holds ``ctx.room()`` nodes scoring exactly the floor; the
     candidates and their order are those of the full pass. A score below
-    the floor breaks the declaration and raises ``ValueError``. A floor
-    pays off where floor-scoring nodes sit near the window's head; where
-    they sit deep, the unfloored pass, which runs in C, is faster.
+    the floor breaks the declaration and raises ``ValueError``.
     """
 
     mode: IterMode = IterMode.EVALUATE
@@ -321,7 +319,8 @@ class PolicyCgroup:
         nodes scoring exactly the floor, and a window with fewer such nodes
         is scored in full; either way the candidates and their order are
         those of the full pass. A score below the floor raises
-        ``ValueError``, which the core also counts as a hook error.
+        ``ValueError``, and one that is not a number ``TypeError``; the core
+        counts either as a hook error.
         """
         nodes = self._lists.get(list_id)
         if nodes is None:
@@ -337,16 +336,7 @@ class PolicyCgroup:
             # after every check a non-empty list makes before its first read
             return 0
         if score_mode:
-            if opts.score_floor is not None:
-                return self._score_to_floor(window, callback,
-                                            opts.score_floor, ctx)
-            examined = max(0, min(opts.scan_limit, len(nodes) - opts.skip))
-            # Hot path: one score callback per window node, every round.
-            # nsmallest is stable (and min() for one), so ties go to the
-            # earlier list position.
-            for folio_id in heapq.nsmallest(ctx.room(), window, key=callback):
-                ctx.propose(folio_id)
-            return examined
+            return self._score_pass(window, callback, opts.score_floor, ctx)
         disposition = opts.disposition
         # The walk's own moves as (target list, folio id), applied after the
         # loop: a node moved now would change the list being read. Moved
@@ -388,15 +378,15 @@ class PolicyCgroup:
         return examined
 
     @staticmethod
-    def _score_to_floor(window, callback, floor, ctx: EvictionContext) -> int:
-        """Score mode with a declared floor; returns the nodes scored.
+    def _score_pass(window, callback, floor, ctx: EvictionContext) -> int:
+        """Score mode's pass; returns the nodes scored.
 
         Floor-scoring nodes rank before every other node and among
         themselves by position, so the first ``room`` of them are the
-        round's answer and the pass ends there. Until then it also keeps
-        the ``room`` best other nodes, as ``(-score, -position, id)`` in a
-        bounded heap whose root is the worst kept, for a window with fewer
-        floor nodes.
+        round's answer and the pass ends there. Until then it keeps the
+        ``room`` best of the other nodes (of every node when ``floor`` is
+        None) as ``(-score, -position, id)`` in a bounded heap whose root
+        is the worst kept.
         """
         room = ctx.room()
         at_floor = []
@@ -405,15 +395,16 @@ class PolicyCgroup:
         for folio_id in window:
             score = callback(folio_id)
             scored += 1
-            if score == floor:
+            if floor is not None and score <= floor:
+                if score < floor:
+                    raise ValueError("score %r is below the declared floor "
+                                     "%r" % (score, floor))
                 at_floor.append(folio_id)
                 if len(at_floor) == room:
                     break
-            elif score < floor:
-                raise ValueError("score %r is below the declared floor %r"
-                                 % (score, floor))
             else:
-                # Positions are unique, so ids are never compared.
+                # Positions are unique, so ids are never compared; a score
+                # that is not a number raises TypeError here.
                 kept = (-score, -scored, folio_id)
                 if len(rest) < room:
                     heapq.heappush(rest, kept)

@@ -43,7 +43,7 @@ def small_config(**overrides):
 class TestValidation:
     def test_zero_limit_rejected(self):
         config = small_config(cgroups=[CgroupSpec(0, 0)])
-        with pytest.raises(ConfigError, match="limit_bytes"):
+        with pytest.raises(ConfigError, match="limit_bytes must be >= 1"):
             run(config)
 
     def test_unaligned_limit_rejected(self):
@@ -424,6 +424,30 @@ class TestIsolation:
         config_a, config_b = isolation_configs(policy_a="default")
         with pytest.raises(ConfigError):
             scenario_isolation(config_a, config_b)
+
+    def test_differing_scan_windows_rejected(self):
+        # the merged replay has one window; neither tenant's may be replaced
+        config_a, config_b = isolation_configs()
+        config_a.scan_window = 32
+        with pytest.raises(ConfigError, match="scan_window"):
+            scenario_isolation(config_a, config_b)
+
+    def test_one_policy_with_two_param_sets_rejected(self):
+        # scenarios are named by policy, so one name cannot stand for both
+        config_a, config_b = isolation_configs(policy_a="mru")
+        config_a.cgroups[0].params = {"skip": 0}
+        config_b.cgroups[0].params = {"skip": 64}
+        with pytest.raises(ConfigError, match="params"):
+            scenario_isolation(config_a, config_b)
+
+    def test_one_policy_with_one_param_set_runs_once(self):
+        config_a, config_b = isolation_configs(policy_a="mru")
+        for config in (config_a, config_b):
+            config.cgroups[0].params = {"skip": 4}
+        report = scenario_isolation(config_a, config_b)
+        assert set(report.scenarios) == {"both-default", "both-mru",
+                                         "tailored"}
+        assert len(report.rows) == 6
 
     def test_tenants_do_not_share_pages(self):
         report = scenario_isolation(*isolation_configs())

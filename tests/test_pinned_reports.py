@@ -56,7 +56,7 @@ def isolation_csv():
         cgroups=[CgroupSpec(1, 20 * PAGE, "mru", {"skip": 2})],
         workload=WorkloadSpec("filesearch", {"corpus_files": 3,
                                              "file_pages": 10, "passes": 30}),
-        seed=2, scan_window=32)
+        seed=2, scan_window=64)
     return scenario_isolation(config_a, config_b).to_csv()
 
 

@@ -229,13 +229,13 @@ class ScoredLfu(LfuPolicy):
 
 
 class ScoredGetScan(GetScanPolicy):
-    """GET-SCAN with its get list scored in full every round."""
+    """GET-SCAN with its queue scored in full every round."""
 
     def evict_folios(self, ctx, cg):
         score = self.freq.__getitem__
         cg.list_iterate(self.scan_list, score, self._scan_opts, ctx)
         if ctx.room() > 0:
-            cg.list_iterate(self.get_list, score,
+            cg.list_iterate(self.queue, score,
                             IterOptions(mode=IterMode.SCORE,
                                         scan_limit=self._scan_window), ctx)
 
@@ -251,7 +251,7 @@ def replay_hostile(policy, seed, limit_pages):
 
 
 class TestFrequencyWindow:
-    """The incrementally ranked window of LFU and GET-SCAN's get list."""
+    """The incrementally ranked window of LFU and GET-SCAN's queue."""
 
     @pytest.mark.parametrize("make, make_scored", [
         (LfuPolicy, ScoredLfu),
@@ -682,7 +682,7 @@ class TestGetScan:
         policy, sim = self.make()
         sim.access_page(0, 1, 0, thread=1)
         sim.access_page(0, 1, 1, thread=9)
-        assert policy.cg.list_members(policy.get_list) == [fid_at(sim, 1, 0)]
+        assert policy.cg.list_members(policy.queue) == [fid_at(sim, 1, 0)]
         assert policy.cg.list_members(policy.scan_list) == [fid_at(sim, 1, 1)]
 
     def test_scan_list_drained_first(self):

@@ -725,6 +725,18 @@ class TestIterateScore:
                                IterOptions(mode=IterMode.SCORE, scan_limit=2),
                                ctx)
 
+    @pytest.mark.parametrize("junk", [None, "x"])
+    def test_junk_score_raises_on_a_one_node_window(self, junk):
+        # nothing to compare it with, yet it is no score
+        store, _, fids = make_store(1)
+        lst = store.list_create()
+        store.list_add(lst, fids[0], tail=True)
+        ctx = EvictionContext(1)
+        with pytest.raises(TypeError):
+            store.list_iterate(lst, lambda fid: junk,
+                               IterOptions(mode=IterMode.SCORE), ctx)
+        assert ctx.candidates == []
+
     def test_never_exceeds_request_or_capacity(self):
         _, _, _, ctx, _ = self.run_score(list(range(40)), k=CANDIDATES_MAX)
         assert len(ctx.candidates) == CANDIDATES_MAX
@@ -876,30 +888,46 @@ class TestScoreFloor:
             self.run_floored([2, 1, -1, 3], k=1, floor=0)
 
     def test_score_below_the_floor_is_a_hook_error(self):
-        class BelowFloorPolicy(PolicyHooks):
-            def policy_init(self, cg):
-                self.cg = cg
-                self.queue = cg.list_create()
+        assert_one_round_is_a_hook_error(lambda fid: -1, floor=0)
 
-            def folio_added(self, folio):
-                self.cg.list_add(self.queue, folio.id, tail=True)
+    @pytest.mark.parametrize("junk", [None, "x"])
+    def test_junk_score_without_a_floor_is_a_hook_error(self, junk):
+        # the head scores junk and the other node 1: with no floor there
+        # is no floor hit, so None must not be taken for one
+        scores = iter([junk, 1])
+        assert_one_round_is_a_hook_error(lambda fid: next(scores),
+                                         floor=None)
 
-            def evict_folios(self, ctx, cg):
-                cg.list_iterate(self.queue, lambda fid: -1,
-                                IterOptions(mode=IterMode.SCORE,
-                                            score_floor=0), ctx)
 
-        sim = Simulator()
-        sim.add_cgroup(0, 2)
-        sim.attach_policy(0, BelowFloorPolicy())
-        for page in (0, 1, 2):
-            sim.access_page(0, 1, page)
-        stats = sim.stats(0)
-        assert stats.hook_errors == 1
-        assert stats.evictions_policy == 0
-        assert stats.evictions_fallback == 1
-        assert sim.resident_pages(0) == 2
-        sim.check_invariants()
+def assert_one_round_is_a_hook_error(score, floor):
+    """A cgroup of 2 pages faults a third, and its one eviction round
+    scores the 2-node queue with ``score``; the round must be a hook error
+    that default eviction covers."""
+
+    class ScoringPolicy(PolicyHooks):
+        def policy_init(self, cg):
+            self.cg = cg
+            self.queue = cg.list_create()
+
+        def folio_added(self, folio):
+            self.cg.list_add(self.queue, folio.id, tail=True)
+
+        def evict_folios(self, ctx, cg):
+            cg.list_iterate(self.queue, score,
+                            IterOptions(mode=IterMode.SCORE,
+                                        score_floor=floor), ctx)
+
+    sim = Simulator()
+    sim.add_cgroup(0, 2)
+    sim.attach_policy(0, ScoringPolicy())
+    for page in (0, 1, 2):
+        sim.access_page(0, 1, page)
+    stats = sim.stats(0)
+    assert stats.hook_errors == 1
+    assert stats.evictions_policy == 0
+    assert stats.evictions_fallback == 1
+    assert sim.resident_pages(0) == 2
+    sim.check_invariants()
 
 
 class TestEmptyList:

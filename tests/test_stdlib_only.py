@@ -1,8 +1,8 @@
-"""The package imports nothing outside the standard library.
+"""The package and the tools import nothing outside the standard library.
 
 Some third-party packages happen to be installed where the tests run, so
 an accidental import of one would pass every other test here and break
-the package wherever it is not installed.
+the package, or a tool, wherever it is not installed.
 """
 
 import ast
@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pagecachesim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pagecachesim"
+TOOLS = ROOT / "tools"
 ALLOWED = set(sys.stdlib_module_names) | {"pagecachesim"}
 
 
@@ -25,8 +27,10 @@ def imported_roots(path: Path):
             yield node.lineno, node.module.partition(".")[0]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TOOLS.glob("*.py")),
+    ids=lambda path: path.name if path.parent == PACKAGE
+    else "tools/" + path.name)
 def test_imports_only_the_standard_library(path):
     foreign = ["line %d: %s" % (line, root)
                for line, root in imported_roots(path) if root not in ALLOWED]

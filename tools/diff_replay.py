@@ -10,11 +10,14 @@ package name. Run it from the repository root:
 
     python3 tools/diff_replay.py --base HEAD~1
 
-Each config is one (policy, scan window, cgroup limit, seed). Its trace
-mixes point reads from three threads, 30-page scans from thread 9 (the
-scan thread of ``getscan``), pins and unpins, file removals and limit
-changes, so rounds ask for several candidates, propose pinned folios,
-raise (a window below the request) and fall back to default eviction.
+Each config is one (policy, scan window, cgroup limit, seed). The
+policies are all but ``default`` of this checkout's ``POLICY_NAMES``,
+unless ``--policies`` names some, so a change to code the policies share
+reaches every one of them. A config's trace mixes point reads from three
+threads, 30-page scans from thread 9 (the scan thread of ``getscan``),
+pins and unpins, file removals and limit changes, so rounds ask for
+several candidates, propose pinned folios, raise (a window below the
+request) and fall back to default eviction.
 Every config is replayed with ``record_evictions=True`` on both sides, and
 the eviction log and every ``CgroupStats`` counter must be equal. The
 tool prints each mismatch, then the number of configs and the totals of
@@ -150,13 +153,17 @@ def describe(base: tuple, change: tuple) -> str:
     return "; ".join(parts)
 
 
-def compare(base_src: str, change_src: str, policies, windows=WINDOWS,
+def compare(base_src: str, change_src: str, policies=None, windows=WINDOWS,
             limits=LIMITS, seeds=10, events=EVENTS) -> tuple:
-    """Replay every (policy, window, limit, seed) config in both trees.
+    """Replay every (policy, window, limit, seed) config in both trees;
+    ``policies`` defaults to every policy of the change side's
+    ``POLICY_NAMES`` but "default".
 
     Returns the mismatch lines, the number of configs, and the change
     side's totals of the ``REACHED`` counters."""
     base, change = load_package(base_src), load_package(change_src)
+    if policies is None:
+        policies = [name for name in change.POLICY_NAMES if name != "default"]
     mismatches = []
     totals = dict.fromkeys(REACHED, 0)
     configs = 0
@@ -182,9 +189,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
                         help="git ref of the parent side")
-    parser.add_argument("--policies", default="lfu,getscan",
+    parser.add_argument("--policies",
                         help="comma-separated policy names "
-                             "(default: lfu,getscan)")
+                             "(default: every policy but default)")
     args = parser.parse_args(argv)
     ab_pairs = load_module(os.path.join(ROOT, "tools", "ab_pairs.py"),
                            "ab_pairs")
@@ -192,7 +199,7 @@ def main(argv=None) -> int:
         ab_pairs.unpack(args.base, base_tree)
         mismatches, configs, totals = compare(
             os.path.join(base_tree, "src"), os.path.join(ROOT, "src"),
-            args.policies.split(","))
+            args.policies.split(",") if args.policies else None)
     for line in mismatches:
         print(line)
     print("%d configs, %d mismatches; %s" % (
