@@ -7,7 +7,6 @@ and a replay harness with CSV reporting."""
 from .core import (
     AccessOutcome,
     Folio,
-    InsertTarget,
     PAGE_SIZE,
     PolicyAttachError,
     SimulationError,

@@ -13,9 +13,10 @@ Workload specs look like ``name:key=value,key=value``, e.g.
 are repeatable ``--param key=value`` flags. A value is an int, else a
 float, else a string; ``a+b`` is a list. Each policy class and generator
 checks its own parameters, so a wrong type or range exits 1 with an
-``error:`` line that names the parameter. The report goes to stdout and,
-with ``--out``, to a file the CLI writes. Exit status is 0 on success
-and 1 on any validation or replay error.
+``error:`` line that names the parameter. ``run`` and ``compare`` take
+exactly one of ``--workload`` and ``--trace``. The report goes to stdout
+and, with ``--out``, to a file the CLI writes. Exit status is 0 on
+success, 1 on any validation or replay error and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -72,19 +73,18 @@ def _parse_workload(spec: str) -> WorkloadSpec:
 
 
 def _workload_from_args(args) -> WorkloadSpec:
-    if getattr(args, "trace", None):
+    if args.trace is not None:
         return WorkloadSpec("trace", {"path": args.trace})
-    if getattr(args, "workload", None):
-        return _parse_workload(args.workload)
-    raise ConfigError("one of --workload or --trace is required")
+    return _parse_workload(args.workload)
 
 
 def _add_common(parser):
-    parser.add_argument("--workload",
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workload",
                         help="generator spec, e.g. ycsb-c:keyspace=40960,"
                              "count=100000 (kinds: %s)"
                              % ", ".join(WORKLOAD_KINDS))
-    parser.add_argument("--trace", help="replay a trace CSV instead")
+    source.add_argument("--trace", help="replay a trace CSV instead")
     parser.add_argument("--limit-bytes", type=int, default=16 << 20,
                         help="cgroup memory limit (default 16 MiB)")
     _add_replay(parser)

@@ -55,13 +55,6 @@ class AccessOutcome(Enum):
     MISS = "miss"
 
 
-class InsertTarget(Enum):
-    """Where a newly faulted page is inserted."""
-
-    INACTIVE_TAIL = "inactive_tail"
-    ACTIVE_TAIL = "active_tail"
-
-
 class Folio:
     """Metadata for one resident 4 KiB page."""
 
@@ -301,11 +294,15 @@ class Simulator:
             return AccessOutcome.HIT
 
         stats.misses += 1
-        target = self.refault_check(cg, file, offset)
         fid = self._next_folio_id
         self._next_folio_id += 1
         folio = Folio(fid, file, offset, cgroup_id, write)
-        if target is InsertTarget.ACTIVE_TAIL:
+        # A page evicted recently enough (refault distance at most the
+        # current resident count) goes straight to the active tail; its
+        # shadow entry is consumed either way.
+        evicted_epoch = cg.shadow_table.pop((file, offset), None)
+        if (evicted_epoch is not None
+                and cg.eviction_epoch - evicted_epoch <= cg.resident_pages):
             folio.active = True
             cg.active[fid] = folio
             stats.refault_activations += 1
@@ -324,18 +321,6 @@ class Simulator:
         if cg.resident_pages > cg.limit_pages:
             self._drive(cg)
         return AccessOutcome.MISS
-
-    def refault_check(self, cg: CgroupSim, file, offset) -> InsertTarget:
-        """Decide the insert target for a faulting page, consuming any
-        shadow entry. A page evicted recently enough (refault distance at
-        most the cgroup's current resident count) goes straight to the
-        active tail."""
-        evicted_epoch = cg.shadow_table.pop((file, offset), None)
-        if evicted_epoch is None:
-            return InsertTarget.INACTIVE_TAIL
-        if cg.eviction_epoch - evicted_epoch <= cg.resident_pages:
-            return InsertTarget.ACTIVE_TAIL
-        return InsertTarget.INACTIVE_TAIL
 
     # -- eviction -----------------------------------------------------------
 
@@ -434,10 +419,7 @@ class Simulator:
         ``_forget_folio``), then accounting."""
         cg.eviction_epoch += 1
         shadow = cg.shadow_table
-        key = (folio.file, folio.offset)
-        if key in shadow:
-            shadow.move_to_end(key)
-        shadow[key] = cg.eviction_epoch
+        shadow[(folio.file, folio.offset)] = cg.eviction_epoch
         while len(shadow) > cg.limit_pages:
             shadow.popitem(last=False)
         self._forget_folio(cg, folio, RemovalReason.EVICTED)

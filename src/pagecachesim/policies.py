@@ -82,16 +82,17 @@ class MruPolicy(FifoPolicy):
 _MIN_FREQ = 1
 
 
-class _FrequencyWindow:
-    """The first ``size`` folios of a fault-ordered queue, ranked by
-    access frequency without rescoring them every round.
+class LfuPolicy(PolicyHooks):
+    """Windowed LFU: evict the least-frequently used of the first
+    ``scan_window`` folios in fault order, ties to the earlier folio.
 
-    The queue is two policy lists: ``window`` holds its first folios, at
-    most ``size`` of them, and ``queue``, where the policy adds folios, the
+    The window is ranked without rescoring it every round. The queue is
+    two policy lists: ``window`` holds its first folios, at most
+    ``scan_window`` of them, and ``queue``, where folios are added, the
     rest. Both lists only ever gain folios at their tails, in fault order,
     and folio ids rise in fault order, so id order is list order and the
-    heap of ``(freq, fid)`` entries breaks frequency ties by list position,
-    exactly as a score pass over the first ``size`` folios does.
+    ``heap`` of ``(freq, fid)`` entries breaks frequency ties by list
+    position, exactly as a score pass over the window does.
 
     A round answers from the heap while its top is at ``_MIN_FREQ``, the
     frequency every folio enters at and never falls below: every folio
@@ -99,7 +100,8 @@ class _FrequencyWindow:
     none could displace the top. Only when the top is above the floor, or
     the heap holds no live entry, does the round refill the window from
     the queue's head with one evaluate-mode walk, whose callback pushes
-    each entering folio's entry, and carry on popping. An entering
+    each entering folio's entry, and carry on popping. On a stream of
+    misses that is one walk per ``scan_window`` evictions. An entering
     frequency below the floor breaks that rule and raises ``ValueError``.
 
     Heap entries are refreshed lazily. A folio's frequency only rises
@@ -111,18 +113,20 @@ class _FrequencyWindow:
     rebuilding it from the live frequencies.
     """
 
-    __slots__ = ("queue", "window", "heap", "_freq", "_size", "_admit",
-                 "_opts")
+    name = "lfu"
 
-    def __init__(self, cg: PolicyCgroup, queue: int, freq: dict, size: int):
-        self.queue = queue
+    def __init__(self, scan_window: int = DEFAULT_SCAN_LIMIT):
+        self._scan_window = need_int("scan_window", scan_window)
+
+    def policy_init(self, cg: PolicyCgroup):
+        self.cg = cg
+        self.queue = cg.list_create()
         self.window = cg.list_create()
+        self.freq: dict[int, int] = {}
         self.heap: list[tuple[int, int]] = []
-        self._freq = freq
-        self._size = size
-        self._opts = IterOptions(disposition=Disposition.MOVE_TO_LIST,
-                                 target_list=self.window)
-        heap = self.heap
+        self._admit_opts = IterOptions(disposition=Disposition.MOVE_TO_LIST,
+                                       target_list=self.window)
+        freq, heap = self.freq, self.heap
 
         def admit(fid):
             f = freq[fid]
@@ -134,16 +138,23 @@ class _FrequencyWindow:
 
         self._admit = admit
 
-    def propose(self, ctx, cg: PolicyCgroup) -> None:
+    def folio_added(self, folio):
+        self.cg.list_add(self.queue, folio.id, tail=True)
+        self.freq[folio.id] = _MIN_FREQ
+
+    def folio_accessed(self, folio):
+        self.freq[folio.id] += 1
+
+    def evict_folios(self, ctx, cg):
         """Propose the ``ctx.room()`` lowest-frequency window folios,
         lowest first, ties to the earlier folio."""
-        size = self._size
+        size = self._scan_window
         if size < ctx.nr_candidates_requested:
             # a score pass over the window raises the same
             raise ValueError("scan_window (%d) is below the %d candidates "
                              "requested" % (size, ctx.nr_candidates_requested))
         heap = self.heap
-        freq = self._freq
+        freq = self.freq
         room = ctx.room()
         taken = []
         refilled = False
@@ -169,8 +180,9 @@ class _FrequencyWindow:
                     break
                 free = size - cg.list_length(self.window)
                 if free > 0:
-                    self._opts.scan_limit = free
-                    cg.list_iterate(self.queue, self._admit, self._opts, ctx)
+                    self._admit_opts.scan_limit = free
+                    cg.list_iterate(self.queue, self._admit,
+                                    self._admit_opts, ctx)
                 refilled = True
         finally:
             # Proposed folios stay listed: a pinned one is rejected and
@@ -181,39 +193,6 @@ class _FrequencyWindow:
             if len(heap) > 2 * size:
                 heap[:] = [(freq[fid], fid) for _, fid in heap if fid in freq]
                 heapify(heap)
-
-
-class LfuPolicy(PolicyHooks):
-    """Windowed LFU: evict the least-frequently used of the first
-    ``scan_window`` folios in fault order, ties to the earlier folio.
-
-    The window's ranking is kept incrementally (see ``_FrequencyWindow``).
-    Every folio enters at frequency 1 and only gains, so a round whose
-    lowest window folio is at 1 costs a few heap steps, and only other
-    rounds walk the queue to refill the window. On a stream of misses that
-    is one walk per ``scan_window`` evictions."""
-
-    name = "lfu"
-
-    def __init__(self, scan_window: int = DEFAULT_SCAN_LIMIT):
-        self._scan_window = need_int("scan_window", scan_window)
-
-    def policy_init(self, cg: PolicyCgroup):
-        self.cg = cg
-        self.queue = cg.list_create()
-        self.freq: dict[int, int] = {}
-        self.ranking = _FrequencyWindow(cg, self.queue, self.freq,
-                                        self._scan_window)
-
-    def folio_added(self, folio):
-        self.cg.list_add(self.queue, folio.id, tail=True)
-        self.freq[folio.id] = _MIN_FREQ
-
-    def folio_accessed(self, folio):
-        self.freq[folio.id] += 1
-
-    def evict_folios(self, ctx, cg):
-        self.ranking.propose(ctx, cg)
 
     def folio_removed(self, folio):
         self.freq.pop(folio.id, None)
@@ -319,13 +298,9 @@ class S3FifoPolicy(PolicyHooks):
         self.freq.pop(folio.id, None)
         if self.cg.removal_reason is RemovalReason.EVICTED:
             ghost = self.ghost
-            key = (folio.file, folio.offset)
-            if key in ghost:
-                ghost.move_to_end(key)
-            else:
-                ghost[key] = None
-                if len(ghost) > self._ghost_capacity:
-                    ghost.popitem(last=False)
+            ghost[(folio.file, folio.offset)] = None
+            if len(ghost) > self._ghost_capacity:
+                ghost.popitem(last=False)
 
 
 class LhdPolicy(PolicyHooks):
@@ -521,7 +496,7 @@ class GetScanPolicy(LfuPolicy):
         cg.list_iterate(self.scan_list, self.freq.__getitem__,
                         self._scan_opts, ctx)
         if ctx.room() > 0:
-            self.ranking.propose(ctx, cg)
+            super().evict_folios(ctx, cg)
 
 
 #: Policy table: name -> class. A class's ``__init__`` owns its parameters'

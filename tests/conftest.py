@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import random
+import signal
 
 import pytest
 
@@ -43,6 +44,24 @@ class RecordingPolicy(PolicyHooks):
 @pytest.fixture
 def recording_policy():
     return RecordingPolicy()
+
+
+class Deadline(BaseException):
+    """Raised by the ``deadline`` fixture. Not an ``Exception``, so the
+    core's guard around policy hooks cannot swallow it."""
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test whose loop stops ending."""
+    def expire(signum, frame):
+        raise Deadline("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def load_tool(name):

@@ -1,6 +1,10 @@
 """The summary of tools/ab_pairs.py, the alternating-pairs benchmark
 runner."""
 
+import json
+import os
+import subprocess
+
 import pytest
 
 from conftest import load_tool
@@ -58,3 +62,33 @@ def test_failed_and_crashed_runs_are_counted_per_side():
                                   "setup_s", "peak_rss_mib"])
 def test_directions_come_from_the_benchmark_spec(name):
     assert name in ab_pairs.load_better()
+
+
+def test_each_side_compiles_under_its_own_fresh_pycache(monkeypatch,
+                                                         capsys):
+    """Neither side may load bytecode that an earlier run, or the other
+    side, left behind."""
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/inherited")
+    monkeypatch.setattr(ab_pairs, "unpack", lambda ref, dest: None)
+    prefixes = {}
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        side = "change" if cwd == ab_pairs.ROOT else "base"
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        if side not in prefixes:
+            # fresh: nothing compiled there yet
+            assert not os.path.exists(prefix) or not os.listdir(prefix)
+        prefixes.setdefault(side, set()).add(prefix)
+        line = json.dumps({"attempted": 7, "failed": 0, "metrics": {
+            "pages_per_s.lfu": {"value": 1.0, "unit": "1/s"}}})
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    assert ab_pairs.main(["--base", "HEAD", "--pairs", "2", "--workload",
+                          "ycsb-c-zipf", "--seed", "1", "--seconds",
+                          "1"]) == 0
+    capsys.readouterr()
+    base, change = prefixes["base"], prefixes["change"]
+    # one prefix per side for the whole session, neither inherited
+    assert len(base) == len(change) == 1 and base != change
+    assert "/inherited" not in base | change

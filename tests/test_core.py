@@ -8,7 +8,6 @@ import pytest
 from pagecachesim import (
     AccessOutcome,
     EvictionContext,
-    InsertTarget,
     IterMode,
     IterOptions,
     PolicyAttachError,
@@ -78,16 +77,20 @@ class TestAccessPage:
 
 
 class TestRefaultCheck:
+    """The refault decision on ``access_page``'s miss path."""
+
     def test_no_shadow_entry_goes_inactive(self):
         sim = make_sim(limit_pages=8)
-        cg = sim.cgroup(0)
-        assert sim.refault_check(cg, 1, 0) is InsertTarget.INACTIVE_TAIL
+        assert sim.access_page(0, 1, 0) is MISS
+        assert not sim.find_folio(1, 0).active
+        assert sim.stats(0).refault_activations == 0
 
-    @pytest.mark.parametrize("now,expect", [
-        (150, InsertTarget.ACTIVE_TAIL),     # distance 50 <= resident 100
-        (300, InsertTarget.INACTIVE_TAIL),   # distance 200 > resident 100
+    @pytest.mark.parametrize("now,active", [
+        (150, True),     # distance 50 <= resident 100
+        (200, True),     # distance 100 == resident 100
+        (300, False),    # distance 200 > resident 100
     ])
-    def test_refault_distance_rule(self, now, expect):
+    def test_refault_distance_rule(self, now, active):
         sim = make_sim(limit_pages=512)
         for page in range(100):
             sim.access_page(0, 9, page)
@@ -95,7 +98,9 @@ class TestRefaultCheck:
         assert cg.resident_pages == 100
         cg.shadow_table[(1, 0)] = 100
         cg.eviction_epoch = now
-        assert sim.refault_check(cg, 1, 0) is expect
+        assert sim.access_page(0, 1, 0) is MISS
+        assert sim.find_folio(1, 0).active is active
+        assert sim.stats(0).refault_activations == int(active)
         assert (1, 0) not in cg.shadow_table  # consumed either way
 
     def test_shadow_entry_consumed_even_when_stale(self):
@@ -103,7 +108,8 @@ class TestRefaultCheck:
         cg = sim.cgroup(0)
         cg.shadow_table[(1, 0)] = 1
         cg.eviction_epoch = 1000
-        sim.refault_check(cg, 1, 0)
+        sim.access_page(0, 1, 0)
+        assert not sim.find_folio(1, 0).active
         assert (1, 0) not in cg.shadow_table
 
     def test_quick_refault_activates_on_replay(self):
@@ -402,6 +408,28 @@ class TestDriveEviction:
         assert stats.evictions_fallback == 1
         assert stats.hook_errors >= 1
 
+    @pytest.mark.parametrize("make_policy", [lambda: None, RecordingPolicy],
+                             ids=["default", "policy"])
+    def test_all_pinned_gives_up_over_the_limit(self, deadline, make_policy):
+        sim = make_sim(limit_pages=4, policy=make_policy())
+        for page in range(4):
+            sim.access_page(0, 1, page)
+            sim.pin(1, page)
+        sim.set_limit(0, 2)
+        stats = sim.stats(0)
+        # nothing was evictable, so the driver stopped with all four
+        # resident; the invariant check forgives a cgroup of pinned folios
+        assert sim.resident_pages(0) == 4
+        assert stats.evictions == 0
+        sim.check_invariants()
+        sim.pin(1, 0, False)
+        sim.pin(1, 1, False)
+        assert sim.access_page(0, 1, 4) is MISS
+        # the fault evicts both unpinned folios and its own, down to 2
+        assert sim.resident_pages(0) == 2
+        assert stats.evictions == 3
+        sim.check_invariants()
+
     def test_no_policy_matches_default_evict(self):
         trace = [(1, p) for p in range(8)] + [(1, p) for p in range(4)]
         sim = make_sim(limit_pages=4, record_evictions=True)
@@ -409,6 +437,43 @@ class TestDriveEviction:
             sim.access_page(0, file, page)
         expect, _, _ = two_list_trace(trace, 4)
         assert [(f, o) for _, f, o in sim.eviction_log] == expect
+
+
+class TestHookErrors:
+    """A raising hook is counted against the folio's owner, and the
+    simulation goes on with its structures intact."""
+
+    @pytest.mark.parametrize("hook", ["folio_accessed", "folio_added",
+                                      "folio_removed", "run_deferred"])
+    def test_each_raise_is_counted_and_the_replay_finishes(self, hook):
+        policy = RecordingPolicy()
+        original = getattr(policy, hook)
+        raised = []
+
+        def raising(*args):
+            original(*args)
+            raised.append(args)
+            raise RuntimeError(hook)
+
+        setattr(policy, hook, raising)
+        sim = make_sim(limit_pages=8, policy=policy)
+        events = 0
+        for file, page in random_accesses(random.Random(4), 300, files=3,
+                                          pages_per_file=8):
+            sim.access_page(0, file, page)
+            if page == 7:
+                sim.remove_file(0, file)
+            sim.run_deferred()
+            events += 1
+        sim.check_invariants()
+        stats = sim.stats(0)
+        assert stats.accesses == events
+        assert stats.hook_errors == len(raised) > 0
+        expected = {"folio_accessed": stats.hits,
+                    "folio_added": stats.misses,
+                    "folio_removed": stats.removals,
+                    "run_deferred": events}[hook]
+        assert len(raised) == expected
 
 
 class TestAttachPolicy:

@@ -34,3 +34,31 @@ def test_a_planted_difference_is_reported(tmp_path):
     assert mismatches
     assert {line.split()[1] for line in mismatches} == {"lfu", "getscan"}
     assert "eviction logs differ" in mismatches[0]
+
+
+def test_default_replays_at_one_window():
+    mismatches, configs, totals = diff_replay.compare(
+        SRC, SRC, None, **BUDGET)
+    assert mismatches == []
+    # per seed: six policies at both windows, and default, which takes
+    # none, at one
+    assert configs == 2 * (6 * 2 + 1)
+    # every run replayed rather than raising: a raise reaches no counter
+    assert totals["evictions_fallback"] > 0
+
+
+def test_a_planted_default_path_difference_is_reported(tmp_path):
+    shutil.copytree(os.path.join(SRC, "pagecachesim"),
+                    tmp_path / "pagecachesim")
+    core = tmp_path / "pagecachesim" / "core.py"
+    text = core.read_text()
+    rule = "cg.eviction_epoch - evicted_epoch <= cg.resident_pages"
+    assert rule in text
+    # the refault rule no longer activates at a distance equal to the
+    # resident count
+    core.write_text(text.replace(rule, rule.replace("<=", "<"), 1))
+    mismatches, configs, _ = diff_replay.compare(
+        SRC, str(tmp_path), ["default"], **BUDGET)
+    assert configs == 2
+    assert mismatches
+    assert {line.split()[1] for line in mismatches} == {"default"}

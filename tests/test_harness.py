@@ -635,6 +635,23 @@ class TestCli:
         assert {opt for action in sub.choices[command]._actions
                 for opt in action.option_strings} == options
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("source", [
+        [],
+        ["--workload", "ycsb-c:keyspace=100,count=500",
+         "--trace", "missing.csv"],
+    ], ids=["neither", "both"])
+    def test_workload_and_trace_are_one_required_choice(self, capsys,
+                                                        command, source):
+        argv = [command, *source, "--limit-bytes", str(8 * 4096),
+                "--policy", "fifo"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--workload" in err and "--trace" in err
+
     def test_trace_path_is_never_a_file_descriptor(self, capsys):
         """``trace:path=0`` is an error; standard input stays open, unread."""
         header = b"seq,op,file,offset,len,thread,cgroup\n"

@@ -208,7 +208,7 @@ class TestLfu:
                 sim.access_page(0, 1, rng.randrange(n))
             k = rng.randrange(1, 9)
             cg = policy.cg
-            members = (cg.list_members(policy.ranking.window)
+            members = (cg.list_members(policy.window)
                        + cg.list_members(policy.queue))
             # fault order: the window's ranking breaks ties by folio id
             assert members == sorted(members)
@@ -290,7 +290,7 @@ class TestFrequencyWindow:
         rng = random.Random(3)
         policy = LfuPolicy(scan_window=8)
         sim = make_sim(limit_pages=32, policy=policy)
-        heap = policy.ranking.heap
+        heap = policy.heap
         longest = 0
         for _ in range(3000):
             if rng.random() < 0.05:
@@ -334,6 +334,27 @@ class TestFrequencyWindow:
         assert ([(f, o) for _, f, o in sim.eviction_log]
                 == [(1, 0), (1, 1), (1, 4)])
         assert sim.stats(0).evictions_fallback == 0
+        sim.check_invariants()
+
+    @pytest.mark.parametrize("make", [
+        LfuPolicy, lambda: GetScanPolicy(scan_threads=(9,))],
+        ids=["lfu", "getscan"])
+    def test_round_ends_when_the_queue_runs_dry(self, deadline, make):
+        # attached to a cgroup that already holds six folios, the policy
+        # knows only the two added after it, so a round asking for four
+        # proposes those two and leaves the rest to fallback eviction
+        sim = make_sim(limit_pages=8, record_evictions=True)
+        insert_pages(sim, 6)
+        policy = make()
+        sim.attach_policy(0, policy)
+        insert_pages(sim, 2, file=2)
+        sim.set_limit(0, 4)
+        stats = sim.stats(0)
+        assert (stats.hook_errors, stats.evictions_policy,
+                stats.evictions_fallback) == (0, 2, 2)
+        assert ([(f, o) for _, f, o in sim.eviction_log]
+                == [(2, 0), (2, 1), (1, 0), (1, 1)])
+        assert policy.freq == {}
         sim.check_invariants()
 
     def test_frequency_below_the_floor_is_a_hook_error(self):

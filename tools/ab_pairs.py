@@ -5,8 +5,11 @@ Unpacks a base git ref with ``git archive`` into a temporary directory (the
 repository's ``.git`` is only read), then runs ``perfbench/run.py`` there
 and in this checkout, one after the other, for N pairs. Pair i uses seed
 ``--seed + i`` on both sides, and the side that runs first alternates, so
-a slow spell of the host does not always fall on the same side. Run it
-from the repository root:
+a slow spell of the host does not always fall on the same side. Each
+side writes and reads its bytecode under its own fresh
+``PYTHONPYCACHEPREFIX`` directory, so neither side loads ``.pyc`` files
+that an earlier run left in its tree and both compile the same way. Run
+it from the repository root:
 
     python3 tools/ab_pairs.py --base HEAD~1 --pairs 10 \\
         --workload ycsb-c-zipf --seed 11 --seconds 40
@@ -44,14 +47,16 @@ def unpack(ref: str, dest: str) -> None:
     os.remove(archive)
 
 
-def bench(tree: str, workload: str, seed: int, seconds: float,
+def bench(tree: str, pycache: str, workload: str, seed: int, seconds: float,
           trace: int) -> dict | None:
-    """One ``perfbench/run.py`` run in ``tree``: its result object, with
-    metric names prefixed by their workload, or None if it crashed."""
+    """One ``perfbench/run.py`` run in ``tree``, with ``pycache`` as its
+    ``PYTHONPYCACHEPREFIX``: its result object, with metric names prefixed
+    by their workload, or None if it crashed."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True,
+                          env=dict(os.environ, PYTHONPYCACHEPREFIX=pycache),
                           check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -166,7 +171,8 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     better = load_better()
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="ab-base-") as base_tree:
+    with tempfile.TemporaryDirectory(prefix="ab-base-") as base_tree, \
+            tempfile.TemporaryDirectory(prefix="ab-pycache-") as pycache:
         unpack(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
         for i in range(args.pairs):
@@ -174,8 +180,10 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             result = {}
             for side in order:
-                result[side] = bench(trees[side], args.workload, seed,
-                                     args.seconds, args.trace)
+                result[side] = bench(trees[side],
+                                     os.path.join(pycache, side),
+                                     args.workload, seed, args.seconds,
+                                     args.trace)
                 print("pair %d seed %d %s first: %s %s"
                       % (i + 1, seed, order[0], side,
                          "crashed" if result[side] is None else "done"),

@@ -11,13 +11,14 @@ package name. Run it from the repository root:
     python3 tools/diff_replay.py --base HEAD~1
 
 Each config is one (policy, scan window, cgroup limit, seed). The
-policies are all but ``default`` of this checkout's ``POLICY_NAMES``,
-unless ``--policies`` names some, so a change to code the policies share
-reaches every one of them. A config's trace mixes point reads from three
-threads, 30-page scans from thread 9 (the scan thread of ``getscan``),
-pins and unpins, file removals and limit changes, so rounds ask for
-several candidates, propose pinned folios, raise (a window below the
-request) and fall back to default eviction.
+policies are all of this checkout's ``POLICY_NAMES``, unless
+``--policies`` names some, so a change to code the policies share
+reaches every one of them; ``default`` attaches no policy and takes no
+window, so it is replayed at the first window only. A config's trace
+mixes point reads from three threads, 30-page scans from thread 9 (the
+scan thread of ``getscan``), pins and unpins, file removals and limit
+changes, so rounds ask for several candidates, propose pinned folios,
+raise (a window below the request) and fall back to default eviction.
 Every config is replayed with ``record_evictions=True`` on both sides, and
 the eviction log and every ``CgroupStats`` counter must be equal. The
 tool prints each mismatch, then the number of configs and the totals of
@@ -102,12 +103,15 @@ def hostile_ops(seed: int, limit: int, events: int = EVENTS) -> list[tuple]:
 
 def replay(package, make_policy, limit: int, ops) -> tuple:
     """Run ``ops`` on cgroup 0 of ``package``'s simulator under the policy
-    ``make_policy()`` builds. Returns the eviction log and every stats
-    counter, or the repr of an exception that escaped."""
+    ``make_policy()`` builds, or under none if it builds None. Returns
+    the eviction log and every stats counter, or the repr of an exception
+    that escaped."""
     try:
         sim = package.Simulator(record_evictions=True)
         sim.add_cgroup(0, limit)
-        sim.attach_policy(0, make_policy())
+        policy = make_policy()
+        if policy is not None:
+            sim.attach_policy(0, policy)
         for op in ops:
             kind = op[0]
             if kind == "read":
@@ -157,20 +161,22 @@ def compare(base_src: str, change_src: str, policies=None, windows=WINDOWS,
             limits=LIMITS, seeds=10, events=EVENTS) -> tuple:
     """Replay every (policy, window, limit, seed) config in both trees;
     ``policies`` defaults to every policy of the change side's
-    ``POLICY_NAMES`` but "default".
+    ``POLICY_NAMES``, and "default" runs at the first window only.
 
     Returns the mismatch lines, the number of configs, and the change
     side's totals of the ``REACHED`` counters."""
     base, change = load_package(base_src), load_package(change_src)
     if policies is None:
-        policies = [name for name in change.POLICY_NAMES if name != "default"]
+        policies = change.POLICY_NAMES
+    runs = [(policy, window) for policy in policies
+            for window in (windows[:1] if policy == "default" else windows)]
     mismatches = []
     totals = dict.fromkeys(REACHED, 0)
     configs = 0
     for limit in limits:
         for seed in range(seeds):
             ops = hostile_ops(seed, limit, events)
-            for policy, window in itertools.product(policies, windows):
+            for policy, window in runs:
                 configs += 1
                 got = [replay(tree, functools.partial(
                            tree.make_policy, policy, PARAMS.get(policy),
@@ -191,7 +197,7 @@ def main(argv=None) -> int:
                         help="git ref of the parent side")
     parser.add_argument("--policies",
                         help="comma-separated policy names "
-                             "(default: every policy but default)")
+                             "(default: every policy)")
     args = parser.parse_args(argv)
     ab_pairs = load_module(os.path.join(ROOT, "tools", "ab_pairs.py"),
                            "ab_pairs")
