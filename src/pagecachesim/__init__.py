@@ -5,7 +5,6 @@ validation, six ready-made policies, deterministic workload generators,
 and a replay harness with CSV reporting."""
 
 from .core import (
-    AccessOutcome,
     Folio,
     PAGE_SIZE,
     PolicyAttachError,
@@ -54,12 +53,12 @@ from .workloads import (
     Op,
     TraceEvent,
     TraceFormatError,
-    ZipfianSampler,
     gen_filesearch,
     gen_getscan,
     gen_ycsb,
     parse_trace,
     write_trace,
+    zipf_cdf,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ one isolated event loop, and independent instances share no state.
 from __future__ import annotations
 
 from collections import OrderedDict
-from enum import Enum
 from itertools import islice
 
 from .policy_api import (
@@ -48,11 +47,6 @@ class UnknownCgroupError(SimulationError):
 
 class PolicyAttachError(SimulationError):
     """A policy could not be attached to a cgroup."""
-
-
-class AccessOutcome(Enum):
-    HIT = "hit"
-    MISS = "miss"
 
 
 class Folio:
@@ -144,6 +138,13 @@ def _proposed_before(proposed, i, fid) -> bool:
     return False
 
 
+def _check_limit(cgroup_id, limit_pages) -> None:
+    if (not isinstance(limit_pages, int) or isinstance(limit_pages, bool)
+            or limit_pages < 1):
+        raise SimulationError("cgroup %r needs a positive int page limit, "
+                              "got %r" % (cgroup_id, limit_pages))
+
+
 def _does_deferred_work(policy) -> bool:
     """False only for a policy whose ``run_deferred`` is the no-op that
     ``PolicyHooks`` defines, inherited and not shadowed on the instance."""
@@ -175,15 +176,13 @@ class Simulator:
     def add_cgroup(self, cgroup_id: int, limit_pages: int) -> CgroupSim:
         if cgroup_id in self._cgroups:
             raise SimulationError("cgroup %r already exists" % cgroup_id)
-        if limit_pages < 1:
-            raise SimulationError("cgroup %r needs a positive page limit"
-                                  % cgroup_id)
+        _check_limit(cgroup_id, limit_pages)
         cg = CgroupSim(cgroup_id, limit_pages)
         self._cgroups[cgroup_id] = cg
         return cg
 
     def attach_policy(self, cgroup_id: int, policy: PolicyHooks) -> None:
-        cg = self._cgroup(cgroup_id)
+        cg = self.cgroup(cgroup_id)
         if cg.policy is not None:
             raise PolicyAttachError("cgroup %r already has policy %r"
                                     % (cgroup_id, cg.policy.name))
@@ -205,10 +204,8 @@ class Simulator:
     def set_limit(self, cgroup_id: int, limit_pages: int) -> None:
         """Resize a cgroup. Shrinking evicts immediately to fit, and drops
         the oldest shadow entries beyond the new limit."""
-        cg = self._cgroup(cgroup_id)
-        if limit_pages < 1:
-            raise SimulationError("cgroup %r needs a positive page limit"
-                                  % cgroup_id)
+        cg = self.cgroup(cgroup_id)
+        _check_limit(cgroup_id, limit_pages)
         cg.limit_pages = limit_pages
         shadow = cg.shadow_table
         while len(shadow) > limit_pages:
@@ -222,13 +219,16 @@ class Simulator:
         return list(self._cgroups)
 
     def stats(self, cgroup_id: int) -> CgroupStats:
-        return self._cgroup(cgroup_id).stats
+        return self.cgroup(cgroup_id).stats
 
     def resident_pages(self, cgroup_id: int) -> int:
-        return self._cgroup(cgroup_id).resident_pages
+        return self.cgroup(cgroup_id).resident_pages
 
     def cgroup(self, cgroup_id: int) -> CgroupSim:
-        return self._cgroup(cgroup_id)
+        cg = self._cgroups.get(cgroup_id)
+        if cg is None:
+            raise UnknownCgroupError("unknown cgroup %r" % cgroup_id)
+        return cg
 
     def folio(self, folio_id: int) -> Folio | None:
         for cg in self._cgroups.values():
@@ -248,16 +248,10 @@ class Simulator:
                                   % (file, offset))
         folio.pinned = pinned
 
-    def _cgroup(self, cgroup_id) -> CgroupSim:
-        cg = self._cgroups.get(cgroup_id)
-        if cg is None:
-            raise UnknownCgroupError("unknown cgroup %r" % cgroup_id)
-        return cg
-
     # -- the access path ----------------------------------------------------
 
     def access_page(self, cgroup_id, file, offset, write=False, thread=0):
-        """One page access. Returns HIT or MISS.
+        """One page access. Returns True on a hit and False on a miss.
 
         A hit marks the folio referenced; under the default policy a
         referenced inactive folio is promoted to the active tail on its next
@@ -291,7 +285,7 @@ class Simulator:
                     policy.folio_accessed(folio)
                 except Exception:
                     owner.stats.hook_errors += 1
-            return AccessOutcome.HIT
+            return True
 
         stats.misses += 1
         fid = self._next_folio_id
@@ -320,7 +314,7 @@ class Simulator:
                 stats.hook_errors += 1
         if cg.resident_pages > cg.limit_pages:
             self._drive(cg)
-        return AccessOutcome.MISS
+        return False
 
     # -- eviction -----------------------------------------------------------
 
@@ -386,7 +380,7 @@ class Simulator:
         evicted, which falls short of ``needed`` only when every remaining
         resident folio is pinned.
         """
-        cg = self._cgroup(cgroup_id)
+        cg = self.cgroup(cgroup_id)
         if needed < 1:
             raise SimulationError("needed must be >= 1")
         active, inactive = cg.active, cg.inactive
@@ -463,7 +457,7 @@ class Simulator:
         """Drop every resident folio of a file, bypassing eviction: no
         shadow entries are written and pinned folios go too. Returns the
         number of folios dropped across all owning cgroups."""
-        self._cgroup(cgroup_id)  # validate the caller
+        self.cgroup(cgroup_id)  # validate the caller
         pages = self._pages.get(file)
         if not pages:
             return 0

@@ -23,7 +23,7 @@ import io
 from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import partial
 
-from .core import PAGE_SIZE, AccessOutcome, Simulator
+from .core import PAGE_SIZE, Simulator
 from .policies import make_policy
 from .policy_api import CANDIDATES_MAX, DEFAULT_SCAN_LIMIT
 from .workloads import (
@@ -223,7 +223,6 @@ def replay(sim: Simulator, events) -> dict:
     must not otherwise rebind it between events, or every later access
     runs through the rebinding."""
     tallies: dict = {}  # (cgroup, op value) -> [accesses, hits]
-    hit = AccessOutcome.HIT
     delete, write_op = Op.DELETE, Op.WRITE
     deferred = sim.has_deferred_work
     for ev in events:
@@ -240,16 +239,15 @@ def replay(sim: Simulator, events) -> dict:
                 if first == last:
                     accesses = 1
                     hits = sim.access_page(cgroup, ev.file, first, write,
-                                           ev.thread) is hit
+                                           ev.thread)
                 else:
                     file, thread = ev.file, ev.thread
                     pages = range(first, last + 1)
                     accesses = len(pages)
                     hits = 0
                     for page in pages:
-                        if sim.access_page(cgroup, file, page, write,
-                                           thread) is hit:
-                            hits += 1
+                        hits += sim.access_page(cgroup, file, page, write,
+                                                thread)
                 key = (cgroup, op._value_)
                 t = tallies.get(key)
                 if t is None:

@@ -283,8 +283,6 @@ class S3FifoPolicy(PolicyHooks):
     def evict_folios(self, ctx, cg):
         small_len = cg.list_length(self.small)
         total = small_len + cg.list_length(self.main)
-        if total == 0:
-            return
         if small_len > self.small_fraction * total:
             cg.list_iterate(self.small, self._judge_small, self._small_opts,
                             ctx)

@@ -62,32 +62,6 @@ class TraceFormatError(ValueError):
     """A trace file line could not be parsed."""
 
 
-class ZipfianSampler:
-    """Sample ranks 0..keyspace-1 with probability proportional to
-    1/(rank+1)**theta. theta=0 degenerates to the uniform distribution."""
-
-    def __init__(self, keyspace: int, theta: float = 0.99):
-        _check_zipfian(keyspace, theta)
-        self.keyspace = keyspace
-        self.theta = theta
-        cumulative = []
-        total = 0.0
-        for rank in range(1, keyspace + 1):
-            total += 1.0 / rank ** theta
-            cumulative.append(total)
-        self._cumulative = cumulative
-        self._total = total
-
-    def sample(self, rng: random.Random) -> int:
-        u = rng.random() * self._total
-        return bisect_right(self._cumulative, u)
-
-    def probability(self, rank: int) -> float:
-        """Exact sampling probability of rank (0-based)."""
-        weight = 1.0 / (rank + 1) ** self.theta
-        return weight / self._total
-
-
 def need_int(name: str, value, minimum: int | None = 1) -> int:
     """Return ``value`` if it is an int (a bool is not) of at least
     ``minimum`` (any int if None); otherwise raise TypeError or ValueError
@@ -114,11 +88,24 @@ def thread_ids(name: str, value) -> tuple:
 
 
 def _check_zipfian(keyspace: int, theta: float, name="keyspace") -> None:
-    """Raise what building a ZipfianSampler would raise for these
-    parameters, without building its table."""
+    """Raise what ``zipf_cdf`` would raise for these parameters, without
+    building its table."""
     need_int(name, keyspace)
     if not need_real("theta", theta) >= 0:  # NaN too
         raise ValueError("theta must be >= 0")
+
+
+def zipf_cdf(keyspace: int, theta: float = 0.99) -> list:
+    """Cumulative weights of ranks 0..keyspace-1, rank r weighing
+    1/(r+1)**theta; theta=0 is the uniform distribution. A rank is drawn as
+    ``bisect_right(cdf, rng.random() * cdf[-1])``."""
+    _check_zipfian(keyspace, theta)
+    cdf = []
+    total = 0.0
+    for rank in range(1, keyspace + 1):
+        total += 1.0 / rank ** theta
+        cdf.append(total)
+    return cdf
 
 
 YCSB_VARIANTS = ("A", "C", "Uniform", "UniformRW")
@@ -138,9 +125,8 @@ def gen_ycsb(variant: str, keyspace: int, count: int, seed: int,
     Every parameter but ``seed`` is checked here, ``theta`` for every
     variant, so ``ScenarioConfig.validate`` reports them. The Zipfian table
     is built on the first read, so a stream that is never read costs
-    nothing. Each key is drawn in the generator's own frame with the same
-    ``rng`` call as ``ZipfianSampler.sample``, and slotted as
-    ``DEFAULT_KEYS_PER_FILE`` describes.
+    nothing. Each key is drawn in the generator's own frame from the
+    ``zipf_cdf`` table, and slotted as ``DEFAULT_KEYS_PER_FILE`` describes.
     """
     if variant not in YCSB_VARIANTS:
         raise ValueError("unknown YCSB variant %r (expected one of %s)"
@@ -158,8 +144,8 @@ def gen_ycsb(variant: str, keyspace: int, count: int, seed: int,
         rng = random.Random(seed)
         rand = rng.random
         if zipfian:
-            sampler = ZipfianSampler(keyspace, theta)
-            cumulative, total = sampler._cumulative, sampler._total
+            cumulative = zipf_cdf(keyspace, theta)
+            total = cumulative[-1]
         read, write = Op.READ, Op.WRITE
         for seq in range(count):
             if zipfian:
@@ -246,8 +232,8 @@ def gen_getscan(count: int, get_keyspace: int,
         rng = random.Random(seed)
         rand, choice = rng.random, rng.choice
         # Gets are drawn as in gen_ycsb, from a table built on first read.
-        sampler = ZipfianSampler(get_keyspace, theta)
-        cumulative, total = sampler._cumulative, sampler._total
+        cumulative = zipf_cdf(get_keyspace, theta)
+        total = cumulative[-1]
         slot = 0
         for seq in range(count):
             if rand() < scan_fraction:
@@ -310,7 +296,8 @@ def parse_trace(path) -> Iterator[TraceEvent]:
     """Stream events from a trace CSV, in constant memory. Raises
     TraceFormatError naming the offending line and field on malformed
     input. The header is checked eagerly; the stream reopens the file when
-    first read, so a stream that is never read holds no open file.
+    first read, so a stream that is never read holds no open file. The
+    file is read as UTF-8, with or without a byte-order mark.
 
     Each row is parsed in one pass: unpack the seven fields, look the op
     up by its exact name, convert the integers, and run one combined check
@@ -320,7 +307,7 @@ def parse_trace(path) -> Iterator[TraceEvent]:
     reports first. ``path`` is a path, never a file descriptor."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise TypeError("path must be a str or os.PathLike, got %r" % (path,))
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = next(csv.reader([fh.readline()]), None)
     if header is None or tuple(h.strip() for h in header) != TRACE_HEADER:
         raise TraceFormatError(
@@ -328,7 +315,7 @@ def parse_trace(path) -> Iterator[TraceEvent]:
 
     def events():
         ops, delete = _OPS_BY_NAME, Op.DELETE
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             fh.readline()
             for lineno, row in enumerate(csv.reader(fh), start=2):
                 try:

@@ -9,7 +9,6 @@ import random
 import time
 
 from pagecachesim import (
-    AccessOutcome,
     CgroupSpec,
     EvictionContext,
     FifoPolicy,
@@ -61,7 +60,7 @@ def test_c01_default_policy_matches_independent_reimplementation():
         sim = make_sim(limit_pages=limit, record_evictions=True)
         hits = 0
         for file, page in accesses:
-            if sim.access_page(0, file, page) is AccessOutcome.HIT:
+            if sim.access_page(0, file, page):
                 hits += 1
         expect_evictions, expect_hits, expect_resident = two_list_trace(
             accesses, limit)
@@ -209,7 +208,7 @@ def test_c06_s3fifo_filters_one_hit_wonders():
         hits = 0
         ever_main = set()
         for file, page in trace:
-            if sim.access_page(0, file, page) is AccessOutcome.HIT:
+            if sim.access_page(0, file, page):
                 hits += 1
             elif track_main:
                 # promotions only happen on miss-driven eviction rounds

@@ -6,27 +6,24 @@ import random
 import pytest
 
 from pagecachesim import (
-    AccessOutcome,
     EvictionContext,
     IterMode,
     IterOptions,
     PolicyAttachError,
     PolicyHooks,
     RemovalReason,
+    SimulationError,
     Simulator,
     UnknownCgroupError,
 )
 from conftest import RecordingPolicy, make_sim, random_accesses
 from reference_twolist import two_list_trace
 
-HIT = AccessOutcome.HIT
-MISS = AccessOutcome.MISS
-
 
 class TestAccessPage:
     def test_cold_start_miss_lands_on_inactive_tail(self):
         sim = make_sim(limit_pages=8)
-        assert sim.access_page(0, 1, 0) is MISS
+        assert sim.access_page(0, 1, 0) is False
         folio = sim.find_folio(1, 0)
         assert folio is not None and not folio.active
         cg = sim.cgroup(0)
@@ -36,10 +33,10 @@ class TestAccessPage:
     def test_second_access_promotes_to_active(self):
         sim = make_sim(limit_pages=8)
         sim.access_page(0, 1, 0)
-        assert sim.access_page(0, 1, 0) is HIT
+        assert sim.access_page(0, 1, 0) is True
         folio = sim.find_folio(1, 0)
         assert folio.referenced and not folio.active
-        assert sim.access_page(0, 1, 0) is HIT
+        assert sim.access_page(0, 1, 0) is True
         assert folio.active
         assert list(sim.cgroup(0).active) == [folio.id]
 
@@ -59,7 +56,7 @@ class TestAccessPage:
         sim.add_cgroup(1, 8)   # B
         sim.attach_policy(1, recording_policy)
         sim.access_page(1, 5, 3)
-        assert sim.access_page(0, 5, 3) is HIT
+        assert sim.access_page(0, 5, 3) is True
         assert sim.resident_pages(0) == 0
         assert sim.resident_pages(1) == 1
         assert recording_policy.of_kind("accessed") == [sim.find_folio(5, 3).id]
@@ -81,7 +78,7 @@ class TestRefaultCheck:
 
     def test_no_shadow_entry_goes_inactive(self):
         sim = make_sim(limit_pages=8)
-        assert sim.access_page(0, 1, 0) is MISS
+        assert sim.access_page(0, 1, 0) is False
         assert not sim.find_folio(1, 0).active
         assert sim.stats(0).refault_activations == 0
 
@@ -98,7 +95,7 @@ class TestRefaultCheck:
         assert cg.resident_pages == 100
         cg.shadow_table[(1, 0)] = 100
         cg.eviction_epoch = now
-        assert sim.access_page(0, 1, 0) is MISS
+        assert sim.access_page(0, 1, 0) is False
         assert sim.find_folio(1, 0).active is active
         assert sim.stats(0).refault_activations == int(active)
         assert (1, 0) not in cg.shadow_table  # consumed either way
@@ -117,7 +114,7 @@ class TestRefaultCheck:
         for page in (0, 1, 2):
             sim.access_page(0, 1, page)
         # page 0 was evicted; distance 0 <= resident 2, so straight to active
-        assert sim.access_page(0, 1, 0) is MISS
+        assert sim.access_page(0, 1, 0) is False
         assert sim.find_folio(1, 0).active
         assert sim.stats(0).refault_activations == 1
 
@@ -424,7 +421,7 @@ class TestDriveEviction:
         sim.check_invariants()
         sim.pin(1, 0, False)
         sim.pin(1, 1, False)
-        assert sim.access_page(0, 1, 4) is MISS
+        assert sim.access_page(0, 1, 4) is False
         # the fault evicts both unpinned folios and its own, down to 2
         assert sim.resident_pages(0) == 2
         assert stats.evictions == 3
@@ -631,7 +628,7 @@ class TestInvariants:
             sim = make_sim(limit_pages=limit, record_evictions=True)
             hits = 0
             for file, page in accesses:
-                if sim.access_page(0, file, page) is HIT:
+                if sim.access_page(0, file, page):
                     hits += 1
             expect_evictions, expect_hits, expect_resident = two_list_trace(
                 accesses, limit)
@@ -732,11 +729,78 @@ class TestInvariantChecks:
         with pytest.raises(AssertionError, match="over limit"):
             sim.check_invariants()
 
+    def test_inactive_folio_on_the_active_list(self):
+        sim, _ = corruptible_sim()
+        cg = sim.cgroup(0)
+        folio = sim.find_folio(1, 5)
+        del cg.inactive[folio.id]
+        cg.active[folio.id] = folio
+        with pytest.raises(AssertionError,
+                           match="inactive folio on active list"):
+            sim.check_invariants()
+
     def test_over_limit_with_a_pinned_folio_passes(self):
         sim, _ = corruptible_sim()
         sim.pin(1, 5)
         sim.cgroup(0).limit_pages = 2
         sim.check_invariants()
+
+
+class TestMisuse:
+    """Configuration and driving errors raise ``SimulationError`` and leave
+    the simulator as it was."""
+
+    def test_duplicate_cgroup(self):
+        sim = make_sim(limit_pages=8)
+        with pytest.raises(SimulationError, match="cgroup 0 already exists"):
+            sim.add_cgroup(0, 16)
+        assert sim.cgroup(0).limit_pages == 8
+
+    @pytest.mark.parametrize("limit", [2.5, True, "8", 0])
+    @pytest.mark.parametrize("method", ["add_cgroup", "set_limit"])
+    def test_limit_must_be_an_int_of_at_least_one(self, method, limit):
+        sim = make_sim(limit_pages=8)
+        cgroup = 1 if method == "add_cgroup" else 0
+        with pytest.raises(SimulationError, match="positive int page limit"):
+            getattr(sim, method)(cgroup, limit)
+        assert sim.cgroup_ids() == [0]
+        assert sim.cgroup(0).limit_pages == 8
+
+    def test_second_policy(self):
+        sim = make_sim(limit_pages=8, policy=RecordingPolicy())
+        first = sim.cgroup(0).policy
+        with pytest.raises(PolicyAttachError, match="already has policy"):
+            sim.attach_policy(0, RecordingPolicy())
+        assert sim.cgroup(0).policy is first
+
+    @pytest.mark.parametrize("name", ["", "x" * 33, None])
+    def test_bad_policy_name(self, name):
+        policy = RecordingPolicy()
+        policy.name = name
+        sim = make_sim(limit_pages=8)
+        with pytest.raises(PolicyAttachError, match="policy name must be"):
+            sim.attach_policy(0, policy)
+        assert policy.calls == []
+        assert sim.cgroup(0).policy is None
+
+    def test_pin_a_page_that_is_not_resident(self):
+        sim = make_sim(limit_pages=8)
+        with pytest.raises(SimulationError,
+                           match=r"no resident folio at \(1, 0\)"):
+            sim.pin(1, 0)
+
+    @pytest.mark.parametrize("method", ["cgroup", "stats", "resident_pages"])
+    def test_unknown_cgroup_id(self, method):
+        sim = make_sim(limit_pages=8)
+        with pytest.raises(UnknownCgroupError, match="unknown cgroup 7"):
+            getattr(sim, method)(7)
+
+    def test_default_evict_needs_at_least_one(self):
+        sim = make_sim(limit_pages=8)
+        sim.access_page(0, 1, 0)
+        with pytest.raises(SimulationError, match="needed must be >= 1"):
+            sim.default_evict(0, 0)
+        assert sim.resident_pages(0) == 1
 
 
 class TestEvictionContext:

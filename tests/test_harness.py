@@ -8,16 +8,17 @@ import warnings
 import pytest
 
 from pagecachesim import (
-    AccessOutcome,
     CgroupSpec,
     ConfigError,
     FifoPolicy,
     LhdPolicy,
     Op,
     PolicyHooks,
+    ReplayError,
     ScenarioConfig,
     Simulator,
     TraceEvent,
+    UnknownCgroupError,
     WorkloadSpec,
     build_events,
     compare,
@@ -27,7 +28,11 @@ from pagecachesim import (
     write_trace,
 )
 from pagecachesim.cli import _build_parser, main as cli_main
-from pagecachesim.harness import CSV_COLUMNS, merge_streams
+from pagecachesim.harness import (
+    CSV_COLUMNS,
+    _check_conservation,
+    merge_streams,
+)
 
 
 def small_config(**overrides):
@@ -61,6 +66,10 @@ class TestValidation:
         assert "bogus" in text
         assert "duplicate id" in text
         assert "workload" in text
+
+    def test_workload_is_required(self):
+        assert small_config(workload=None).validate() == [
+            "a workload is required"]
 
     def test_unknown_policy_param_caught(self):
         config = small_config(
@@ -229,10 +238,9 @@ def reference_replay(sim, events):
         else:
             t = tallies.setdefault((ev.cgroup, ev.op), [0, 0])
             for page in ev.page_range():
-                outcome = sim.access_page(ev.cgroup, ev.file, page,
-                                          ev.op is Op.WRITE, ev.thread)
                 t[0] += 1
-                t[1] += outcome is AccessOutcome.HIT
+                t[1] += sim.access_page(ev.cgroup, ev.file, page,
+                                        ev.op is Op.WRITE, ev.thread)
         sim.run_deferred()
     return tallies
 
@@ -338,11 +346,59 @@ class TestReplay:
         assert called == []
         assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
 
+    def test_failing_event_is_named_by_its_seq(self):
+        events = mixed_events(40)
+        events[25] = TraceEvent(25, Op.READ, 9, 0, 0, 4096, 0)
+        sim = two_cgroup_sim()
+        with pytest.raises(ReplayError,
+                           match=r"^event seq 25 failed: unknown cgroup 9$"
+                           ) as info:
+            replay(sim, events)
+        assert isinstance(info.value.__cause__, UnknownCgroupError)
+
     def test_base_class_policy_has_no_deferred_work(self):
         sim = two_cgroup_sim(PolicyHooks)
         assert not sim.has_deferred_work
         replay(sim, mixed_events())
         assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
+
+
+class TestConservationCheck:
+    """``_check_conservation`` catches each identity a skewed counter
+    breaks."""
+
+    @pytest.fixture
+    def replayed(self):
+        sim = two_cgroup_sim(FifoPolicy)
+        tallies = replay(sim, mixed_events())
+        for cgroup in (0, 1):
+            _check_conservation(sim, cgroup, tallies)
+        return sim, tallies
+
+    def test_hits_plus_misses(self, replayed):
+        sim, tallies = replayed
+        sim.stats(1).hits += 1
+        _check_conservation(sim, 0, tallies)
+        with pytest.raises(AssertionError,
+                           match=r"hits \+ misses != accesses for cgroup 1"):
+            _check_conservation(sim, 1, tallies)
+
+    def test_insertions_minus_removals(self, replayed):
+        sim, tallies = replayed
+        stats = sim.stats(1)
+        stats.misses += 1
+        stats.hits -= 1
+        with pytest.raises(AssertionError, match="insertions - removals "
+                                                 "!= resident for cgroup 1"):
+            _check_conservation(sim, 1, tallies)
+
+    def test_per_op_tallies(self, replayed):
+        sim, tallies = replayed
+        key = next(key for key in tallies if key[0] == 1)
+        tallies[key][0] += 1
+        with pytest.raises(AssertionError,
+                           match="per-op tallies out of sync for cgroup 1"):
+            _check_conservation(sim, 1, tallies)
 
 
 class TestCompare:
@@ -553,6 +609,25 @@ class TestCli:
                        "--limit-bytes", "65536"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, pair", [
+        (["--workload", "ycsb-c:keyspace=100,count"], "count"),
+        (["--workload", "ycsb-c:keyspace=100", "--param", "=3"], "=3"),
+    ])
+    def test_bare_key_exits_nonzero(self, capsys, argv, pair):
+        rc = cli_main(["run", "--limit-bytes", "65536"] + argv)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: expected key=value, got %r\n" % pair)
+
+    def test_gen_trace_bad_workload_exits_nonzero(self, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        rc = cli_main(["gen-trace", "--workload", "ycsb-c:keyspace=0,count=5",
+                       "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: workload: keyspace must be >= 1\n")
+        assert not out.exists()
 
     def test_lhd_zero_age_granularity_exits_nonzero(self, capsys):
         rc = cli_main(["run", "--workload", "ycsb-c:keyspace=100,count=100",

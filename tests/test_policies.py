@@ -781,6 +781,9 @@ class TestFactory:
         (S3FifoPolicy, {"ghost_capacity": -1}, ValueError),
         (S3FifoPolicy, {"small_fraction": "abc"}, TypeError),
         (S3FifoPolicy, {"small_fraction": True}, TypeError),
+        (S3FifoPolicy, {"small_fraction": 0.0}, ValueError),
+        (S3FifoPolicy, {"small_fraction": 1}, ValueError),
+        (S3FifoPolicy, {"small_fraction": float("nan")}, ValueError),
         (GetScanPolicy, {"scan_threads": "xy"}, TypeError),
         (GetScanPolicy, {"scan_threads": 1.5}, TypeError),
         (GetScanPolicy, {"scan_threads": [100, -1]}, ValueError),

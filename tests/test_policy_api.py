@@ -131,6 +131,14 @@ class TestListOps:
         assert store.list_move(lst, b, tail=True) is ListStatus.NOT_LISTED
         assert store.list_members(lst) == [a]
 
+    def test_move_to_unknown_list_fails_without_changes(self):
+        store, _, (a,) = make_store(1)
+        lst = store.list_create()
+        store.list_add(lst, a, tail=True)
+        assert store.list_move(999, a, tail=True) is ListStatus.INVALID_LIST
+        assert store.list_members(lst) == [a]
+        assert listed_on(store, a) == lst
+
     def test_del_and_double_del(self):
         store, _, (a, b) = make_store(2)
         lst = store.list_create()
@@ -196,6 +204,23 @@ class TestMembership:
         store.list_add(lst, a, tail=True)
         del cgroup.inactive[a]
         with pytest.raises(AssertionError, match="not resident"):
+            store.check_consistency()
+
+    def test_folio_on_two_lists_is_inconsistent(self):
+        store, _, (a,) = make_store(1, checked=False)
+        first, second = store.list_create(), store.list_create()
+        store.list_add(first, a, tail=True)
+        store._lists[second][a] = None
+        with pytest.raises(AssertionError, match="folio %d on two lists" % a):
+            store.check_consistency()
+
+    def test_membership_without_a_list_node_is_inconsistent(self):
+        store, _, (a, b) = make_store(2, checked=False)
+        lst = store.list_create()
+        store.list_add(lst, a, tail=True)
+        store._membership[b] = lst
+        with pytest.raises(AssertionError,
+                           match="recorded memberships != list contents"):
             store.check_consistency()
 
     def test_lists_never_exceed_resident(self):
@@ -350,6 +375,20 @@ class TestIterateEvaluate:
         ctx = EvictionContext(1)
         assert store.list_iterate(42, lambda fid: Verdict.KEEP,
                                   IterOptions(), ctx) is ListStatus.INVALID_LIST
+
+    @pytest.mark.parametrize("junk", [None, "EVICT", 1])
+    def test_junk_verdict_raises(self, junk):
+        store, _, (a,) = make_store(1)
+        lst = store.list_create()
+        store.list_add(lst, a, tail=True)
+        ctx = EvictionContext(1)
+        with pytest.raises(TypeError,
+                           match="evaluate callback returned %r" % (junk,)):
+            store.list_iterate(lst, lambda fid: junk, IterOptions(), ctx)
+        assert ctx.candidates == []
+
+    def test_junk_verdict_is_a_hook_error(self):
+        assert_one_round_is_a_hook_error(lambda fid: "EVICT", IterOptions())
 
     def test_full_ctx_returns_zero_immediately(self):
         store, _, (a,) = make_store(1)
@@ -888,7 +927,8 @@ class TestScoreFloor:
             self.run_floored([2, 1, -1, 3], k=1, floor=0)
 
     def test_score_below_the_floor_is_a_hook_error(self):
-        assert_one_round_is_a_hook_error(lambda fid: -1, floor=0)
+        assert_one_round_is_a_hook_error(
+            lambda fid: -1, IterOptions(mode=IterMode.SCORE, score_floor=0))
 
     @pytest.mark.parametrize("junk", [None, "x"])
     def test_junk_score_without_a_floor_is_a_hook_error(self, junk):
@@ -896,13 +936,13 @@ class TestScoreFloor:
         # is no floor hit, so None must not be taken for one
         scores = iter([junk, 1])
         assert_one_round_is_a_hook_error(lambda fid: next(scores),
-                                         floor=None)
+                                         IterOptions(mode=IterMode.SCORE))
 
 
-def assert_one_round_is_a_hook_error(score, floor):
-    """A cgroup of 2 pages faults a third, and its one eviction round
-    scores the 2-node queue with ``score``; the round must be a hook error
-    that default eviction covers."""
+def assert_one_round_is_a_hook_error(callback, opts):
+    """A cgroup of 2 pages faults a third, and its one eviction round walks
+    the 2-node queue with ``callback`` and ``opts``; the round must be a
+    hook error that default eviction covers."""
 
     class ScoringPolicy(PolicyHooks):
         def policy_init(self, cg):
@@ -913,9 +953,7 @@ def assert_one_round_is_a_hook_error(score, floor):
             self.cg.list_add(self.queue, folio.id, tail=True)
 
         def evict_folios(self, ctx, cg):
-            cg.list_iterate(self.queue, score,
-                            IterOptions(mode=IterMode.SCORE,
-                                        score_floor=floor), ctx)
+            cg.list_iterate(self.queue, callback, opts, ctx)
 
     sim = Simulator()
     sim.add_cgroup(0, 2)

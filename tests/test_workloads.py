@@ -5,6 +5,7 @@ import itertools
 import os
 import random
 import tempfile
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +17,13 @@ from pagecachesim import (
     TraceEvent,
     TraceFormatError,
     WorkloadSpec,
-    ZipfianSampler,
     gen_filesearch,
     gen_getscan,
     gen_ycsb,
     parse_trace,
     run,
     write_trace,
+    zipf_cdf,
 )
 from pagecachesim import workloads
 from reference_trace import reference_parse
@@ -36,40 +37,41 @@ def serialize(events):
              e.thread) for e in events]
 
 
-class TestZipfianSampler:
+class TestZipfCdf:
     def test_rank_probabilities_chi_squared(self):
+        # ranks drawn from the table as the generators draw them, against
+        # the weights 1/(rank+1)**theta
         keys = 100
         samples = 1_000_000
-        sampler = ZipfianSampler(keys, theta=0.99)
-        rng = random.Random(42)
+        cdf = zipf_cdf(keys, theta=0.99)
+        total = cdf[-1]
+        rand = random.Random(42).random
         counts = [0] * keys
         for _ in range(samples):
-            counts[sampler.sample(rng)] += 1
+            counts[bisect_right(cdf, rand() * total)] += 1
+        weights = [1.0 / (rank + 1) ** 0.99 for rank in range(keys)]
         chi2 = 0.0
         for rank in range(keys):
-            expected = samples * sampler.probability(rank)
+            expected = samples * weights[rank] / sum(weights)
             chi2 += (counts[rank] - expected) ** 2 / expected
         assert chi2 < CHI2_99_999
 
     def test_theta_zero_is_uniform(self):
-        sampler = ZipfianSampler(50, theta=0.0)
-        rng = random.Random(1)
-        counts = [0] * 50
-        for _ in range(50_000):
-            counts[sampler.sample(rng)] += 1
-        top = max(counts) / 50_000
-        assert abs(top - 1 / 50) < 0.01
+        assert zipf_cdf(50, theta=0.0) == [float(n) for n in range(1, 51)]
 
     def test_skew_orders_ranks(self):
-        sampler = ZipfianSampler(1000, theta=0.99)
-        assert sampler.probability(0) > sampler.probability(10) > \
-            sampler.probability(500)
+        cdf = zipf_cdf(1000, theta=0.99)
+        assert len(cdf) == 1000
+        assert cdf[0] == 1.0
+        assert cdf[1] - cdf[0] > cdf[11] - cdf[10] > cdf[501] - cdf[500] > 0
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            ZipfianSampler(0)
+            zipf_cdf(0)
         with pytest.raises(ValueError):
-            ZipfianSampler(10, theta=-1)
+            zipf_cdf(10, theta=-1)
+        with pytest.raises(TypeError):
+            zipf_cdf(10.0)
 
 
 class TestYcsb:
@@ -263,6 +265,17 @@ class TestTraceFormat:
         back = list(parse_trace(path))
         assert serialize(back) == serialize(events)
 
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        # as spreadsheets export UTF-8 CSV
+        plain = tmp_path / "plain.csv"
+        write_trace(plain, gen_getscan(count=300, get_keyspace=500, seed=6,
+                                       scan_len_pages=4))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        events = serialize(parse_trace(plain))
+        assert len(events) == 300
+        assert serialize(parse_trace(marked)) == events
+
     def test_multi_page_expansion(self):
         event = TraceEvent(0, Op.SCAN, 0, 1, 4096, 3 * 4096, 0)
         assert list(event.page_range()) == [1, 2, 3]
@@ -431,12 +444,11 @@ class TestZipfianTableBuiltOnce:
     def built(self, monkeypatch):
         built = []
 
-        class CountingSampler(ZipfianSampler):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
+        def counting_cdf(*args):
+            built.append(args)
+            return zipf_cdf(*args)
 
-        monkeypatch.setattr(workloads, "ZipfianSampler", CountingSampler)
+        monkeypatch.setattr(workloads, "zipf_cdf", counting_cdf)
         return built
 
     @pytest.mark.parametrize("workload", [
