@@ -1,9 +1,13 @@
 """tools/line_cover.py, run on a toy package so it stays fast.
 
-The tool runs in a subprocess: in this process it would replace the trace
-hook of a ``line_cover`` run over this suite."""
+The tool measures ``src/pagecachesim`` beside its own ``tools/``
+directory, so each test copies it into a temporary tree whose
+``src/pagecachesim`` is the toy. The copy runs in a subprocess: in this
+process it would replace the trace hook of a ``line_cover`` run over this
+suite."""
 
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -38,21 +42,24 @@ if __name__ == "__main__":
 
 
 def toy_tree(tmp_path, test_body):
-    """A package ``toy`` holding MODULE as ``mod.py``, and one test file."""
-    package = tmp_path / "src" / "toy"
+    """A copy of the tool, a toy ``pagecachesim`` package holding MODULE as
+    ``mod.py``, and one test file."""
+    (tmp_path / "tools").mkdir()
+    shutil.copy(TOOL, tmp_path / "tools")
+    package = tmp_path / "src" / "pagecachesim"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
     (package / "mod.py").write_text(MODULE)
     tests = tmp_path / "tests"
     tests.mkdir()
     (tests / "test_toy.py").write_text(
-        "from toy.mod import main, used\n\n\n" + textwrap.dedent(test_body))
+        "from pagecachesim.mod import main, used\n\n\n" + textwrap.dedent(test_body))
     return package
 
 
-def run_tool(tmp_path, package):
+def run_tool(tmp_path):
     return subprocess.run(
-        [sys.executable, TOOL, "--source", str(package), "--",
+        [sys.executable, str(tmp_path / "tools" / "line_cover.py"), "--",
          "-q", "-p", "no:cacheprovider", "tests"],
         cwd=tmp_path, stdout=subprocess.PIPE, text=True, timeout=120,
         check=False)
@@ -64,7 +71,7 @@ def test_prints_the_lines_that_never_ran(tmp_path):
             assert main() == "yes"
         """)
     total = len(line_cover.executable_lines(str(package / "mod.py")))
-    proc = run_tool(tmp_path, package)
+    proc = run_tool(tmp_path)
     report = proc.stdout.splitlines()[-3:]
     # the untaken branch spans two lines; a function never called shows
     # only its body, as its def ran at import
@@ -78,7 +85,7 @@ def test_prints_the_lines_that_never_ran(tmp_path):
 
 def test_exits_zero_when_every_line_ran(tmp_path):
     package = toy_tree(tmp_path, """\
-        from toy.mod import unused
+        from pagecachesim.mod import unused
 
 
         def test_all():
@@ -86,7 +93,7 @@ def test_exits_zero_when_every_line_ran(tmp_path):
             assert used(0) == "no0"
             assert unused() == 1
         """)
-    proc = run_tool(tmp_path, package)
+    proc = run_tool(tmp_path)
     assert proc.stdout.splitlines()[-2:] == [
         "expected: mod.py: 20",
         "0 of %d executable lines never ran"
@@ -96,10 +103,10 @@ def test_exits_zero_when_every_line_ran(tmp_path):
 
 
 def test_a_failed_pytest_run_gives_its_status(tmp_path):
-    package = toy_tree(tmp_path, """\
+    toy_tree(tmp_path, """\
         def helper():
             return main()
         """)
-    proc = run_tool(tmp_path, package)
+    proc = run_tool(tmp_path)
     assert "no tests ran" in proc.stdout
     assert proc.returncode == 5  # pytest's "no tests collected"

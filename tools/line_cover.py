@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Line coverage of a source package under its test suite.
+"""Line coverage of ``src/pagecachesim`` under its test suite.
 
 Runs pytest in this process, as ``python -m pytest`` would, under a
 ``sys.settrace`` hook that traces only frames whose code lies in the
@@ -10,8 +10,9 @@ root; the arguments after ``--`` go to pytest:
 
     python3 tools/line_cover.py -- -q -p no:cacheprovider
 
-``--source`` names the package directory (default ``src/pagecachesim``).
-Its parent goes first on ``sys.path``, so the tests import that copy.
+The package lies at ``src/pagecachesim`` beside the tool's own
+``tools/`` directory; ``src`` goes first on ``sys.path``, so the tests
+import that copy.
 Tracing makes the suite about 7 times slower, so the tool stays outside
 the tier-1 run. It imports only the standard library; the pytest it runs
 is the one the tests need anyway.
@@ -31,6 +32,7 @@ import sys
 import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SOURCE = os.path.join(ROOT, "src", "pagecachesim")
 
 #: Lines no in-process test can run, by their stripped source text.
 EXPECTED = {
@@ -129,16 +131,12 @@ def never_run(source: str, ran: dict) -> tuple:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--source",
-                        default=os.path.join(ROOT, "src", "pagecachesim"),
-                        help="package directory to measure")
     parser.add_argument("pytest_args", nargs="*",
                         help="arguments for pytest, after --")
     args = parser.parse_args(argv)
-    source = os.path.abspath(args.source)
-    sys.path.insert(0, os.path.dirname(source))
-    status, ran = trace_run(source, args.pytest_args)
-    missed, expected, total = never_run(source, ran)
+    sys.path.insert(0, os.path.dirname(SOURCE))
+    status, ran = trace_run(SOURCE, args.pytest_args)
+    missed, expected, total = never_run(SOURCE, ran)
     for name, lines in missed.items():
         print("%s: %s" % (name, spans(lines)))
     for name, lines in expected.items():
