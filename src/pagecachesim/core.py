@@ -32,6 +32,7 @@ from .policy_api import (
     PolicyHooks,
     POLICY_NAME_MAX,
     RemovalReason,
+    _EVICTED,
 )
 
 PAGE_SIZE = 4096
@@ -129,13 +130,10 @@ def _proposed_before(proposed, i, fid) -> bool:
     """Whether candidate ``fid`` at position ``i`` repeats an earlier int
     candidate. Non-ints, bools included, repeat nothing and are repeated by
     nothing, so each is counted."""
-    if not isinstance(fid, int) or isinstance(fid, bool):
-        return False
-    for earlier in islice(proposed, i):
-        if (earlier == fid and isinstance(earlier, int)
-                and not isinstance(earlier, bool)):
-            return True
-    return False
+    return (isinstance(fid, int) and not isinstance(fid, bool)
+            and any(earlier == fid and isinstance(earlier, int)
+                    and not isinstance(earlier, bool)
+                    for earlier in islice(proposed, i)))
 
 
 def _check_limit(cgroup_id, limit_pages) -> None:
@@ -320,8 +318,11 @@ class Simulator:
 
     def _drive(self, cg: CgroupSim) -> None:
         """Evict until the cgroup fits. Each round asks the attached policy
-        for min(32, overage) candidates, validates them, and lets the
-        default path cover any shortfall."""
+        for min(32, overage) candidates and lets the default path cover any
+        shortfall. A valid candidate is an int (not a bool) naming an
+        unpinned folio on the cgroup's own lists. Invalid ones are counted,
+        repeats ignored; an accepted id's folio is gone, so earlier
+        proposals are searched for a repeat only on a rejection."""
         while cg.resident_pages > cg.limit_pages:
             needed = cg.resident_pages - cg.limit_pages
             if needed > CANDIDATES_MAX:
@@ -329,7 +330,10 @@ class Simulator:
             evicted = 0
             policy = cg.policy
             if policy is not None:
-                ctx = EvictionContext(needed)
+                ctx = object.__new__(EvictionContext)  # needed is in range
+                ctx.nr_candidates_requested = needed
+                ctx.nr_candidates_proposed = 0
+                ctx.candidates = []
                 try:
                     policy.evict_folios(ctx, cg.policy_cg)
                     # The policy may have overwritten the context's fields;
@@ -340,7 +344,15 @@ class Simulator:
                 except Exception:
                     cg.stats.hook_errors += 1
                 else:
-                    evicted = self._evict_candidates(cg, proposed)
+                    for i, fid in enumerate(proposed):
+                        if isinstance(fid, int) and not isinstance(fid, bool):
+                            folio = cg.inactive.get(fid) or cg.active.get(fid)
+                            if folio is not None and not folio.pinned:
+                                self._evict_folio(cg, folio, via_policy=True)
+                                evicted += 1
+                                continue
+                        if not _proposed_before(proposed, i, fid):
+                            cg.stats.invalid_candidates += 1
             if evicted < needed:
                 evicted += self.default_evict(cg.id, needed - evicted)
             if evicted == 0:
@@ -348,27 +360,6 @@ class Simulator:
                 # than spin. The capacity invariant is suspended until a
                 # folio is unpinned.
                 break
-
-    def _evict_candidates(self, cg: CgroupSim, proposed) -> int:
-        """Validate and evict a policy's proposals. A candidate is valid
-        if it is an int (not a bool) naming an unpinned folio on the
-        cgroup's own lists; a sibling's folio or an evicted one is simply
-        not found there. Invalid candidates are rejected and counted;
-        duplicates are ignored. A repeat of an accepted id fails
-        validation, as its folio is gone, so earlier proposals are
-        searched for a duplicate only on a rejection."""
-        inactive, active = cg.inactive, cg.active
-        evicted = 0
-        for i, fid in enumerate(proposed):
-            if isinstance(fid, int) and not isinstance(fid, bool):
-                folio = inactive.get(fid) or active.get(fid)
-                if folio is not None and not folio.pinned:
-                    self._evict_folio(cg, folio, via_policy=True)
-                    evicted += 1
-                    continue
-            if not _proposed_before(proposed, i, fid):
-                cg.stats.invalid_candidates += 1
-        return evicted
 
     def default_evict(self, cgroup_id: int, needed: int) -> int:
         """Default two-list eviction: balance, then evict unpinned folios
@@ -416,7 +407,7 @@ class Simulator:
         shadow[(folio.file, folio.offset)] = cg.eviction_epoch
         while len(shadow) > cg.limit_pages:
             shadow.popitem(last=False)
-        self._forget_folio(cg, folio, RemovalReason.EVICTED)
+        self._forget_folio(cg, folio, _EVICTED)
         stats = cg.stats
         if via_policy:
             stats.evictions_policy += 1

@@ -129,9 +129,10 @@ class ScenarioConfig:
     seed: int = 0
     scan_window: int = DEFAULT_SCAN_LIMIT
 
-    def validate(self) -> list[str]:
+    def validate(self, *, retargeted: bool = False) -> list[str]:
         """Collect every configuration problem instead of stopping at the
-        first one."""
+        first one. A generated workload's events, sent to its ``cgroup``
+        (0 by default), need a configured cgroup unless ``retargeted``."""
         errors = []
         try:
             need_int("scan_window", self.scan_window, CANDIDATES_MAX)
@@ -147,9 +148,12 @@ class ScenarioConfig:
         seen = set()
         for spec in self.cgroups:
             label = "cgroup %r" % (spec.id,)
-            if spec.id in seen:
-                errors.append("%s: duplicate id" % label)
-            seen.add(spec.id)
+            try:
+                if need_int("id", spec.id, 0) in seen:
+                    errors.append("%s: duplicate id" % label)
+                seen.add(spec.id)
+            except (TypeError, ValueError) as exc:
+                errors.append("%s: %s" % (label, exc))
             try:
                 if need_int("limit_bytes", spec.limit_bytes) % PAGE_SIZE:
                     errors.append("%s: limit_bytes must be a multiple of %d"
@@ -171,6 +175,10 @@ class ScenarioConfig:
         else:
             try:
                 build_events(self.workload, self.seed)
+                target = self.workload.params.get("cgroup", 0)
+                if not (retargeted or self.workload.kind == "trace"
+                        or target in seen):
+                    raise ValueError("cgroup %r is not configured" % target)
             except (TypeError, ValueError, OSError) as exc:
                 errors.append("workload: %s" % exc)
         return errors
@@ -421,7 +429,7 @@ def scenario_isolation(config_a: ScenarioConfig,
     ``scan_window``, and two tenants on one policy its params.
     """
     for label, cfg in (("first", config_a), ("second", config_b)):
-        errors = cfg.validate()
+        errors = cfg.validate(retargeted=True)
         if len(cfg.cgroups) != 1:
             errors.append("isolation needs exactly one cgroup per config")
         elif cfg.cgroups[0].policy == "default":

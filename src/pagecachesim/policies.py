@@ -25,8 +25,10 @@ from .policy_api import (
     IterOptions,
     PolicyCgroup,
     PolicyHooks,
-    RemovalReason,
-    Verdict,
+    _EVICT,
+    _EVICT_AND_MOVE_TAIL,
+    _EVICTED,
+    _KEEP,
 )
 from .workloads import need_int, need_real, thread_ids
 
@@ -52,7 +54,7 @@ class FifoPolicy(PolicyHooks):
 
 
 def _evict_all(fid):
-    return Verdict.EVICT
+    return _EVICT
 
 
 class MruPolicy(FifoPolicy):
@@ -134,7 +136,7 @@ class LfuPolicy(PolicyHooks):
                 raise ValueError("frequency %r is below the floor %r"
                                  % (f, _MIN_FREQ))
             heappush(heap, (f, fid))
-            return Verdict.KEEP  # moved to the window's tail
+            return _KEEP  # moved to the window's tail
 
         self._admit = admit
 
@@ -246,8 +248,8 @@ class S3FifoPolicy(PolicyHooks):
 
         def judge_small(fid):
             if freq[fid] > 1:
-                return Verdict.KEEP  # promoted to the main tail
-            return Verdict.EVICT_AND_MOVE_TAIL
+                return _KEEP  # promoted to the main tail
+            return _EVICT_AND_MOVE_TAIL
 
         def judge_main(threshold):
             def judge(fid):
@@ -255,8 +257,8 @@ class S3FifoPolicy(PolicyHooks):
                 if f > 0:
                     freq[fid] = f - 1
                 if f <= threshold:
-                    return Verdict.EVICT_AND_MOVE_TAIL
-                return Verdict.KEEP
+                    return _EVICT_AND_MOVE_TAIL
+                return _KEEP
             return judge
 
         self._judge_small = judge_small
@@ -294,7 +296,7 @@ class S3FifoPolicy(PolicyHooks):
 
     def folio_removed(self, folio):
         self.freq.pop(folio.id, None)
-        if self.cg.removal_reason is RemovalReason.EVICTED:
+        if self.cg.removal_reason is _EVICTED:
             ghost = self.ghost
             ghost[(folio.file, folio.offset)] = None
             if len(ghost) > self._ghost_capacity:
@@ -411,7 +413,7 @@ class LhdPolicy(PolicyHooks):
 
     def folio_removed(self, folio):
         m = self.meta.pop(folio.id, None)
-        if m is not None and self.cg.removal_reason is RemovalReason.EVICTED:
+        if m is not None and self.cg.removal_reason is _EVICTED:
             age = self._bucket(self.tick - m[0])
             self.evictions[self._classify(m)][age] += self.SCALE
 

@@ -91,6 +91,13 @@ class RemovalReason(Enum):
     FILE_REMOVED = "file_removed"
 
 
+# Members the eviction path compares against, bound once (an enum unpacks
+# in definition order): on Python 3.11 an ``Enum.MEMBER`` load is slow.
+_OK, _SCORE, _EVICTED = ListStatus.OK, IterMode.SCORE, RemovalReason.EVICTED
+_LEAVE_IN_PLACE, _MOVE_TO_TAIL, _MOVE_TO_LIST = Disposition
+_KEEP, _EVICT, _EVICT_AND_MOVE_TAIL, _STOP = Verdict
+
+
 @dataclass
 class IterOptions:
     """Options controlling one ``list_iterate`` call.
@@ -239,7 +246,7 @@ class PolicyCgroup:
         if not tail:
             nodes.move_to_end(folio_id, last=False)
         membership[folio_id] = list_id
-        return ListStatus.OK
+        return _OK
 
     def list_move(self, list_id: int, folio_id: int, tail: bool) -> ListStatus:
         return self._move(list_id, folio_id, tail)
@@ -263,14 +270,14 @@ class PolicyCgroup:
             if not tail:
                 nodes.move_to_end(folio_id, last=False)
             membership[folio_id] = list_id
-        return ListStatus.OK
+        return _OK
 
     def list_del(self, folio_id: int) -> ListStatus:
         current = self._membership.pop(folio_id, None)
         if current is None:
             return ListStatus.NOT_LISTED
         del self._lists[current][folio_id]
-        return ListStatus.OK
+        return _OK
 
     def detach(self, folio_id: int) -> None:
         """Framework-side removal when a folio leaves the cache; a no-op
@@ -325,10 +332,11 @@ class PolicyCgroup:
         nodes = self._lists.get(list_id)
         if nodes is None:
             return ListStatus.INVALID_LIST
-        if ctx.room() <= 0:
+        room = ctx.nr_candidates_requested - ctx.nr_candidates_proposed
+        if room <= 0:
             return 0
         window = islice(nodes, opts.skip, opts.skip + opts.scan_limit)
-        score_mode = opts.mode is IterMode.SCORE
+        score_mode = opts.mode is _SCORE
         if score_mode and opts.scan_limit < ctx.nr_candidates_requested:
             raise ValueError("score mode needs scan_limit >= "
                              "nr_candidates_requested")
@@ -336,7 +344,8 @@ class PolicyCgroup:
             # after every check a non-empty list makes before its first read
             return 0
         if score_mode:
-            return self._score_pass(window, callback, opts.score_floor, ctx)
+            return self._score_pass(window, callback, opts.score_floor, ctx,
+                                    room)
         disposition = opts.disposition
         # The walk's own moves as (target list, folio id), applied after the
         # loop: a node moved now would change the list being read. Moved
@@ -348,37 +357,38 @@ class PolicyCgroup:
             for folio_id in window:
                 verdict = callback(folio_id)
                 examined += 1
-                if (verdict is Verdict.EVICT
-                        or verdict is Verdict.EVICT_AND_MOVE_TAIL):
+                if verdict is _EVICT or verdict is _EVICT_AND_MOVE_TAIL:
                     ctx.propose(folio_id)
-                    if verdict is Verdict.EVICT_AND_MOVE_TAIL:
+                    if verdict is _EVICT_AND_MOVE_TAIL:
                         moves.append((list_id, folio_id))
                     if ctx.room() <= 0:
                         break
-                elif verdict is Verdict.KEEP:
-                    if disposition is Disposition.MOVE_TO_TAIL:
+                elif verdict is _KEEP:
+                    if disposition is _MOVE_TO_TAIL:
                         moves.append((list_id, folio_id))
-                    elif disposition is Disposition.MOVE_TO_LIST:
+                    elif disposition is _MOVE_TO_LIST:
                         if opts.target_list not in self._lists:
                             raise ValueError(
                                 "bad MOVE_TO_LIST target %r: %s"
                                 % (opts.target_list,
                                    ListStatus.INVALID_LIST.name))
                         moves.append((opts.target_list, folio_id))
-                elif verdict is Verdict.STOP:
+                elif verdict is _STOP:
                     break
                 else:
                     raise TypeError("evaluate callback returned %r"
                                     % (verdict,))
         finally:
-            membership = self._membership
-            for target, folio_id in moves:
-                if membership.get(folio_id) == list_id:
-                    self._move(target, folio_id, tail=True)
+            if moves:
+                membership = self._membership
+                for target, folio_id in moves:
+                    if membership.get(folio_id) == list_id:
+                        self._move(target, folio_id, tail=True)
         return examined
 
     @staticmethod
-    def _score_pass(window, callback, floor, ctx: EvictionContext) -> int:
+    def _score_pass(window, callback, floor, ctx: EvictionContext,
+                    room: int) -> int:
         """Score mode's pass; returns the nodes scored.
 
         Floor-scoring nodes rank before every other node and among
@@ -388,7 +398,6 @@ class PolicyCgroup:
         None) as ``(-score, -position, id)`` in a bounded heap whose root
         is the worst kept.
         """
-        room = ctx.room()
         at_floor = []
         rest = []
         scored = 0

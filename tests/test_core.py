@@ -2,6 +2,7 @@
 the eviction driver with policy validation and fallback, and file removal."""
 
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -203,6 +204,14 @@ class FixedProposalPolicy(PolicyHooks):
             ctx.propose(fid)
 
 
+class _FirstFolio(IntEnum):
+    ID = 1  # the first folio a fresh simulator faults in
+
+
+class _FolioId(int):
+    """A policy's own folio id type."""
+
+
 class TestDriveEviction:
     def test_under_delivery_falls_back(self):
         # asked for 10, proposes 5: five policy evictions plus five fallback
@@ -364,6 +373,106 @@ class TestDriveEviction:
         assert stats.evictions_policy == 0
         assert stats.evictions_fallback == 1
         assert sim.resident_pages(0) == 2
+
+    @pytest.mark.parametrize("candidate", [_FirstFolio.ID, _FolioId(1)],
+                             ids=["IntEnum", "int-subclass"])
+    def test_int_subclass_candidate_is_a_policy_eviction(self, candidate):
+        # an int subclass is an int: equal to folio 1's id, it names it
+        policy = FixedProposalPolicy(per_round=0, inject=[candidate])
+        sim = make_sim(limit_pages=2, policy=policy, record_evictions=True)
+        for page in (0, 1, 2):
+            sim.access_page(0, 1, page)  # folio ids 1, 2, 3
+        stats = sim.stats(0)
+        assert stats.evictions_policy == 1
+        assert stats.evictions_fallback == 0
+        assert stats.invalid_candidates == 0
+        assert sim.eviction_log == [(0, 1, 0)]
+
+    def test_each_round_gets_a_fresh_context(self):
+        """The core builds each round's context itself: the policy sees
+        min(32, overage) requested, nothing proposed and a new, empty
+        candidate list, whatever it did to an earlier round's context."""
+
+        class ContextKeepingPolicy(FixedProposalPolicy):
+            def __init__(self):
+                super().__init__()
+                self.rounds = []
+                self.kept = []
+
+            def folio_added(self, folio):
+                super().folio_added(folio)
+                for old in self.kept:
+                    old.nr_candidates_requested = 32
+                    old.nr_candidates_proposed = 5
+                    old.candidates.append(folio.id)
+
+            def evict_folios(self, ctx, cg):
+                overage = cg.resident_pages - cg.limit_pages
+                self.rounds.append((
+                    type(ctx), ctx.nr_candidates_requested,
+                    min(32, overage), ctx.nr_candidates_proposed,
+                    list(ctx.candidates),
+                    any(ctx is old or ctx.candidates is old.candidates
+                        for old in self.kept)))
+                super().evict_folios(ctx, cg)
+                self.kept.append(ctx)
+
+        policy = ContextKeepingPolicy()
+        sim = make_sim(limit_pages=64, policy=policy)
+        for page in range(64):
+            sim.access_page(0, 1, page)
+        sim.set_limit(0, 20)  # rounds asking for 32, then 12
+        for page in range(64, 70):
+            sim.access_page(0, 1, page)  # one page each
+        assert [r[1] for r in policy.rounds] == [32, 12] + [1] * 6
+        for kind, requested, expected, proposed, candidates, reused in (
+                policy.rounds):
+            assert kind is EvictionContext
+            assert requested == expected
+            assert proposed == 0
+            assert candidates == []
+            assert not reused
+        stats = sim.stats(0)
+        assert stats.evictions_policy == 50
+        assert stats.evictions_fallback == 0
+        assert stats.invalid_candidates == 0
+        sim.check_invariants()
+
+    def test_round_evicts_only_the_snapshot(self):
+        """Candidates are read once, when ``evict_folios`` returns: ids a
+        policy adds to the context afterwards, from ``folio_removed``, are
+        never evicted."""
+
+        class LateProposingPolicy(FixedProposalPolicy):
+            def __init__(self):
+                super().__init__(per_round=1)
+                self.ctx = None
+
+            def evict_folios(self, ctx, cg):
+                super().evict_folios(ctx, cg)
+                self.ctx = ctx
+
+            def folio_removed(self, folio):
+                ctx = self.ctx
+                if ctx is None:
+                    return
+                for fid in self.cg.list_members(self.queue):
+                    if fid not in ctx.candidates:
+                        ctx.candidates.append(fid)
+                ctx.nr_candidates_proposed = len(ctx.candidates)
+
+        sim = make_sim(limit_pages=4, policy=LateProposingPolicy(),
+                       record_evictions=True)
+        for page in range(4):
+            sim.access_page(0, 1, page)
+        sim.set_limit(0, 2)  # one round asking for 2; the policy gives 1
+        stats = sim.stats(0)
+        assert stats.evictions_policy == 1
+        assert stats.evictions_fallback == 1
+        assert stats.invalid_candidates == 0
+        assert sim.eviction_log == [(0, 1, 0), (0, 1, 1)]
+        assert sim.resident_pages(0) == 2
+        sim.check_invariants()
 
     @pytest.mark.parametrize("change", ["move", "del"])
     def test_score_callback_changing_its_list_is_a_hook_error(self, change):

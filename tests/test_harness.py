@@ -131,6 +131,37 @@ class TestValidation:
         with pytest.raises(ConfigError, match=name):
             run(config)
 
+    @pytest.mark.parametrize("cgroup_id, message", [
+        (1, "workload: cgroup 0 is not configured"),
+        ("a", "cgroup 'a': id must be an int, got 'a'"),
+        (1.5, "cgroup 1.5: id must be an int, got 1.5"),
+        (None, "cgroup None: id must be an int, got None"),
+        (-1, "cgroup -1: id must be >= 0"),
+    ])
+    def test_bad_cgroup_id_caught(self, cgroup_id, message):
+        # the generated events go to cgroup 0, which none of these is
+        config = small_config(
+            cgroups=[CgroupSpec(cgroup_id, 16 * 4096)],
+            workload=WorkloadSpec("ycsb-c", {"keyspace": 100, "count": 50}))
+        errors = config.validate()
+        assert message in errors
+        assert "workload: cgroup 0 is not configured" in errors
+        with pytest.raises(ConfigError, match="cgroup 0 is not configured"):
+            run(config)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("ycsb-c", {"keyspace": 100, "count": 50}),
+        ("filesearch", {"corpus_files": 2, "file_pages": 4, "passes": 2}),
+        ("getscan", {"get_keyspace": 100, "count": 50}),
+    ])
+    def test_generated_events_need_a_configured_cgroup(self, kind, params):
+        workload = WorkloadSpec(kind, dict(params, cgroup=1))
+        assert small_config(cgroups=[CgroupSpec(1, 16 * 4096)],
+                            workload=workload).validate() == []
+        assert small_config(cgroups=[CgroupSpec(2, 16 * 4096)],
+                            workload=workload).validate() == [
+            "workload: cgroup 1 is not configured"]
+
     def test_lhd_age_granularity_zero_rejected(self):
         config = small_config(
             cgroups=[CgroupSpec(0, 64 * 4096, "lhd", {"age_granularity": 0})])
