@@ -6,7 +6,6 @@ and a replay harness with CSV reporting."""
 
 from .core import (
     Folio,
-    PAGE_SIZE,
     PolicyAttachError,
     SimulationError,
     Simulator,
@@ -51,6 +50,7 @@ from .policy_api import (
 )
 from .workloads import (
     Op,
+    PAGE_SIZE,
     TraceEvent,
     TraceFormatError,
     gen_filesearch,

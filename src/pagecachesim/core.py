@@ -35,8 +35,6 @@ from .policy_api import (
     _EVICTED,
 )
 
-PAGE_SIZE = 4096
-
 
 class SimulationError(Exception):
     """Base error for simulator misuse."""
@@ -172,6 +170,10 @@ class Simulator:
     # -- configuration ----------------------------------------------------
 
     def add_cgroup(self, cgroup_id: int, limit_pages: int) -> CgroupSim:
+        if (not isinstance(cgroup_id, int) or isinstance(cgroup_id, bool)
+                or cgroup_id < 0):
+            raise SimulationError("cgroup id must be an int >= 0, got %r"
+                                  % (cgroup_id,))
         if cgroup_id in self._cgroups:
             raise SimulationError("cgroup %r already exists" % cgroup_id)
         _check_limit(cgroup_id, limit_pages)
@@ -185,7 +187,7 @@ class Simulator:
             raise PolicyAttachError("cgroup %r already has policy %r"
                                     % (cgroup_id, cg.policy.name))
         name = getattr(policy, "name", "")
-        if not name or len(name) > POLICY_NAME_MAX:
+        if not isinstance(name, str) or not 0 < len(name) <= POLICY_NAME_MAX:
             raise PolicyAttachError("policy name must be 1..%d chars"
                                     % POLICY_NAME_MAX)
         handle = PolicyCgroup(cg)

@@ -23,11 +23,12 @@ import io
 from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import partial
 
-from .core import PAGE_SIZE, Simulator
+from .core import Simulator
 from .policies import make_policy
 from .policy_api import CANDIDATES_MAX, DEFAULT_SCAN_LIMIT
 from .workloads import (
     Op,
+    PAGE_SIZE,
     TraceEvent,
     gen_filesearch,
     gen_getscan,

@@ -258,20 +258,15 @@ TRACE_HEADER = ("seq", "op", "file", "offset", "len", "thread", "cgroup")
 _NON_NEGATIVE = ("file", "offset", "thread", "cgroup")
 
 
-def _check_row(lineno: int, row: list) -> TraceEvent | None:
-    """Parse one trace row step by step: field count, op (case and
-    surrounding whitespace ignored), integers in header order, signs, then
-    ``len``. Raises TraceFormatError at the first step a row fails;
-    returns None for an empty row."""
-    if not row:
-        return None
+def _row_error(lineno: int, row: list) -> TraceFormatError:
+    """The TraceFormatError of the first check in ``parse_trace``'s order
+    that ``row``, a non-empty row that fails one, fails."""
     if len(row) != len(TRACE_HEADER):
-        raise TraceFormatError("line %d: expected %d fields, got %d"
-                               % (lineno, len(TRACE_HEADER), len(row)))
-    op = _OPS_BY_NAME.get(row[1].strip().lower())
-    if op is None:
-        raise TraceFormatError("line %d: field op: unknown op %r"
-                               % (lineno, row[1]))
+        return TraceFormatError("line %d: expected %d fields, got %d"
+                                % (lineno, len(TRACE_HEADER), len(row)))
+    if row[1].strip().lower() not in _OPS_BY_NAME:
+        return TraceFormatError("line %d: field op: unknown op %r"
+                                % (lineno, row[1]))
     values = {}
     for field, raw in zip(TRACE_HEADER, row):
         if field == "op":
@@ -279,17 +274,14 @@ def _check_row(lineno: int, row: list) -> TraceEvent | None:
         try:
             values[field] = int(raw)
         except ValueError:
-            raise TraceFormatError("line %d: field %s: not an integer: %r"
-                                   % (lineno, field, raw)) from None
+            return TraceFormatError("line %d: field %s: not an integer: %r"
+                                    % (lineno, field, raw))
     for field in _NON_NEGATIVE:
         if values[field] < 0:
-            raise TraceFormatError("line %d: field %s: must be >= 0, got %d"
-                                   % (lineno, field, values[field]))
-    if op is not Op.DELETE and values["len"] < 1:
-        raise TraceFormatError(
-            "line %d: field len: must be >= 1 for access ops" % lineno)
-    return TraceEvent(values["seq"], op, values["cgroup"], values["file"],
-                      values["offset"], values["len"], values["thread"])
+            return TraceFormatError("line %d: field %s: must be >= 0, got %d"
+                                    % (lineno, field, values[field]))
+    return TraceFormatError(
+        "line %d: field len: must be >= 1 for access ops" % lineno)
 
 
 def parse_trace(path) -> Iterator[TraceEvent]:
@@ -297,14 +289,16 @@ def parse_trace(path) -> Iterator[TraceEvent]:
     TraceFormatError naming the offending line and field on malformed
     input. The header is checked eagerly; the stream reopens the file when
     first read, so a stream that is never read holds no open file. The
-    file is read as UTF-8, with or without a byte-order mark.
+    file is read as UTF-8, with or without a byte-order mark. Empty rows
+    are skipped.
 
-    Each row is parsed in one pass: unpack the seven fields, look the op
-    up by its exact name, convert the integers, and run one combined check
-    of the signs and of ``len``. A row that fails any of these steps, or
-    spells its op in another case or with spaces around it, is handed to
-    ``_check_row``, which either parses it or raises the error the row
-    reports first. ``path`` is a path, never a file descriptor."""
+    Each row is read in one pass, whose checks run in this order: the
+    field count; the op, by its exact name and then with case and
+    surrounding whitespace ignored; the six integers in header order; and
+    one combined test of the non-negative fields (file, offset, thread,
+    cgroup, reported in that order) and of ``len``, which must be at
+    least 1 for every op but delete. The first check a row fails is the
+    one its error names. ``path`` is a path, never a file descriptor."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise TypeError("path must be a str or os.PathLike, got %r" % (path,))
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -320,7 +314,7 @@ def parse_trace(path) -> Iterator[TraceEvent]:
             for lineno, row in enumerate(csv.reader(fh), start=2):
                 try:
                     seq, op, file, offset, length, thread, cgroup = row
-                    op = ops[op]
+                    op = ops.get(op) or ops[op.strip().lower()]
                     seq = int(seq)
                     file = int(file)
                     offset = int(offset)
@@ -328,16 +322,15 @@ def parse_trace(path) -> Iterator[TraceEvent]:
                     thread = int(thread)
                     cgroup = int(cgroup)
                 except (ValueError, KeyError):
-                    pass
+                    if not row:
+                        continue
                 else:
                     if ((file | offset | thread | cgroup) >= 0
                             and (length >= 1 or op is delete)):
                         yield TraceEvent(seq, op, cgroup, file, offset,
                                          length, thread)
                         continue
-                ev = _check_row(lineno, row)
-                if ev is not None:
-                    yield ev
+                raise _row_error(lineno, row)
 
     return events()
 

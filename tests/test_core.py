@@ -875,6 +875,13 @@ class TestMisuse:
         assert sim.cgroup_ids() == [0]
         assert sim.cgroup(0).limit_pages == 8
 
+    @pytest.mark.parametrize("cgroup", [-1, "x", True, 1.0, None])
+    def test_cgroup_id_must_be_an_int_of_at_least_zero(self, cgroup):
+        sim = make_sim(limit_pages=8)
+        with pytest.raises(SimulationError, match="cgroup id must be"):
+            sim.add_cgroup(cgroup, 8)
+        assert sim.cgroup_ids() == [0]
+
     def test_second_policy(self):
         sim = make_sim(limit_pages=8, policy=RecordingPolicy())
         first = sim.cgroup(0).policy
@@ -882,7 +889,8 @@ class TestMisuse:
             sim.attach_policy(0, RecordingPolicy())
         assert sim.cgroup(0).policy is first
 
-    @pytest.mark.parametrize("name", ["", "x" * 33, None])
+    @pytest.mark.parametrize("name", ["", "x" * 33, None, 123, b"x",
+                                      ["fifo"]])
     def test_bad_policy_name(self, name):
         policy = RecordingPolicy()
         policy.name = name

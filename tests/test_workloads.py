@@ -381,7 +381,13 @@ class TestTraceParseDifferential:
         (["1", " DELETE ", "3", "0", "-0", "0", "0"], None),
         (["1", "scan", "3", "0", "-4", "0", "0"],
          "line 2: field len: must be >= 1 for access ops"),
-        # spellings int() accepts parse on the fast path and the slow one
+        # cgroup, the last field the integer and sign checks reach
+        (["1", "get", "3", "0", "1", "0", "c"],
+         "line 2: field cgroup: not an integer: 'c'"),
+        (["1", "get", "3", "0", "1", "0", "-1"],
+         "line 2: field cgroup: must be >= 0, got -1"),
+        # spellings int() accepts parse in the one pass, as the op's case
+        # and surrounding whitespace do
         (["+1", "get", "1_000", " 4096 ", "+4_096", "0", "0"], None),
         ([" 2", "Write ", "7", "0", "1", "0", "0"], None),
     ])
