@@ -374,6 +374,8 @@ class Simulator:
         resident folio is pinned.
         """
         cg = self.cgroup(cgroup_id)
+        if not isinstance(needed, int) or isinstance(needed, bool):
+            raise SimulationError("needed must be an int, got %r" % (needed,))
         if needed < 1:
             raise SimulationError("needed must be >= 1")
         active, inactive = cg.active, cg.inactive

@@ -234,6 +234,9 @@ def replay(sim: Simulator, events) -> dict:
     tallies: dict = {}  # (cgroup, op value) -> [accesses, hits]
     delete, write_op = Op.DELETE, Op.WRITE
     deferred = sim.has_deferred_work
+    # The tally of the last access event's (cgroup, op): looked up again
+    # only when an access event changes either.
+    last_cgroup = last_op = t = None
     for ev in events:
         try:
             op = ev.op
@@ -257,10 +260,12 @@ def replay(sim: Simulator, events) -> dict:
                     for page in pages:
                         hits += sim.access_page(cgroup, file, page, write,
                                                 thread)
-                key = (cgroup, op._value_)
-                t = tallies.get(key)
-                if t is None:
-                    t = tallies[key] = [0, 0]
+                if op is not last_op or cgroup != last_cgroup:
+                    last_cgroup, last_op = cgroup, op
+                    key = (cgroup, op._value_)
+                    t = tallies.get(key)
+                    if t is None:
+                        t = tallies[key] = [0, 0]
                 t[0] += accesses
                 t[1] += hits
         except Exception as exc:

@@ -18,6 +18,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 PAGE_SIZE = 4096
@@ -108,6 +109,14 @@ def zipf_cdf(keyspace: int, theta: float = 0.99) -> list:
     return cdf
 
 
+@lru_cache(maxsize=1, typed=True)
+def _zipf_table(keyspace: int, theta: float) -> list:
+    """``zipf_cdf(keyspace, theta)``, kept for the most recent pair only,
+    so the repeated runs of one workload build it once per process. Every
+    reader shares the list and must not change it."""
+    return zipf_cdf(keyspace, theta)
+
+
 YCSB_VARIANTS = ("A", "C", "Uniform", "UniformRW")
 
 
@@ -125,7 +134,9 @@ def gen_ycsb(variant: str, keyspace: int, count: int, seed: int,
     Every parameter but ``seed`` is checked here, ``theta`` for every
     variant, so ``ScenarioConfig.validate`` reports them. The Zipfian table
     is built on the first read, so a stream that is never read costs
-    nothing. Each key is drawn in the generator's own frame from the
+    nothing, and once per (keyspace, theta) per process: only the most
+    recent table is kept, and streams that follow with the same pair reuse
+    it. Each key is drawn in the generator's own frame from the
     ``zipf_cdf`` table, and slotted as ``DEFAULT_KEYS_PER_FILE`` describes.
     """
     if variant not in YCSB_VARIANTS:
@@ -144,7 +155,7 @@ def gen_ycsb(variant: str, keyspace: int, count: int, seed: int,
         rng = random.Random(seed)
         rand = rng.random
         if zipfian:
-            cumulative = zipf_cdf(keyspace, theta)
+            cumulative = _zipf_table(keyspace, theta)
             total = cumulative[-1]
         read, write = Op.READ, Op.WRITE
         for seq in range(count):
@@ -153,9 +164,9 @@ def gen_ycsb(variant: str, keyspace: int, count: int, seed: int,
             else:
                 key = rng.randrange(keyspace)
             op = write if writes and rand() < 0.5 else read
-            file, slot = divmod(key, keys_per_file)
-            yield TraceEvent(seq, op, cgroup, file, slot * value_size,
-                             value_size, thread)
+            yield TraceEvent(seq, op, cgroup, key // keys_per_file,
+                             key % keys_per_file * value_size, value_size,
+                             thread)
 
     return events()
 
@@ -173,12 +184,13 @@ def gen_filesearch(corpus_files: int, file_pages: int, passes: int,
     del seed  # scans are deterministic; kept for interface uniformity
 
     def events():
+        read = Op.READ
         seq = 0
         for _ in range(passes):
             for file in range(corpus_files):
                 thread = file % threads
                 for page in range(file_pages):
-                    yield TraceEvent(seq, Op.READ, cgroup, file,
+                    yield TraceEvent(seq, read, cgroup, file,
                                      page * PAGE_SIZE, PAGE_SIZE, thread)
                     seq += 1
 
@@ -232,21 +244,21 @@ def gen_getscan(count: int, get_keyspace: int,
         rng = random.Random(seed)
         rand, choice = rng.random, rng.choice
         # Gets are drawn as in gen_ycsb, from a table built on first read.
-        cumulative = zipf_cdf(get_keyspace, theta)
+        cumulative = _zipf_table(get_keyspace, theta)
         total = cumulative[-1]
+        get, scan = Op.GET, Op.SCAN
         slot = 0
         for seq in range(count):
             if rand() < scan_fraction:
                 offset = slot * scan_len_pages * PAGE_SIZE
                 slot = (slot + 1) % slots
-                yield TraceEvent(seq, Op.SCAN, cgroup, scan_file, offset,
+                yield TraceEvent(seq, scan, cgroup, scan_file, offset,
                                  scan_len_pages * PAGE_SIZE,
                                  choice(scan_threads))
             else:
-                file, key_slot = divmod(
-                    bisect_right(cumulative, rand() * total), keys_per_file)
-                yield TraceEvent(seq, Op.GET, cgroup, file,
-                                 key_slot * value_size, value_size,
+                key = bisect_right(cumulative, rand() * total)
+                yield TraceEvent(seq, get, cgroup, key // keys_per_file,
+                                 key % keys_per_file * value_size, value_size,
                                  choice(get_threads))
 
     return events()

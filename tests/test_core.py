@@ -919,6 +919,16 @@ class TestMisuse:
             sim.default_evict(0, 0)
         assert sim.resident_pages(0) == 1
 
+    @pytest.mark.parametrize("needed", [1.5, True, "2", None])
+    def test_default_evict_needs_an_int(self, needed):
+        sim = make_sim(limit_pages=8)
+        for page in (0, 1, 2):
+            sim.access_page(0, 1, page)
+        with pytest.raises(SimulationError,
+                           match=r"needed must be an int, got "):
+            sim.default_evict(0, needed)
+        assert sim.resident_pages(0) == 3
+
 
 class TestEvictionContext:
     def test_request_bounds(self):

@@ -347,6 +347,25 @@ class TestReplay:
                 vars_of(expected_sim.stats(cgroup))
         sim.check_invariants()
 
+    def test_tallies_follow_each_change_of_cgroup_or_op(self):
+        """Consecutive access events that change only the cgroup, only the
+        op, or both, and two events of one key with a delete and a
+        multi-page scan between them."""
+        read, write, scan, delete = Op.READ, Op.WRITE, Op.SCAN, Op.DELETE
+        steps = [(read, 0, 0, 1), (read, 1, 0, 1), (write, 1, 1, 1),
+                 (write, 0, 1, 1), (read, 0, 2, 1), (write, 0, 2, 1),
+                 (read, 1, 3, 1), (read, 1, 0, 1), (delete, 1, 0, 0),
+                 (scan, 0, 4, 3), (read, 1, 0, 1), (delete, 0, 0, 0),
+                 (read, 1, 3, 2), (write, 0, 5, 2), (scan, 1, 0, 4)]
+        events = [TraceEvent(seq, op, cgroup, 1, page * 4096, pages * 4096,
+                             0)
+                  for seq, (op, cgroup, page, pages) in enumerate(steps)]
+        tallies = replay(two_cgroup_sim(), events)
+        expected = reference_replay(two_cgroup_sim(), events)
+        assert list(tallies.items()) == list(expected.items())
+        assert list(tallies) == [(0, read), (1, read), (1, write),
+                                 (0, write), (0, scan), (1, scan)]
+
     @pytest.mark.parametrize("make_policy", [
         DeferredFifo, instance_override, DuckTypedPolicy])
     def test_deferred_slot_runs_once_per_event(self, make_policy):

@@ -64,6 +64,7 @@ class TestZipfCdf:
         assert len(cdf) == 1000
         assert cdf[0] == 1.0
         assert cdf[1] - cdf[0] > cdf[11] - cdf[10] > cdf[501] - cdf[500] > 0
+        assert zipf_cdf(1000, theta=0.99) is not cdf  # a fresh list per call
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -440,6 +441,9 @@ class TestStreamPins:
                              scan_fraction=0.01, scan_len_pages=16, seed=11,
                              cgroup=1),
          "1b928d8081470ffd703082f0078727e51d9f950514d24dea33baf11777deb347"),
+        (lambda: gen_filesearch(corpus_files=5, file_pages=300, passes=3,
+                                threads=2, cgroup=2),
+         "3e28ceafb90faed8de904dda2a3ceb0d4cd13823492f671d168b91e1af5c848b"),
     ])
     def test_first_events_unchanged(self, build, digest):
         assert stream_digest(build()) == digest
@@ -455,6 +459,8 @@ class TestZipfianTableBuiltOnce:
             return zipf_cdf(*args)
 
         monkeypatch.setattr(workloads, "zipf_cdf", counting_cdf)
+        # A table left cached by an earlier test would hide a build.
+        workloads._zipf_table.cache_clear()
         return built
 
     @pytest.mark.parametrize("workload", [
@@ -464,12 +470,25 @@ class TestZipfianTableBuiltOnce:
                                  "scan_len_pages": 8}),
     ])
     def test_validate_builds_none_and_run_builds_one(self, built, workload):
+        """One table per (keyspace, theta): validation builds none, the
+        first run one, a rerun none, and a run with a new theta or a new
+        keyspace one more."""
+        params = dict(workload.params)
         config = ScenarioConfig(cgroups=[CgroupSpec(0, 32 * 4096)],
-                                workload=workload, seed=4)
+                                workload=WorkloadSpec(workload.kind, params),
+                                seed=4)
         assert config.validate() == []
         assert built == []
         run(config)
         assert len(built) == 1
+        run(config)
+        assert len(built) == 1
+        params["theta"] = 0.5
+        run(config)
+        assert built[1:] == [(500, 0.5)]
+        params[next(k for k in params if k.endswith("keyspace"))] = 600
+        run(config)
+        assert built[2:] == [(600, 0.5)]
 
     def test_unread_stream_builds_none(self, built):
         gen_ycsb("C", keyspace=500, value_size=1024, count=10, seed=1)
