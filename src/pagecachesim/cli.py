@@ -9,14 +9,16 @@ Subcommands:
 
 Workload specs look like ``name:key=value,key=value``, e.g.
 ``ycsb-c:keyspace=40960,count=100000`` or
-``filesearch:corpus_files=20,file_pages=100,passes=10``. Policy parameters
-are repeatable ``--param key=value`` flags. A value is an int, else a
-float, else a string; ``a+b`` is a list. Each policy class and generator
-checks its own parameters, so a wrong type or range exits 1 with an
-``error:`` line that names the parameter. ``run`` and ``compare`` take
-exactly one of ``--workload`` and ``--trace``. The report goes to stdout
-and, with ``--out``, to a file the CLI writes. Exit status is 0 on
-success, 1 on any validation or replay error and 2 on a usage error.
+``filesearch:corpus_files=20,file_pages=100,passes=10``. Policy parameters,
+the eviction scan's window among them, are repeatable ``--param key=value``
+flags of ``run`` and ``compare``; ``isolation`` runs each policy with its
+defaults. A value is an int, else a float, else a string; ``a+b`` is a
+list. Each policy class and generator checks its own parameters, so a
+wrong type or range exits 1 with an ``error:`` line that names the
+parameter. ``run`` and ``compare`` take exactly one of ``--workload`` and
+``--trace``. The report goes to stdout and, with ``--out``, to a file the
+CLI writes. Exit status is 0 on success, 1 on any validation or replay
+error and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .harness import (
     scenario_isolation,
 )
 from .policies import POLICY_NAMES
-from .policy_api import DEFAULT_SCAN_LIMIT
 from .workloads import TraceFormatError, write_trace
 
 
@@ -93,8 +94,6 @@ def _add_common(parser):
 def _add_replay(parser):
     """The flags every replaying subcommand shares."""
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--scan-window", type=int, default=DEFAULT_SCAN_LIMIT,
-                        help="list nodes examined per eviction scan")
     parser.add_argument("--out", help="write the report CSV here")
 
 
@@ -144,8 +143,7 @@ def _build_parser():
 
 def _config(args, cgroup: CgroupSpec, workload: WorkloadSpec):
     """A one-cgroup scenario with the shared replay flags."""
-    return ScenarioConfig(cgroups=[cgroup], workload=workload,
-                          seed=args.seed, scan_window=args.scan_window)
+    return ScenarioConfig(cgroups=[cgroup], workload=workload, seed=args.seed)
 
 
 def _cmd_run(args) -> int:

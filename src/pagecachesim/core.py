@@ -186,6 +186,11 @@ class Simulator:
         if cg.policy is not None:
             raise PolicyAttachError("cgroup %r already has policy %r"
                                     % (cgroup_id, cg.policy.name))
+        for other in self._cgroups.values():
+            # one object's lists and state serve one cgroup only
+            if other.policy is policy:
+                raise PolicyAttachError("policy object is already attached "
+                                        "to cgroup %r" % other.id)
         name = getattr(policy, "name", "")
         if not isinstance(name, str) or not 0 < len(name) <= POLICY_NAME_MAX:
             raise PolicyAttachError("policy name must be 1..%d chars"

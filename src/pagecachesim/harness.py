@@ -25,7 +25,6 @@ from functools import partial
 
 from .core import Simulator
 from .policies import make_policy
-from .policy_api import CANDIDATES_MAX, DEFAULT_SCAN_LIMIT
 from .workloads import (
     Op,
     PAGE_SIZE,
@@ -128,22 +127,12 @@ class ScenarioConfig:
     cgroups: list[CgroupSpec] = field(default_factory=list)
     workload: WorkloadSpec | None = None
     seed: int = 0
-    scan_window: int = DEFAULT_SCAN_LIMIT
 
     def validate(self, *, retargeted: bool = False) -> list[str]:
         """Collect every configuration problem instead of stopping at the
         first one. A generated workload's events, sent to its ``cgroup``
         (0 by default), need a configured cgroup unless ``retargeted``."""
         errors = []
-        try:
-            need_int("scan_window", self.scan_window, CANDIDATES_MAX)
-            window_error = None
-            window = self.scan_window
-        except (TypeError, ValueError) as exc:
-            # reported once below; the policies' own parameters are checked
-            # with the default window
-            window_error = str(exc)
-            window = DEFAULT_SCAN_LIMIT
         if not self.cgroups:
             errors.append("at least one cgroup is required")
         seen = set()
@@ -162,11 +151,9 @@ class ScenarioConfig:
             except (TypeError, ValueError) as exc:
                 errors.append("%s: %s" % (label, exc))
             try:
-                make_policy(spec.policy, spec.params, window)
+                make_policy(spec.policy, spec.params)
             except (TypeError, ValueError) as exc:
                 errors.append("%s: %s" % (label, exc))
-        if window_error is not None:
-            errors.append(window_error)
         try:
             need_int("seed", self.seed, None)  # negative seeds are fine
         except TypeError as exc:
@@ -324,12 +311,12 @@ def _check_conservation(sim: Simulator, cgroup_id: int, tallies: dict):
 def _replay_rows(config: ScenarioConfig, assignment, events) -> list:
     """The single replay path. Builds a simulator with ``config``'s cgroups,
     attaches ``assignment[i]``, a (policy name, params) pair, to
-    ``config.cgroups[i]`` with ``config``'s scan window, replays ``events``,
-    and returns one (policy name, Metrics) row per cgroup in config order."""
+    ``config.cgroups[i]``, replays ``events``, and returns one (policy
+    name, Metrics) row per cgroup in config order."""
     sim = Simulator()
     for spec, (name, params) in zip(config.cgroups, assignment):
         sim.add_cgroup(spec.id, spec.limit_pages)
-        policy = make_policy(name, params, config.scan_window)
+        policy = make_policy(name, params)
         if policy is not None:
             sim.attach_policy(spec.id, policy)
     tallies = replay(sim, events)
@@ -371,7 +358,7 @@ def compare(config: ScenarioConfig, policies) -> Report:
     errors = config.validate()
     for name, params in assignments:
         try:
-            make_policy(name, params, config.scan_window)
+            make_policy(name, params)
         except (TypeError, ValueError) as exc:
             errors.append("compare policy %r: %s" % (name, exc))
     _raise_if(errors)
@@ -434,9 +421,8 @@ def scenario_isolation(config_a: ScenarioConfig,
     lengths, and replayed under: both cgroups on the default policy, both
     on tenant A's policy, both on tenant B's policy, and the tailored
     assignment. Tenant B's files are shifted into a disjoint namespace so
-    the tenants never share pages. The merged replay has one scan window
-    and names scenarios by policy, so the configs must share their
-    ``scan_window``, and two tenants on one policy its params.
+    the tenants never share pages. Scenarios are named by policy, so two
+    tenants on one policy must share its params.
     """
     for label, cfg in (("first", config_a), ("second", config_b)):
         errors = cfg.validate(retargeted=True)
@@ -448,10 +434,6 @@ def scenario_isolation(config_a: ScenarioConfig,
     spec_a, spec_b = config_a.cgroups[0], config_b.cgroups[0]
     if spec_a.id == spec_b.id:
         raise ConfigError("isolation needs two distinct cgroup ids")
-    if config_a.scan_window != config_b.scan_window:
-        raise ConfigError("isolation needs one scan_window for both tenants, "
-                          "got %r and %r" % (config_a.scan_window,
-                                             config_b.scan_window))
     if spec_a.policy == spec_b.policy and spec_a.params != spec_b.params:
         raise ConfigError("isolation needs one set of params per policy: "
                           "%r has %r and %r" % (spec_a.policy, spec_a.params,
@@ -473,8 +455,7 @@ def scenario_isolation(config_a: ScenarioConfig,
         ("tailored", tailored_a, tailored_b),
     ]
 
-    base = ScenarioConfig(cgroups=[spec_a, spec_b],
-                          scan_window=config_a.scan_window)
+    base = ScenarioConfig(cgroups=[spec_a, spec_b])
     rows = []
     results: dict = {}
     for name, policy_a, policy_b in scenarios:

@@ -515,24 +515,23 @@ POLICIES = {
 POLICY_NAMES = tuple(POLICIES)
 
 
-def make_policy(name: str, params: dict | None = None,
-                scan_window: int = DEFAULT_SCAN_LIMIT) -> PolicyHooks | None:
+def make_policy(name: str, params: dict | None = None) -> PolicyHooks | None:
     """Build a policy by name from ``POLICIES``. Returns None for "default".
 
-    ``params`` holds keyword parameters of the class but ``scan_window``.
-    An unknown name or parameter raises ValueError; the class raises
-    TypeError or ValueError, naming the parameter, for a bad value.
+    ``params`` holds keyword parameters of the class, ``scan_window``
+    included. An unknown name or parameter raises ValueError; the class
+    raises TypeError or ValueError, naming the parameter, for a bad value.
     """
     if name not in POLICIES:
         raise ValueError("unknown policy %r (expected one of %s)"
                          % (name, ", ".join(POLICY_NAMES)))
     cls = POLICIES[name]
     params = params or {}
-    accepted = set(signature(cls).parameters) - {"scan_window"} if cls else ()
+    accepted = signature(cls).parameters if cls else ()
     unknown = sorted(set(params).difference(accepted))
     if unknown:
         raise ValueError("unknown parameters for policy %r: %s"
                          % (name, ", ".join(unknown)))
     if cls is None:
         return None
-    return cls(scan_window=scan_window, **params)
+    return cls(**params)

@@ -111,14 +111,14 @@ def _loop_scan_hit_ratios(policy, params=None, cache=LOOP_CACHE,
     config = ScenarioConfig(cgroups=[CgroupSpec(0, cache * PAGE, policy,
                                                 params or {})],
                             workload=WorkloadSpec("filesearch", corpus),
-                            seed=1, scan_window=512)
+                            seed=1)
     errors = config.validate()
     assert not errors, errors
     events = list(build_events(config.workload, config.seed))
     pass_len = corpus["corpus_files"] * corpus["file_pages"]
     sim = Simulator()
     sim.add_cgroup(0, cache)
-    policy_obj = make_policy(policy, params or {}, 512)
+    policy_obj = make_policy(policy, params or {})
     if policy_obj is not None:
         sim.attach_policy(0, policy_obj)
     replay(sim, events[:pass_len])
@@ -152,7 +152,7 @@ def test_c04_lfu_beats_default_on_zipfian_reads():
         cgroups=[CgroupSpec(0, cache_pages * PAGE)],
         workload=WorkloadSpec("ycsb-c", {"keyspace": keyspace,
                                          "count": 1_000_000}),
-        seed=42, scan_window=512)
+        seed=42)
     result = compare(config, ["default", "lfu"])
     ratios = {label: m.hit_ratio for label, m in result.rows}
     gap = ratios["lfu"] - ratios["default"]
@@ -175,7 +175,7 @@ def test_c05_getscan_policy_shields_point_reads_from_scans():
         config = ScenarioConfig(
             cgroups=[CgroupSpec(0, cache_pages * PAGE, policy, params)],
             workload=WorkloadSpec("getscan", dict(workload)),
-            seed=7, scan_window=512)
+            seed=7)
         metrics = run(config).rows[0][1]
         ratios[policy] = metrics.get_hit_ratio
         scans[policy] = metrics.scan_hit_ratio
@@ -294,13 +294,13 @@ def _isolation_report(ycsb_count=100_000, seed=42):
         cgroups=[CgroupSpec(0, 512 * PAGE, "lfu")],
         workload=WorkloadSpec("ycsb-c", {"keyspace": 20480,
                                          "count": ycsb_count}),
-        seed=seed, scan_window=512)
+        seed=seed)
     config_b = ScenarioConfig(
         cgroups=[CgroupSpec(1, 700 * PAGE, "mru")],
         workload=WorkloadSpec("filesearch", {"corpus_files": 10,
                                              "file_pages": 100,
                                              "passes": 10}),
-        seed=seed, scan_window=512)
+        seed=seed)
     return scenario_isolation(config_a, config_b)
 
 
@@ -373,7 +373,7 @@ def test_c11_reruns_are_byte_identical(tmp_path):
                 "count": 20_000, "get_keyspace": 8192, "theta": 0.5,
                 "scan_len_pages": 512, "scan_region_pages": 4096,
                 "scan_threads": (100, 101)}),
-            seed=7, scan_window=512)
+            seed=7)
         run(config).save(path)
 
     def compare_csv(path):
@@ -381,7 +381,7 @@ def test_c11_reruns_are_byte_identical(tmp_path):
             cgroups=[CgroupSpec(0, 512 * PAGE)],
             workload=WorkloadSpec("ycsb-c", {"keyspace": 20480,
                                              "count": 50_000}),
-            seed=42, scan_window=512)
+            seed=42)
         compare(config, ["default", "lfu", "s3fifo"]).save(path)
 
     def isolation_csv(path):

@@ -8,11 +8,14 @@ import pytest
 
 from pagecachesim import (
     EvictionContext,
+    FifoPolicy,
     IterMode,
     IterOptions,
+    LfuPolicy,
     PolicyAttachError,
     PolicyHooks,
     RemovalReason,
+    S3FifoPolicy,
     SimulationError,
     Simulator,
     UnknownCgroupError,
@@ -888,6 +891,23 @@ class TestMisuse:
         with pytest.raises(PolicyAttachError, match="already has policy"):
             sim.attach_policy(0, RecordingPolicy())
         assert sim.cgroup(0).policy is first
+
+    @pytest.mark.parametrize("cls", [FifoPolicy, LfuPolicy, S3FifoPolicy])
+    def test_policy_object_serves_one_cgroup(self, cls):
+        # attached twice, the second policy_init rebound the object's lists
+        # to cgroup 1 and every eviction of cgroup 0 fell back silently
+        policy = cls()
+        sim = make_sim(limit_pages=8, policy=policy)
+        sim.add_cgroup(1, 8)
+        with pytest.raises(PolicyAttachError,
+                           match="already attached to cgroup 0"):
+            sim.attach_policy(1, policy)
+        assert sim.cgroup(1).policy is None
+        for page in range(40):
+            sim.access_page(0, 1, page)
+        stats = sim.stats(0)
+        assert stats.evictions_policy == 32
+        assert stats.evictions_fallback == 0
 
     @pytest.mark.parametrize("name", ["", "x" * 33, None, 123, b"x",
                                       ["fifo"]])

@@ -62,3 +62,21 @@ def test_a_planted_default_path_difference_is_reported(tmp_path):
     assert configs == 2
     assert mismatches
     assert {line.split()[1] for line in mismatches} == {"default"}
+
+
+def test_policies_are_built_from_the_class_table(tmp_path):
+    # make_policy's signature may differ between the trees; the POLICIES
+    # table and each class's scan_window keyword do not
+    shutil.copytree(os.path.join(SRC, "pagecachesim"),
+                    tmp_path / "pagecachesim")
+    with open(tmp_path / "pagecachesim" / "policies.py", "a") as fh:
+        fh.write("\n\ndef make_policy(*args, **kwargs):\n"
+                 "    raise AssertionError('unused')\n")
+    mismatches, configs, totals = diff_replay.compare(
+        SRC, str(tmp_path), ["default", "lfu"], **BUDGET)
+    assert (mismatches, configs) == ([], 2 * (1 + 2))
+    assert totals["evictions_fallback"] > 0
+    package = diff_replay.load_package(SRC)
+    assert diff_replay.build_policy(package, "default", 4) is None
+    policy = diff_replay.build_policy(package, "getscan", 4)
+    assert (policy.scan_threads, policy._scan_window) == ({9}, 4)

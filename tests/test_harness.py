@@ -98,28 +98,31 @@ class TestValidation:
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert leaks == []
 
-    def test_scan_window_must_cover_candidates(self):
-        config = small_config(scan_window=8)
-        with pytest.raises(ConfigError, match="scan_window"):
-            run(config)
-
-    @pytest.mark.parametrize("window", [0, 2.5, 8])
-    def test_bad_scan_window_is_one_problem(self, window):
-        # the policies check the window too; validate reports it once and
-        # still checks their own parameters
-        config = small_config(scan_window=window, cgroups=[
-            CgroupSpec(0, 64 * 4096, "lfu"),
+    @pytest.mark.parametrize("window, problems", [(0, 1), (2.5, 1), (8, 0)],
+                             ids=["0", "2.5", "8"])
+    def test_bad_scan_window_is_one_problem(self, window, problems):
+        # the window is a policy parameter: its class reports a bad one
+        # once, beside the other cgroup's own parameter problem; any int
+        # of at least 1 is accepted
+        config = small_config(cgroups=[
+            CgroupSpec(0, 64 * 4096, "lfu", {"scan_window": window}),
             CgroupSpec(1, 64 * 4096, "mru", {"skip": -1})])
         errors = config.validate()
-        assert sum("scan_window" in e for e in errors) == 1
+        assert sum("scan_window" in e for e in errors) == problems
         assert any("skip must be >= 0" in e for e in errors)
+
+    def test_scan_window_is_not_a_scenario_field(self):
+        with pytest.raises(TypeError, match="scan_window"):
+            small_config(scan_window=64)
 
     @pytest.mark.parametrize("overrides, name", [
         ({"cgroups": [CgroupSpec(0, "abc")]}, "limit_bytes"),
         ({"cgroups": [CgroupSpec(0, None)]}, "limit_bytes"),
         ({"cgroups": [CgroupSpec(0, 65536.0)]}, "limit_bytes"),
-        ({"scan_window": 100.5}, "scan_window"),
-        ({"scan_window": "64"}, "scan_window"),
+        ({"cgroups": [CgroupSpec(0, 65536, "lfu", {"scan_window": 100.5})]},
+         "scan_window"),
+        ({"cgroups": [CgroupSpec(0, 65536, "fifo", {"scan_window": "64"})]},
+         "scan_window"),
         ({"seed": None}, "seed"),
         ({"seed": 1.5}, "seed"),
         ({"seed": "x"}, "seed"),
@@ -228,11 +231,22 @@ class TestRun:
         assert metrics.get_hit_ratio is None  # YCSB emits reads and writes
         assert metrics.scan_hit_ratio is None
 
+    @pytest.mark.parametrize("policy", ["fifo", "lfu", "s3fifo", "lhd"])
+    def test_window_below_the_context_capacity_runs(self, policy):
+        # a replay asks for one candidate per round, so a window of 8
+        # serves every round without the fallback
+        metrics = run(small_config(
+            cgroups=[CgroupSpec(0, 16 * 4096, policy, {"scan_window": 8})],
+            workload=WorkloadSpec("ycsb-a", {"keyspace": 400,
+                                             "count": 3000}))).rows[0][1]
+        assert metrics.evictions_policy > 0
+        assert metrics.evictions_fallback == 0
+
     def test_conservation_identities_hold(self):
         report = run(small_config(
-            cgroups=[CgroupSpec(0, 16 * 4096, "lfu")],
-            workload=WorkloadSpec("ycsb-c", {"keyspace": 400, "count": 3000}),
-            scan_window=64))
+            cgroups=[CgroupSpec(0, 16 * 4096, "lfu", {"scan_window": 64})],
+            workload=WorkloadSpec("ycsb-c", {"keyspace": 400,
+                                             "count": 3000})))
         metrics = report.rows[0][1]
         assert metrics.hits + metrics.misses == metrics.accesses
         assert metrics.evictions_policy > 0
@@ -292,6 +306,18 @@ class DeferredFifo(FifoPolicy):
 
     def run_deferred(self):
         self.calls.append(self)
+
+
+class RequestLog(FifoPolicy):
+    """FIFO that records each round's candidate request."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def evict_folios(self, ctx, cg):
+        self.requests.append(ctx.nr_candidates_requested)
+        super().evict_folios(ctx, cg)
 
 
 class DuckTypedPolicy:
@@ -396,6 +422,24 @@ class TestReplay:
         assert called == []
         assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
 
+    def test_every_eviction_round_asks_for_one_candidate(self):
+        # each miss faults in one page and evicts back to the limit, and a
+        # hit on another cgroup's folio or a delete adds none, so no round
+        # of a replay asks for more
+        events = mixed_events(3000)
+        assert any(ev.op is Op.DELETE for ev in events)
+        assert any(ev.len_bytes > 4096 for ev in events)
+        sim = two_cgroup_sim(RequestLog)
+        replay(sim, events)
+        requests = [n for cgroup in (0, 1)
+                    for n in sim.cgroup(cgroup).policy.requests]
+        assert set(requests) == {1}
+        assert len(requests) == sum(sim.stats(cgroup).evictions_policy
+                                    for cgroup in (0, 1)) > 500
+        for cgroup in (0, 1):
+            assert sim.stats(cgroup).hits > 0
+            assert sim.stats(cgroup).evictions_fallback == 0
+
     def test_failing_event_is_named_by_its_seq(self):
         events = mixed_events(40)
         events[25] = TraceEvent(25, Op.READ, 9, 0, 0, 4096, 0)
@@ -453,9 +497,8 @@ class TestConservationCheck:
 
 class TestCompare:
     def test_rows_share_accesses_and_keep_order(self):
-        report = compare(small_config(cgroups=[CgroupSpec(0, 16 * 4096)],
-                                      scan_window=64),
-                         ["default", "lfu", "fifo"])
+        report = compare(small_config(cgroups=[CgroupSpec(0, 16 * 4096)]),
+                         ["default", ("lfu", {"scan_window": 64}), "fifo"])
         labels = [label for label, _ in report.rows]
         assert labels == ["default", "lfu", "fifo"]
         accesses = {m.accesses for _, m in report.rows}
@@ -497,13 +540,13 @@ def isolation_configs(policy_a="lfu", policy_b="mru"):
     config_a = ScenarioConfig(
         cgroups=[CgroupSpec(0, 32 * 4096, policy_a)],
         workload=WorkloadSpec("ycsb-c", {"keyspace": 600, "count": 4000}),
-        seed=3, scan_window=64)
+        seed=3)
     config_b = ScenarioConfig(
         cgroups=[CgroupSpec(1, 16 * 4096, policy_b)],
         workload=WorkloadSpec("filesearch",
                               {"corpus_files": 2, "file_pages": 12,
                                "passes": 40}),
-        seed=3, scan_window=64)
+        seed=3)
     return config_a, config_b
 
 
@@ -531,12 +574,16 @@ class TestIsolation:
         with pytest.raises(ConfigError):
             scenario_isolation(config_a, config_b)
 
-    def test_differing_scan_windows_rejected(self):
-        # the merged replay has one window; neither tenant's may be replaced
+    def test_tenants_may_use_different_windows(self):
+        # each tenant's policy is built with its own params
         config_a, config_b = isolation_configs()
-        config_a.scan_window = 32
-        with pytest.raises(ConfigError, match="scan_window"):
-            scenario_isolation(config_a, config_b)
+        config_a.cgroups[0].params = {"scan_window": 8}
+        config_b.cgroups[0].params = {"skip": 4, "scan_window": 16}
+        report = scenario_isolation(config_a, config_b)
+        assert len(report.rows) == 8
+        for metrics in report.scenarios["tailored"].values():
+            assert metrics.evictions_policy > 0
+            assert metrics.evictions_fallback == 0
 
     def test_one_policy_with_two_param_sets_rejected(self):
         # scenarios are named by policy, so one name cannot stand for both
@@ -568,7 +615,7 @@ class TestCli:
         rc = cli_main(["run", "--workload",
                        "ycsb-c:keyspace=100,count=1000",
                        "--limit-bytes", str(64 * 4096),
-                       "--policy", "lfu", "--scan-window", "64",
+                       "--policy", "lfu", "--param", "scan_window=64",
                        "--out", str(out)])
         assert rc == 0
         captured = capsys.readouterr()
@@ -590,7 +637,7 @@ class TestCli:
         rc = cli_main(["compare", "--workload",
                        "ycsb-c:keyspace=100,count=500",
                        "--limit-bytes", str(8 * 4096),
-                       "--scan-window", "64",
+                       "--param", "scan_window=64",
                        "--policy", "default", "--policy", "fifo"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -603,7 +650,6 @@ class TestCli:
             "--workload-b", "filesearch:corpus_files=2,file_pages=8,passes=10",
             "--limit-bytes-a", str(24 * 4096),
             "--limit-bytes-b", str(8 * 4096),
-            "--scan-window", "64",
         ])
         assert rc == 0
         out = capsys.readouterr().out
@@ -615,7 +661,7 @@ class TestCli:
                        "getscan:count=2000,get_keyspace=400,"
                        "scan_len_pages=16,scan_threads=8+9",
                        "--limit-bytes", str(32 * 4096),
-                       "--policy", "getscan", "--scan-window", "64",
+                       "--policy", "getscan", "--param", "scan_window=64",
                        "--param", "scan_threads=8+9"])
         assert rc == 0
         assert "getscan,0," in capsys.readouterr().out
@@ -630,21 +676,33 @@ class TestCli:
 
         expect = run(ScenarioConfig(
             cgroups=[CgroupSpec(0, 32 * 4096, "getscan",
-                                {"scan_threads": ids(param_threads)})],
+                                {"scan_threads": ids(param_threads),
+                                 "scan_window": 64})],
             workload=WorkloadSpec("getscan", {
                 "count": 2000, "get_keyspace": 400, "scan_len_pages": 16,
-                "scan_threads": ids(workload_threads)}),
-            scan_window=64)).to_csv()
+                "scan_threads": ids(workload_threads)}))).to_csv()
         out = tmp_path / "report.csv"
         rc = cli_main(["run", "--workload",
                        "getscan:count=2000,get_keyspace=400,"
                        "scan_len_pages=16,scan_threads=" + workload_threads,
                        "--limit-bytes", str(32 * 4096),
-                       "--policy", "getscan", "--scan-window", "64",
+                       "--policy", "getscan", "--param", "scan_window=64",
                        "--param", "scan_threads=" + param_threads,
                        "--out", str(out)])
         assert rc == 0, capsys.readouterr().err
         assert out.read_text() == expect
+
+    def test_scan_window_is_a_policy_param(self, capsys):
+        argv = ["run", "--workload", "ycsb-c:keyspace=100,count=100",
+                "--limit-bytes", str(8 * 4096)]
+        with pytest.raises(SystemExit) as info:
+            cli_main(argv + ["--scan-window", "64"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        # the default policy takes no parameters
+        assert cli_main(argv + ["--param", "scan_window=64"]) == 1
+        assert "unknown parameters for policy 'default': scan_window" in \
+            capsys.readouterr().err
 
     def test_validation_error_exits_nonzero(self, capsys):
         rc = cli_main(["run", "--workload", "ycsb-c:keyspace=100,count=100",
@@ -738,7 +796,7 @@ class TestCli:
         assert cli_main(argv + ["--out", str(out)]) == 0
         assert out.read_bytes() == capsys.readouterr().out.encode()
 
-    REPLAY_OPTIONS = {"-h", "--help", "--seed", "--scan-window", "--out"}
+    REPLAY_OPTIONS = {"-h", "--help", "--seed", "--out"}
 
     @pytest.mark.parametrize("command, options", [
         ("run", REPLAY_OPTIONS | {"--workload", "--trace", "--limit-bytes",

@@ -31,32 +31,36 @@ def run_csv():
     # Cgroup 1 sees no accesses, and the config lists it first, so the
     # rows' id order and the empty per-op ratios are pinned too.
     return run(ScenarioConfig(
-        cgroups=[CgroupSpec(1, 16 * PAGE, "lfu"),
-                 CgroupSpec(0, 96 * PAGE, "s3fifo", {"small_fraction": 0.2})],
+        cgroups=[CgroupSpec(1, 16 * PAGE, "lfu", {"scan_window": 64}),
+                 CgroupSpec(0, 96 * PAGE, "s3fifo",
+                            {"small_fraction": 0.2, "scan_window": 64})],
         workload=WorkloadSpec("ycsb-a", {"keyspace": 600, "count": 3000}),
-        seed=5, scan_window=64)).to_csv()
+        seed=5)).to_csv()
 
 
 def compare_csv():
     config = ScenarioConfig(cgroups=[CgroupSpec(0, 160 * PAGE)],
                             workload=WorkloadSpec("getscan", GETSCAN),
-                            seed=11, scan_window=128)
+                            seed=11)
+    window = {"scan_window": 128}
     return compare(config, [
-        "default", "fifo", ("mru", {"skip": 4}), "lfu", "s3fifo",
-        ("lhd", {"reconfig_interval": 512}),
-        ("getscan", {"scan_threads": [100, 101]})]).to_csv()
+        "default", ("fifo", window), ("mru", {"skip": 4, **window}),
+        ("lfu", window), ("s3fifo", window),
+        ("lhd", {"reconfig_interval": 512, **window}),
+        ("getscan", {"scan_threads": [100, 101], **window})]).to_csv()
 
 
 def isolation_csv():
     config_a = ScenarioConfig(
-        cgroups=[CgroupSpec(3, 48 * PAGE, "lfu")],
+        cgroups=[CgroupSpec(3, 48 * PAGE, "lfu", {"scan_window": 64})],
         workload=WorkloadSpec("ycsb-c", {"keyspace": 800, "count": 4000}),
-        seed=2, scan_window=64)
+        seed=2)
     config_b = ScenarioConfig(
-        cgroups=[CgroupSpec(1, 20 * PAGE, "mru", {"skip": 2})],
+        cgroups=[CgroupSpec(1, 20 * PAGE, "mru",
+                            {"skip": 2, "scan_window": 64})],
         workload=WorkloadSpec("filesearch", {"corpus_files": 3,
                                              "file_pages": 10, "passes": 30}),
-        seed=2, scan_window=64)
+        seed=2)
     return scenario_isolation(config_a, config_b).to_csv()
 
 
@@ -74,13 +78,13 @@ def cli_run_csv(tmp_path, capsys):
     capsys.readouterr()
     return cli_csv(capsys, ["run", "--trace", trace,
                             "--limit-bytes", str(128 * PAGE),
-                            "--policy", "getscan", "--scan-window", "64",
+                            "--policy", "getscan", "--param", "scan_window=64",
                             "--param", "scan_threads=100+101"])
 
 
 def cli_compare_csv(tmp_path, capsys):
     argv = ["compare", "--workload", "ycsb-c:keyspace=500,count=2500",
-            "--limit-bytes", str(64 * PAGE), "--scan-window", "64",
+            "--limit-bytes", str(64 * PAGE), "--param", "scan_window=64",
             "--seed", "8"]
     for name in ("default", "fifo", "lfu", "s3fifo", "lhd"):
         argv += ["--policy", name]
@@ -89,7 +93,7 @@ def cli_compare_csv(tmp_path, capsys):
 
 def cli_isolation_csv(tmp_path, capsys):
     return cli_csv(capsys, [
-        "isolation", "--seed", "6", "--scan-window", "64",
+        "isolation", "--seed", "6",
         "--workload-a", "ycsb-c:keyspace=400,count=2500",
         "--workload-b", "filesearch:corpus_files=2,file_pages=12,passes=20",
         "--limit-bytes-a", str(40 * PAGE), "--limit-bytes-b", str(16 * PAGE)])

@@ -805,7 +805,7 @@ class TestFactory:
         with pytest.raises(error, match="scan_window"):
             cls(scan_window=window)
         with pytest.raises(error, match="scan_window"):
-            make_policy(cls.name, {}, scan_window=window)
+            make_policy(cls.name, {"scan_window": window})
 
     def test_all_policies_run_under_real_eviction_pressure(self):
         rng = random.Random(12)
@@ -814,7 +814,7 @@ class TestFactory:
             params = {"scan_threads": [1]} if name == "getscan" else {}
             if name == "lhd":
                 params = {"reconfig_interval": 256}
-            policy = make_policy(name, params, scan_window=64)
+            policy = make_policy(name, {**params, "scan_window": 64})
             sim = make_sim(limit_pages=32, policy=policy)
             for file, page in trace:
                 sim.access_page(0, file, page, thread=page % 3)

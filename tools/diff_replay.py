@@ -14,7 +14,8 @@ Each config is one (policy, scan window, cgroup limit, seed). The
 policies are all of this checkout's ``POLICY_NAMES``, unless
 ``--policies`` names some, so a change to code the policies share
 reaches every one of them; ``default`` attaches no policy and takes no
-window, so it is replayed at the first window only. A config's trace
+window, so it is replayed at the first window only. Each tree builds its
+policies from its own ``POLICIES`` class table (see ``build_policy``). A config's trace
 mixes point reads from three threads, 30-page scans from thread 9 (the
 scan thread of ``getscan``), pins and unpins, file removals and limit
 changes, so rounds ask for several candidates, propose pinned folios,
@@ -135,6 +136,16 @@ def replay(package, make_policy, limit: int, ops) -> tuple:
                               for slot in type(stats).__slots__}
 
 
+def build_policy(package, name: str, window: int):
+    """``name``'s class from ``package``'s ``POLICIES`` table, built with
+    ``window`` and ``PARAMS``; None for "default". Both trees have the
+    table, whatever their ``make_policy`` takes."""
+    cls = package.policies.POLICIES[name]
+    if cls is None:
+        return None
+    return cls(scan_window=window, **PARAMS.get(name, {}))
+
+
 def describe(base: tuple, change: tuple) -> str:
     """How two replay results differ."""
     parts = []
@@ -179,8 +190,7 @@ def compare(base_src: str, change_src: str, policies=None, windows=WINDOWS,
             for policy, window in runs:
                 configs += 1
                 got = [replay(tree, functools.partial(
-                           tree.make_policy, policy, PARAMS.get(policy),
-                           scan_window=window), limit, ops)
+                           build_policy, tree, policy, window), limit, ops)
                        for tree in (base, change)]
                 if got[0] != got[1]:
                     mismatches.append(
