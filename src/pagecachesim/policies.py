@@ -314,9 +314,16 @@ class LhdPolicy(PolicyHooks):
     beyond that age divided by the expected remaining lifetime. Eviction
     scores each scanned folio with the published density of its current
     class and age; lowest density goes first, and with no recorded events
-    all densities are zero so eviction degenerates to list order. A
-    folio's class changes only on a hit, so its metadata keeps a reference
-    to its class's density row, and a score is one bucket lookup in it.
+    all densities are zero so eviction degenerates to list order.
+
+    A folio's class changes only on a hit, so its metadata entry,
+    ``[last_access_tick, hit_density row, hits row, evictions row]``, holds
+    the three rows of its current class (class 0's at admission). A score
+    is one bucket lookup in the density row, a hit adds to the hits row
+    and an eviction to the evictions row. The class a hit moves the folio
+    to depends only on that hit's age bucket, so a table built at
+    ``policy_init`` with one entry per bucket gives the next rows, and a
+    hit does no class arithmetic.
 
     Reconfiguration runs from the deferred-work slot between trace events,
     never on the access path, after every ``reconfig_interval`` admissions.
@@ -357,45 +364,41 @@ class LhdPolicy(PolicyHooks):
     def policy_init(self, cg: PolicyCgroup):
         self.cg = cg
         self.queue = cg.list_create()
-        # fid -> [last_access_tick, age bucket at last hit, hit count,
-        #         hit_density row of the folio's class]
+        # fid -> [last_access_tick, hit_density row, hits row,
+        #         evictions row], the rows of the folio's current class
         self.meta: dict[int, list] = {}
         n, m = self.NUM_CLASSES, self.MAX_AGE
         self.hits = [[0] * m for _ in range(n)]
         self.evictions = [[0] * m for _ in range(n)]
         # Rewritten in place by reconfigure, never replaced: meta entries
-        # hold references to these rows.
+        # and the tables below hold references to these rows.
         self.hit_density = [[0] * m for _ in range(n)]
+        rows = list(zip(self.hit_density, self.hits, self.evictions))
+        self._admit_rows = rows[0]
+        # A hit's bucket a alone picks the class the folio moves to,
+        # 1 + floor(log2(a + 1)), as its hit count is then at least 1.
+        self._rows_after_hit = [rows[min((a + 1).bit_length(), n - 1)]
+                                for a in range(m)]
         self.tick = 0
         self.admissions_since_reconfig = 0
         if self._age_granularity is None:
             self._age_granularity = max(1, cg.limit_pages // self.MAX_AGE)
 
-    def _bucket(self, age: int) -> int:
-        b = age // self._age_granularity
-        return b if b < self.MAX_AGE - 1 else self.MAX_AGE - 1
-
-    def _classify(self, meta) -> int:
-        if meta[2] == 0:
-            return 0
-        c = (meta[1] + 1).bit_length()  # 1 + floor(log2(age + 1))
-        return c if c < self.NUM_CLASSES else self.NUM_CLASSES - 1
-
     def folio_added(self, folio):
         self.tick += 1
-        self.meta[folio.id] = [self.tick, 0, 0, self.hit_density[0]]
+        self.meta[folio.id] = [self.tick, *self._admit_rows]
         self.cg.list_add(self.queue, folio.id, tail=True)
         self.admissions_since_reconfig += 1
 
     def folio_accessed(self, folio):
-        self.tick += 1
+        self.tick = tick = self.tick + 1
         m = self.meta[folio.id]
-        age = self._bucket(self.tick - m[0])
-        self.hits[self._classify(m)][age] += self.SCALE
-        m[0] = self.tick
-        m[1] = age
-        m[2] += 1
-        m[3] = self.hit_density[self._classify(m)]
+        age = (tick - m[0]) // self._age_granularity
+        if age >= self.MAX_AGE:
+            age = self.MAX_AGE - 1
+        m[2][age] += self.SCALE  # the hit counts in the class it hit from
+        m[0] = tick
+        m[1], m[2], m[3] = self._rows_after_hit[age]
 
     def evict_folios(self, ctx, cg):
         tick = self.tick
@@ -403,19 +406,20 @@ class LhdPolicy(PolicyHooks):
         top = self.MAX_AGE - 1
 
         def score(fid, _meta=self.meta):
-            # _bucket inlined, the class row cached in the meta entry; this
             # runs once per scanned node on every eviction round
             m = _meta[fid]
             b = (tick - m[0]) // gran
-            return m[3][b if b < top else top]
+            return m[1][b if b < top else top]
 
         cg.list_iterate(self.queue, score, self._opts, ctx)
 
     def folio_removed(self, folio):
         m = self.meta.pop(folio.id, None)
         if m is not None and self.cg.removal_reason is _EVICTED:
-            age = self._bucket(self.tick - m[0])
-            self.evictions[self._classify(m)][age] += self.SCALE
+            age = (self.tick - m[0]) // self._age_granularity
+            if age >= self.MAX_AGE:
+                age = self.MAX_AGE - 1
+            m[3][age] += self.SCALE
 
     def run_deferred(self):
         if self.admissions_since_reconfig >= self.reconfig_interval:
@@ -493,8 +497,9 @@ class GetScanPolicy(LfuPolicy):
         self.freq[folio.id] = _MIN_FREQ
 
     def evict_folios(self, ctx, cg):
-        cg.list_iterate(self.scan_list, self.freq.__getitem__,
-                        self._scan_opts, ctx)
+        if cg.list_length(self.scan_list):
+            cg.list_iterate(self.scan_list, self.freq.__getitem__,
+                            self._scan_opts, ctx)
         if ctx.room() > 0:
             super().evict_folios(ctx, cg)
 

@@ -1,6 +1,7 @@
 """Behavior of the six shipped policies, exercised both through direct
 eviction rounds and through real simulator replay."""
 
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from pagecachesim import (
     LfuPolicy,
     LhdPolicy,
     MruPolicy,
+    RemovalReason,
     S3FifoPolicy,
     make_policy,
 )
@@ -549,13 +551,19 @@ class TestLhd:
         sim.run_deferred()
         assert policy.admissions_since_reconfig == 0
 
-    def test_never_hit_folios_class_zero(self):
-        policy, sim = self.make()
-        insert_pages(sim, 1)
+    def test_folios_carry_their_class_rows(self):
+        policy, sim = self.make(age_granularity=1)
+        insert_pages(sim, 4)  # ticks 1..4
         meta = policy.meta[fid_at(sim, 1, 0)]
-        assert policy._classify(meta) == 0
-        sim.access_page(0, 1, 0)
-        assert policy._classify(meta) >= 1
+        rows = (policy.hit_density, policy.hits, policy.evictions)
+        # never hit: class 0
+        assert all(m is grid[0] for m, grid in zip(meta[1:], rows))
+        sim.access_page(0, 1, 0)  # tick 5, bucket 4: class 1 + log2(5) = 3
+        assert meta[0] == 5
+        assert all(m is grid[3] for m, grid in zip(meta[1:], rows))
+        # the hit counts in the class it hit from
+        assert policy.hits[0][4] == policy.SCALE
+        assert not any(policy.hits[3])
 
     def test_scoring_reads_published_densities_only(self):
         policy, sim = self.make(age_granularity=1)
@@ -581,41 +589,95 @@ class TestLhd:
         assert sim.stats(0).evictions_fallback == 0
 
 
-class ClassFormulaLhd(LhdPolicy):
-    """LHD scoring each folio from its hit state on every call, as the
-    class definition reads, instead of from the cached density row."""
+def lhd_bucket(policy, age):
+    """The age bucket of ``age`` ticks: coarsened, capped at the last."""
+    return min(age // policy._age_granularity, policy.MAX_AGE - 1)
+
+
+def lhd_class(policy, last_hit_bucket, hit_count):
+    """Class 0 for a never-hit folio, else 1 + floor(log2(b + 1)) for the
+    bucket b of its last hit, capped at the last class."""
+    if hit_count == 0:
+        return 0
+    return min(1 + int(math.log2(last_hit_bucket + 1)),
+               policy.NUM_CLASSES - 1)
+
+
+class ReferenceLhd(LhdPolicy):
+    """LHD's per-folio bookkeeping written out straight: each folio keeps
+    its last tick, the bucket of its last hit and its hit count, and every
+    hook works its class out from them, as the class definition reads.
+    Statistics, reconfiguration and the score pass are LhdPolicy's."""
+
+    def policy_init(self, cg):
+        super().policy_init(cg)
+        self.state = {}  # fid -> (last tick, last-hit bucket, hit count)
+
+    def class_of(self, fid):
+        _, last_hit_bucket, hit_count = self.state[fid]
+        return lhd_class(self, last_hit_bucket, hit_count)
+
+    def bucket_of(self, fid):
+        return lhd_bucket(self, self.tick - self.state[fid][0])
+
+    def folio_added(self, folio):
+        self.tick += 1
+        self.state[folio.id] = (self.tick, 0, 0)
+        self.cg.list_add(self.queue, folio.id, tail=True)
+        self.admissions_since_reconfig += 1
+
+    def folio_accessed(self, folio):
+        self.tick += 1
+        bucket = self.bucket_of(folio.id)
+        self.hits[self.class_of(folio.id)][bucket] += self.SCALE
+        hit_count = self.state[folio.id][2]
+        self.state[folio.id] = (self.tick, bucket, hit_count + 1)
 
     def evict_folios(self, ctx, cg):
-        tick = self.tick
-
         def score(fid):
-            m = self.meta[fid]
-            return self.hit_density[self._classify(m)][
-                self._bucket(tick - m[0])]
+            return self.hit_density[self.class_of(fid)][self.bucket_of(fid)]
 
         cg.list_iterate(self.queue, score, self._opts, ctx)
 
+    def folio_removed(self, folio):
+        if (folio.id in self.state
+                and self.cg.removal_reason is RemovalReason.EVICTED):
+            bucket = self.bucket_of(folio.id)
+            self.evictions[self.class_of(folio.id)][bucket] += self.SCALE
+        self.state.pop(folio.id, None)
+
 
 class TestLhdExactness:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_cached_rows_evict_as_the_class_formula(self, seed):
-        logs = []
+    # a 32-page cache, and one whose folios stay past the last age bucket
+    @pytest.mark.parametrize("seed, limit, pages", [
+        (0, 32, 48), (1, 32, 48), (2, 32, 48), (3, 96, 300)])
+    def test_bookkeeping_matches_the_reference(self, seed, limit, pages):
+        runs = []
         for policy in (LhdPolicy(reconfig_interval=16),
-                       ClassFormulaLhd(reconfig_interval=16)):
-            sim = make_sim(limit_pages=32, policy=policy,
+                       ReferenceLhd(reconfig_interval=16)):
+            sim = make_sim(limit_pages=limit, policy=policy,
                            record_evictions=True)
             rng = random.Random(seed)
             for file, page in random_accesses(rng, 3000, files=2,
-                                              pages_per_file=48,
+                                              pages_per_file=pages,
                                               locality=0.6):
-                sim.access_page(0, file, page)
+                if rng.random() < 0.01:
+                    sim.remove_file(0, file)
+                else:
+                    sim.access_page(0, file, page)
                 sim.run_deferred()
-            # hits in several classes, with densities that kept changing
-            assert len({policy._classify(m) for m in policy.meta.values()}) > 1
-            assert sum(map(any, policy.hit_density)) > 2
-            logs.append(sim.eviction_log)
-        assert logs[0] == logs[1]
-        assert len(logs[0]) > 1000
+            runs.append((policy, sim.eviction_log))
+        (lhd, log), (ref, ref_log) = runs
+        # hits in several classes, the last bucket reached, and densities
+        # that kept changing
+        assert len({ref.class_of(fid) for fid in ref.state}) > 2
+        assert any(row[-1] for row in ref.hits) == (limit > 32)
+        assert sum(map(any, ref.hit_density)) > 2
+        assert lhd.hits == ref.hits
+        assert lhd.evictions == ref.evictions
+        assert lhd.hit_density == ref.hit_density
+        assert log == ref_log
+        assert len(log) > 800
 
 
 class UnflooredLhd(LhdPolicy):
@@ -731,6 +793,38 @@ class TestGetScan:
         assert got[:3] == scan_fids
         expect_get = [fid_at(sim, 1, p) for p in range(3, 10)]
         assert got[3:] == expect_get
+
+    def test_an_empty_scan_list_gets_no_walk(self):
+        policy, sim = self.make(limit=16)
+        cg = policy.cg
+        iterate = cg.list_iterate
+        walked = []
+
+        def counting(list_id, callback, opts, ctx):
+            walked.append(list_id)
+            return iterate(list_id, callback, opts, ctx)
+
+        cg.list_iterate = counting
+        insert_pages(sim, 40, thread=1)
+        assert sim.stats(0).evictions_policy == 24
+        assert policy.scan_list not in walked
+        insert_pages(sim, 2, file=2, thread=9)
+        insert_pages(sim, 1, file=3, thread=1)
+        assert walked[-1] == policy.scan_list
+
+    @pytest.mark.parametrize("scan_pages", [0, 5])
+    def test_window_below_request_is_one_hook_error(self, scan_pages):
+        # from LFU's window check on an empty scan list, else from the
+        # scan list's score pass
+        policy = GetScanPolicy(scan_threads=(9,), scan_window=4)
+        sim = make_sim(limit_pages=20, policy=policy)
+        insert_pages(sim, scan_pages, file=3, thread=9)
+        insert_pages(sim, 30 - scan_pages)
+        sim.set_limit(0, 10)  # one round asks for 10 candidates
+        insert_pages(sim, 10, file=2)
+        stats = sim.stats(0)
+        assert (stats.hook_errors, stats.evictions_policy,
+                stats.evictions_fallback) == (1, 20, 10)
 
     def test_without_scan_threads_equals_lfu(self):
         rng = random.Random(6)

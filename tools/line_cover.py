@@ -55,9 +55,24 @@ def executable_lines(path: str) -> set:
     return lines
 
 
+def in_package(source: str):
+    """A test of a frame's ``co_filename``: whether the file lies in the
+    ``source`` directory. It remembers each file name's answer."""
+    prefix = os.path.join(source, "")
+    inside: dict = {}  # co_filename -> whether it lies in the package
+
+    def test(filename: str) -> bool:
+        traced = inside.get(filename)
+        if traced is None:
+            traced = inside[filename] = os.path.abspath(
+                filename).startswith(prefix)
+        return traced
+
+    return test
+
+
 def trace_run(source: str, pytest_args: list) -> tuple:
     """Run pytest under the hook; returns (exit status, {path: lines run})."""
-    prefix = os.path.join(source, "")
     ran: dict = {}
 
     def local(frame, event, arg):
@@ -65,15 +80,11 @@ def trace_run(source: str, pytest_args: list) -> tuple:
             ran[frame.f_code.co_filename].add(frame.f_lineno)
         return local
 
-    inside: dict = {}  # co_filename -> whether it lies in the package
+    inside = in_package(source)
 
     def hook(frame, event, arg):
         filename = frame.f_code.co_filename
-        traced = inside.get(filename)
-        if traced is None:
-            traced = inside[filename] = os.path.abspath(
-                filename).startswith(prefix)
-        if not traced:
+        if not inside(filename):
             return None
         ran.setdefault(filename, set()).add(frame.f_lineno)
         return local
