@@ -235,13 +235,6 @@ class Simulator:
             raise UnknownCgroupError("unknown cgroup %r" % cgroup_id)
         return cg
 
-    def folio(self, folio_id: int) -> Folio | None:
-        for cg in self._cgroups.values():
-            folio = cg.inactive.get(folio_id) or cg.active.get(folio_id)
-            if folio is not None:
-                return folio
-        return None
-
     def find_folio(self, file: int, offset: int) -> Folio | None:
         pages = self._pages.get(file)
         return pages.get(offset) if pages else None
@@ -325,11 +318,12 @@ class Simulator:
 
     def _drive(self, cg: CgroupSim) -> None:
         """Evict until the cgroup fits. Each round asks the attached policy
-        for min(32, overage) candidates and lets the default path cover any
-        shortfall. A valid candidate is an int (not a bool) naming an
-        unpinned folio on the cgroup's own lists. Invalid ones are counted,
-        repeats ignored; an accepted id's folio is gone, so earlier
-        proposals are searched for a repeat only on a rejection."""
+        for min(32, overage) candidates and hands any shortfall to
+        ``default_evict``. A valid candidate is an int (not a bool) naming
+        an unpinned folio on the cgroup's own lists. Invalid ones are
+        counted, repeats ignored; an accepted id's folio is gone, so earlier
+        proposals are searched for a repeat only on a rejection. Each
+        accepted candidate counts in ``evictions_policy``."""
         while cg.resident_pages > cg.limit_pages:
             needed = cg.resident_pages - cg.limit_pages
             if needed > CANDIDATES_MAX:
@@ -355,34 +349,32 @@ class Simulator:
                         if isinstance(fid, int) and not isinstance(fid, bool):
                             folio = cg.inactive.get(fid) or cg.active.get(fid)
                             if folio is not None and not folio.pinned:
-                                self._evict_folio(cg, folio, via_policy=True)
+                                self._evict_folio(cg, folio)
                                 evicted += 1
                                 continue
                         if not _proposed_before(proposed, i, fid):
                             cg.stats.invalid_candidates += 1
+                    cg.stats.evictions_policy += evicted
             if evicted < needed:
-                evicted += self.default_evict(cg.id, needed - evicted)
+                evicted += self.default_evict(cg, needed - evicted)
             if evicted == 0:
                 # Nothing evictable (everything pinned); give up rather
                 # than spin. The capacity invariant is suspended until a
                 # folio is unpinned.
                 break
 
-    def default_evict(self, cgroup_id: int, needed: int) -> int:
-        """Default two-list eviction: balance, then evict unpinned folios
-        from the inactive head.
+    def default_evict(self, cg: CgroupSim, needed: int) -> int:
+        """The eviction round's fallback, the default two-list policy:
+        balance, then evict up to ``needed`` (1 to 32) unpinned folios from
+        the inactive head of ``cg``, the core's own cgroup record. It keeps
+        its public name because the benchmark's tracer wraps it by name.
 
         Balancing demotes active-head folios to the inactive tail while the
         inactive list is shorter than max(needed, half the active length);
         referenced folios are demoted like any other. Returns the number
-        evicted, which falls short of ``needed`` only when every remaining
-        resident folio is pinned.
+        evicted, all counted in ``evictions_fallback``; it falls short of
+        ``needed`` only when every remaining resident folio is pinned.
         """
-        cg = self.cgroup(cgroup_id)
-        if not isinstance(needed, int) or isinstance(needed, bool):
-            raise SimulationError("needed must be an int, got %r" % (needed,))
-        if needed < 1:
-            raise SimulationError("needed must be >= 1")
         active, inactive = cg.active, cg.inactive
         while active and len(inactive) < max(needed, len(active) // 2):
             self._demote_head(cg)
@@ -394,12 +386,13 @@ class Simulator:
                     victim = folio
                     break
             if victim is not None:
-                self._evict_folio(cg, victim, via_policy=False)
+                self._evict_folio(cg, victim)
                 evicted += 1
             elif active and any(not f.pinned for f in active.values()):
                 self._demote_head(cg)
             else:
                 break
+        cg.stats.evictions_fallback += evicted
         return evicted
 
     def _demote_head(self, cg: CgroupSim) -> None:
@@ -408,22 +401,18 @@ class Simulator:
         folio.active = False
         folio.referenced = False
 
-    def _evict_folio(self, cg: CgroupSim, folio: Folio, via_policy: bool):
+    def _evict_folio(self, cg: CgroupSim, folio: Folio) -> None:
         """Evict one folio: shadow entry, then removal (see
-        ``_forget_folio``), then accounting."""
+        ``_forget_folio``), then writeback and the eviction log. The
+        caller counts the eviction as its own kind."""
         cg.eviction_epoch += 1
         shadow = cg.shadow_table
         shadow[(folio.file, folio.offset)] = cg.eviction_epoch
         while len(shadow) > cg.limit_pages:
             shadow.popitem(last=False)
         self._forget_folio(cg, folio, _EVICTED)
-        stats = cg.stats
-        if via_policy:
-            stats.evictions_policy += 1
-        else:
-            stats.evictions_fallback += 1
         if folio.dirty:
-            stats.writebacks += 1
+            cg.stats.writebacks += 1
         if self.eviction_log is not None:
             self.eviction_log.append((cg.id, folio.file, folio.offset))
 

@@ -346,7 +346,6 @@ class LhdPolicy(PolicyHooks):
     MAX_AGE = 256
     SCALE = 1 << 20
     EWMA_NUM, EWMA_DEN = 9, 10
-    INT64_MAX = (1 << 63) - 1
 
     def __init__(self, reconfig_interval: int = 1 << 20,
                  age_granularity: int | None = None,
@@ -430,13 +429,13 @@ class LhdPolicy(PolicyHooks):
 
         Per class, walking ages from oldest to youngest keeps suffix sums of
         hits, of all events, and of lifetime-weighted events, so each age's
-        density is hit_suffix * SCALE // lifetime_suffix. Touches no
+        density is hit_suffix * SCALE // lifetime_suffix, at most SCALE, as
+        lifetime_suffix >= event_suffix >= hit_suffix. Touches no
         per-folio metadata.
         """
         self.admissions_since_reconfig = 0
         num, den = self.EWMA_NUM, self.EWMA_DEN
         scale = self.SCALE
-        cap = self.INT64_MAX
         for c in range(self.NUM_CLASSES):
             hits = self.hits[c]
             evictions = self.evictions[c]
@@ -454,8 +453,7 @@ class LhdPolicy(PolicyHooks):
                 if event_suffix == 0:
                     density[a] = 0
                 else:
-                    d = hit_suffix * scale // lifetime_suffix
-                    density[a] = d if d < cap else cap
+                    density[a] = hit_suffix * scale // lifetime_suffix
 
 
 class GetScanPolicy(LfuPolicy):

