@@ -181,6 +181,37 @@ class TestDefaultEvict:
         assert cg.eviction_epoch == 1
         assert cg.shadow_table[(1, 0)] == 1
 
+    def test_counts_only_fallback_evictions(self):
+        sim = make_sim(limit_pages=8)
+        for page in (0, 1, 2):
+            sim.access_page(0, 1, page)
+        assert sim.default_evict(sim.cgroup(0), 2) == 2
+        stats = sim.stats(0)
+        assert stats.evictions_fallback == 2
+        assert stats.evictions_policy == 0
+
+    def test_evicts_only_from_the_given_cgroup(self):
+        sim = Simulator(record_evictions=True)
+        sim.add_cgroup(0, 8)
+        sim.add_cgroup(1, 8)
+        sim.access_page(0, 1, 0)
+        sim.access_page(1, 2, 0)
+        sim.access_page(1, 2, 1)
+        assert sim.default_evict(sim.cgroup(1), 1) == 1
+        assert sim.eviction_log == [(1, 2, 0)]
+        assert sim.resident_pages(0) == 1 and sim.resident_pages(1) == 1
+        assert sim.stats(0).evictions_fallback == 0
+        assert sim.cgroup(0).eviction_epoch == 0
+
+    def test_stops_when_the_cgroup_is_empty(self):
+        sim = make_sim(limit_pages=8)
+        sim.access_page(0, 1, 0)
+        sim.access_page(0, 1, 1)
+        sim.access_page(0, 1, 1)  # one folio on each list
+        assert sim.default_evict(sim.cgroup(0), 5) == 2
+        assert sim.resident_pages(0) == 0
+        sim.check_invariants()
+
 
 class FixedProposalPolicy(PolicyHooks):
     """Proposes a fixed slice of its FIFO list per round (or arbitrary
@@ -216,6 +247,34 @@ class _FolioId(int):
 
 
 class TestDriveEviction:
+    def test_shrink_asks_the_fallback_for_the_overage_in_rounds_of_32(self):
+        sim = make_sim(limit_pages=64, record_evictions=True)
+        asked = []
+        default_evict = sim.default_evict
+
+        def recording(cg, needed):
+            asked.append(needed)
+            return default_evict(cg, needed)
+
+        sim.default_evict = recording
+        for page in range(40):
+            sim.access_page(0, 1, page)
+        sim.set_limit(0, 1)
+        assert asked == [32, 7]
+        assert sim.eviction_log == [(0, 1, page) for page in range(39)]
+        assert sim.stats(0).evictions_fallback == 39
+        assert sim.resident_pages(0) == 1
+
+    def test_full_delivery_counts_only_policy_evictions(self):
+        sim = make_sim(limit_pages=32, policy=FixedProposalPolicy())
+        for page in range(10):
+            sim.access_page(0, 1, page)
+        sim.set_limit(0, 4)
+        stats = sim.stats(0)
+        assert sim.resident_pages(0) == 4
+        assert stats.evictions_policy == 6
+        assert stats.evictions_fallback == 0
+
     def test_under_delivery_falls_back(self):
         # asked for 10, proposes 5: five policy evictions plus five fallback
         sim = make_sim(limit_pages=32, policy=FixedProposalPolicy(per_round=5))

@@ -132,3 +132,11 @@ def test_reference_is_optimal(steps):
     capacities = [cap for _, cap in steps]
     assert min_misses(accesses, capacities) == brute_force_misses(
         accesses, capacities)
+
+
+def test_reference_shrink_drops_the_page_used_last():
+    # a shrink to 2 before the second pass drops c, the page needed last,
+    # so only c misses again
+    accesses = ["a", "b", "c"] * 2
+    assert min_misses(accesses, 3) == 3
+    assert min_misses(accesses, [3, 3, 3, 2, 2, 2]) == 4
