@@ -141,14 +141,6 @@ def _check_limit(cgroup_id, limit_pages) -> None:
                               "got %r" % (cgroup_id, limit_pages))
 
 
-def _does_deferred_work(policy) -> bool:
-    """False only for a policy whose ``run_deferred`` is the no-op that
-    ``PolicyHooks`` defines, inherited and not shadowed on the instance."""
-    return ("run_deferred" in getattr(policy, "__dict__", ())
-            or getattr(type(policy), "run_deferred", None)
-            is not PolicyHooks.run_deferred)
-
-
 class Simulator:
     """Deterministic single-threaded page-cache simulation.
 
@@ -163,8 +155,11 @@ class Simulator:
         # The page index: file -> offset -> Folio.
         self._pages: dict[int, dict[int, Folio]] = {}
         self._next_folio_id = 1
-        # Cgroups whose policy does deferred work; see run_deferred.
-        self._deferred_cgroups: list[CgroupSim] = []
+        # Cgroups whose policy requested deferred work since the last
+        # run_deferred, each once, in request order. Callers read it to
+        # skip run_deferred while it is empty; only the handles'
+        # request_deferred and the core change it.
+        self.deferred_requests: list[CgroupSim] = []
         self.eviction_log: list | None = [] if record_evictions else None
 
     # -- configuration ----------------------------------------------------
@@ -195,16 +190,16 @@ class Simulator:
         if not isinstance(name, str) or not 0 < len(name) <= POLICY_NAME_MAX:
             raise PolicyAttachError("policy name must be 1..%d chars"
                                     % POLICY_NAME_MAX)
-        handle = PolicyCgroup(cg)
+        handle = PolicyCgroup(cg, self.deferred_requests)
         try:
             policy.policy_init(handle)
         except Exception as exc:
+            if cg in self.deferred_requests:
+                self.deferred_requests.remove(cg)
             raise PolicyAttachError("policy_init of %r failed: %r"
                                     % (name, exc)) from exc
         cg.policy = policy
         cg.policy_cg = handle
-        if _does_deferred_work(policy):
-            self._deferred_cgroups.append(cg)
 
     def set_limit(self, cgroup_id: int, limit_pages: int) -> None:
         """Resize a cgroup. Shrinking evicts immediately to fit, and drops
@@ -459,20 +454,19 @@ class Simulator:
 
     # -- deferred policy work ---------------------------------------------
 
-    @property
-    def has_deferred_work(self) -> bool:
-        """Whether some attached policy does deferred work, so that
-        ``run_deferred`` is more than a no-op."""
-        return bool(self._deferred_cgroups)
-
     def run_deferred(self) -> None:
-        """Give attached policies their between-events maintenance slot.
+        """Give each policy that asked for it its between-events
+        maintenance slot.
 
-        Only a policy that does deferred work gets the slot: one that
-        overrides ``PolicyHooks.run_deferred`` on its class or on the
-        instance, or one that does not derive from ``PolicyHooks``. Which
-        policies those are is decided when the policy is attached."""
-        for cg in self._deferred_cgroups:
+        A policy asks through ``PolicyCgroup.request_deferred``; this
+        calls its ``run_deferred`` once per request, in request order,
+        and a request made while this runs waits for the next call. A
+        policy that never requests is never called here, whatever it
+        overrides."""
+        requests = self.deferred_requests
+        served = requests[:]
+        requests.clear()
+        for cg in served:
             try:
                 cg.policy.run_deferred()
             except Exception:

@@ -209,9 +209,10 @@ def replay(sim: Simulator, events) -> dict:
     accesses (the pages of ``TraceEvent.page_range``). Returns
     per-(cgroup, op) [accesses, hits] tallies.
 
-    If any attached policy does deferred work (see
-    ``Simulator.run_deferred``), ``sim.run_deferred()`` runs after every
-    event; otherwise it is not called.
+    ``sim.run_deferred()`` runs after an event only if some policy
+    requested deferred work (``PolicyCgroup.request_deferred``) since the
+    last call, as ``sim.deferred_requests`` shows; after every other event
+    it is not called.
 
     ``sim.access_page`` is looked up on every call. A timer may install a
     one-shot shim on ``Simulator.access_page`` that puts the original back
@@ -220,7 +221,7 @@ def replay(sim: Simulator, events) -> dict:
     runs through the rebinding."""
     tallies: dict = {}  # (cgroup, op value) -> [accesses, hits]
     delete, write_op = Op.DELETE, Op.WRITE
-    deferred = sim.has_deferred_work
+    requests = sim.deferred_requests
     # The tally of the last access event's (cgroup, op): looked up again
     # only when an access event changes either. A run of access events on
     # one (cgroup, op), as a single-tenant stream of one op makes, skips
@@ -261,7 +262,7 @@ def replay(sim: Simulator, events) -> dict:
                 t[1] += hits
         except Exception as exc:
             raise ReplayError("event seq %d failed: %s" % (ev.seq, exc)) from exc
-        if deferred:
+        if requests:
             sim.run_deferred()
     return {(cgroup, Op(value)): t for (cgroup, value), t in tallies.items()}
 

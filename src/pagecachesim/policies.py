@@ -15,6 +15,7 @@ statistics throughout.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import lru_cache
 from heapq import heapify, heappop, heappush, heapreplace
 from inspect import signature
 
@@ -326,7 +327,10 @@ class LhdPolicy(PolicyHooks):
     hit does no class arithmetic.
 
     Reconfiguration runs from the deferred-work slot between trace events,
-    never on the access path, after every ``reconfig_interval`` admissions.
+    never on the access path, after every ``reconfig_interval`` admissions:
+    an admission that leaves the count at or past the interval requests
+    the slot (``PolicyCgroup.request_deferred``), and ``run_deferred``
+    keeps its own check of the count.
     It first ages all counters with an EWMA decay of 0.9 and then
     recomputes densities. All statistics are 64-bit fixed point (scaled by
     2**20); nothing here uses floating point.
@@ -387,7 +391,9 @@ class LhdPolicy(PolicyHooks):
         self.tick += 1
         self.meta[folio.id] = [self.tick, *self._admit_rows]
         self.cg.list_add(self.queue, folio.id, tail=True)
-        self.admissions_since_reconfig += 1
+        self.admissions_since_reconfig = n = self.admissions_since_reconfig + 1
+        if n >= self.reconfig_interval:
+            self.cg.request_deferred()
 
     def folio_accessed(self, folio):
         self.tick = tick = self.tick + 1
@@ -518,6 +524,14 @@ POLICIES = {
 POLICY_NAMES = tuple(POLICIES)
 
 
+@lru_cache(maxsize=None)
+def _param_names(cls) -> frozenset:
+    """The keyword parameters ``cls`` accepts (none for None), read from
+    its signature once per class: ``inspect.signature`` takes tens of
+    microseconds, and every run builds each cgroup's policy twice."""
+    return frozenset(signature(cls).parameters) if cls else frozenset()
+
+
 def make_policy(name: str, params: dict | None = None) -> PolicyHooks | None:
     """Build a policy by name from ``POLICIES``. Returns None for "default".
 
@@ -530,8 +544,7 @@ def make_policy(name: str, params: dict | None = None) -> PolicyHooks | None:
                          % (name, ", ".join(POLICY_NAMES)))
     cls = POLICIES[name]
     params = params or {}
-    accepted = signature(cls).parameters if cls else ()
-    unknown = sorted(set(params).difference(accepted))
+    unknown = sorted(set(params).difference(_param_names(cls)))
     if unknown:
         raise ValueError("unknown parameters for policy %r: %s"
                          % (name, ", ".join(unknown)))

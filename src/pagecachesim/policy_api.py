@@ -191,12 +191,15 @@ class PolicyCgroup:
 
     ``cgroup`` is the core's per-cgroup record; the handle reads its ``id``,
     ``active`` and ``inactive`` lists, ``limit_pages`` and
-    ``resident_pages``.
+    ``resident_pages``. ``requests`` is the simulator's queue of cgroups
+    that asked for deferred work (see ``request_deferred``); a handle made
+    without one keeps its own.
     """
 
-    def __init__(self, cgroup):
+    def __init__(self, cgroup, requests: list | None = None):
         self.cgroup_id = cgroup.id
         self._cgroup = cgroup
+        self._requests = [] if requests is None else requests
         self._lists: dict[int, OrderedDict] = {}
         # Folio id -> id of the list it is on, for listed folios only.
         self._membership: dict[int, int] = {}
@@ -211,6 +214,14 @@ class PolicyCgroup:
     @property
     def resident_pages(self) -> int:
         return self._cgroup.resident_pages
+
+    def request_deferred(self) -> None:
+        """Ask for one ``run_deferred`` call on the policy after the
+        current event; see ``Simulator.run_deferred``. Further requests
+        before that call add nothing."""
+        requests = self._requests
+        if self._cgroup not in requests:
+            requests.append(self._cgroup)
 
     # -- basic list operations -------------------------------------------
 
@@ -481,11 +492,14 @@ class PolicyHooks:
         """A managed folio left the cache; clean up private metadata."""
 
     def run_deferred(self) -> None:
-        """Deferred maintenance, invoked between trace events.
+        """Deferred maintenance, invoked between trace events on request.
 
-        The simulator calls this after each completed event, off the
-        added/accessed hot path, standing in for an asynchronous
-        notify-userspace-and-reconfigure mechanism. It does so only for a
-        policy that overrides this no-op, on its class or on the instance
-        before ``attach_policy``; see ``Simulator.run_deferred``.
+        The simulator calls this once after an event in which the policy
+        called ``cg.request_deferred()`` on its handle, off the
+        added/accessed hot path, standing in for the BPF side telling its
+        userspace agent that reconfiguration is due. A policy that never
+        requests is never called. One that wants the slot after every
+        event requests from ``policy_init`` and again from each
+        ``run_deferred``; a request made here is served after the next
+        event. See ``Simulator.run_deferred``.
         """

@@ -607,6 +607,19 @@ class TestDriveEviction:
         assert [(f, o) for _, f, o in sim.eviction_log] == expect
 
 
+class RearmingPolicy(RecordingPolicy):
+    """Takes the deferred slot after every event: requests it from
+    ``policy_init`` and again from each ``run_deferred``."""
+
+    def policy_init(self, cg):
+        super().policy_init(cg)
+        cg.request_deferred()
+
+    def run_deferred(self):
+        self.calls.append(("deferred", None))
+        self.cg.request_deferred()
+
+
 class TestHookErrors:
     """A raising hook is counted against the folio's owner, and the
     simulation goes on with its structures intact."""
@@ -614,7 +627,7 @@ class TestHookErrors:
     @pytest.mark.parametrize("hook", ["folio_accessed", "folio_added",
                                       "folio_removed", "run_deferred"])
     def test_each_raise_is_counted_and_the_replay_finishes(self, hook):
-        policy = RecordingPolicy()
+        policy = RearmingPolicy()
         original = getattr(policy, hook)
         raised = []
 
@@ -664,6 +677,96 @@ class TestAttachPolicy:
         assert sim.resident_pages(0) == 2
         assert sim.find_folio(1, 0) is None
         sim.check_invariants()
+
+
+class AddRequestsPolicy(RecordingPolicy):
+    """Requests the deferred slot on every admission and records each
+    ``run_deferred`` call; ``failure`` set makes the call raise it."""
+
+    failure = None
+
+    def folio_added(self, folio):
+        super().folio_added(folio)
+        self.cg.request_deferred()
+
+    def run_deferred(self):
+        self.calls.append(("deferred", None))
+        if self.failure is not None:
+            raise self.failure
+
+
+class TestDeferredRequests:
+    """``request_deferred`` queues the cgroup once, and
+    ``Simulator.run_deferred`` serves what was queued before it ran."""
+
+    def test_two_requests_in_one_event_give_one_call(self):
+        policy = AddRequestsPolicy()
+        sim = make_sim(limit_pages=8, policy=policy)
+        for page in range(3):  # one three-page event
+            sim.access_page(0, 1, page)
+        assert sim.deferred_requests == [sim.cgroup(0)]
+        sim.run_deferred()
+        assert policy.of_kind("deferred") == [None]
+        assert sim.deferred_requests == []
+        sim.run_deferred()  # nothing requested since
+        assert policy.of_kind("deferred") == [None]
+
+    def test_a_request_from_run_deferred_waits_for_the_next_event(self):
+        policy = RearmingPolicy()
+        sim = make_sim(limit_pages=8, policy=policy)
+        sim.run_deferred()
+        assert policy.of_kind("deferred") == [None]
+        assert sim.deferred_requests == [sim.cgroup(0)]
+        sim.run_deferred()
+        assert policy.of_kind("deferred") == [None, None]
+
+    def test_requests_are_served_in_request_order(self):
+        sim = Simulator()
+        policies = {}
+        for cgroup in (0, 1):
+            sim.add_cgroup(cgroup, 8)
+            policies[cgroup] = AddRequestsPolicy()
+            sim.attach_policy(cgroup, policies[cgroup])
+        served = []
+        for cgroup, policy in policies.items():
+            policy.run_deferred = lambda cgroup=cgroup: served.append(cgroup)
+        sim.access_page(1, 1, 0)
+        sim.access_page(0, 2, 0)
+        sim.access_page(1, 1, 1)
+        sim.run_deferred()
+        assert served == [1, 0]
+
+    def test_a_raising_run_deferred_counts_one_error_per_request(self):
+        policy = AddRequestsPolicy()
+        policy.failure = RuntimeError("deferred")
+        sim = make_sim(limit_pages=4, policy=policy)
+        for page in range(6):
+            sim.access_page(0, 1, page)
+            sim.access_page(0, 1, page)  # a hit requests nothing
+            sim.run_deferred()
+        sim.run_deferred()
+        assert len(policy.of_kind("deferred")) == 6
+        assert sim.stats(0).hook_errors == 6
+        assert sim.deferred_requests == []
+        sim.check_invariants()
+
+    def test_failed_init_leaves_nothing_queued(self):
+        sim = make_sim(limit_pages=8)
+
+        class RequestsThenRaises(RearmingPolicy):
+            def policy_init(self, cg):
+                super().policy_init(cg)
+                raise RuntimeError("init failed")
+
+        with pytest.raises(PolicyAttachError):
+            sim.attach_policy(0, RequestsThenRaises())
+        assert sim.deferred_requests == []
+        sim.run_deferred()
+        assert sim.stats(0).hook_errors == 0
+        policy = RearmingPolicy()
+        sim.attach_policy(0, policy)
+        sim.run_deferred()
+        assert policy.of_kind("deferred") == [None]
 
 
 class ContextRecordingPolicy(RecordingPolicy):

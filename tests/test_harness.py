@@ -300,12 +300,44 @@ def two_cgroup_sim(make_policy=None):
 
 
 class DeferredFifo(FifoPolicy):
+    """FIFO that takes the deferred slot after every event: it requests
+    the slot from ``policy_init`` and again from each ``run_deferred``."""
+
     def __init__(self, calls):
         super().__init__()
         self.calls = calls
 
+    def policy_init(self, cg):
+        super().policy_init(cg)
+        cg.request_deferred()
+
     def run_deferred(self):
         self.calls.append(self)
+        self.cg.request_deferred()
+
+
+class UnrequestedFifo(FifoPolicy):
+    """FIFO that overrides ``run_deferred`` but never requests the slot."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def run_deferred(self):
+        self.calls.append(self)
+
+
+class DictlessFifo(FifoPolicy):
+    """FIFO whose ``__dict__`` must not be read: on Python 3.11 reading it
+    materializes the instance dict and leaves every later attribute load
+    on the object unspecialized."""
+
+    reads = 0
+
+    @property
+    def __dict__(self):
+        DictlessFifo.reads += 1
+        raise AssertionError("the policy's __dict__ was read")
 
 
 class RequestLog(FifoPolicy):
@@ -329,7 +361,8 @@ class DuckTypedPolicy:
         self.calls = calls
 
     def policy_init(self, cg):
-        pass
+        self.cg = cg
+        cg.request_deferred()
 
     def evict_folios(self, ctx, cg):
         pass
@@ -345,11 +378,24 @@ class DuckTypedPolicy:
 
     def run_deferred(self):
         self.calls.append(self)
+        self.cg.request_deferred()
 
 
 def instance_override(calls):
+    """A FIFO whose re-arming hooks are set on the instance."""
     policy = FifoPolicy()
-    policy.run_deferred = lambda: calls.append(policy)
+    init = policy.policy_init
+
+    def policy_init(cg):
+        init(cg)
+        cg.request_deferred()
+
+    def run_deferred():
+        calls.append(policy)
+        policy.cg.request_deferred()
+
+    policy.policy_init = policy_init
+    policy.run_deferred = run_deferred
     return policy
 
 
@@ -406,20 +452,32 @@ class TestReplay:
         assert {ev.op for ev in events} == set(Op)
         assert any(ev.len_bytes > 4096 for ev in events)
         sim = two_cgroup_sim(build)
-        assert sim.has_deferred_work
+        assert sim.deferred_requests == [sim.cgroup(0), sim.cgroup(1)]
         replay(sim, events)
         for policy in policies:
             assert calls.count(policy) == len(events)
         assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
 
     def test_policy_without_deferred_work_is_not_called(self, monkeypatch):
+        # overriding run_deferred without requesting the slot asks for
+        # nothing
         called = []
         monkeypatch.setattr(Simulator, "run_deferred",
                             lambda sim: called.append(sim))
-        sim = two_cgroup_sim(FifoPolicy)
-        assert not sim.has_deferred_work
+        sim = two_cgroup_sim(UnrequestedFifo)
         replay(sim, mixed_events())
         assert called == []
+        assert not sim.deferred_requests
+        for cgroup in (0, 1):
+            assert sim.cgroup(cgroup).policy.calls == []
+        assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
+
+    def test_attach_and_replay_never_read_the_policy_dict(self):
+        DictlessFifo.reads = 0
+        sim = two_cgroup_sim(DictlessFifo)
+        replay(sim, mixed_events())
+        sim.run_deferred()
+        assert DictlessFifo.reads == 0
         assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
 
     def test_every_eviction_round_asks_for_one_candidate(self):
@@ -450,10 +508,14 @@ class TestReplay:
             replay(sim, events)
         assert isinstance(info.value.__cause__, UnknownCgroupError)
 
-    def test_base_class_policy_has_no_deferred_work(self):
+    def test_base_class_policy_has_no_deferred_work(self, monkeypatch):
+        called = []
+        monkeypatch.setattr(Simulator, "run_deferred",
+                            lambda sim: called.append(sim))
         sim = two_cgroup_sim(PolicyHooks)
-        assert not sim.has_deferred_work
         replay(sim, mixed_events())
+        assert called == []
+        assert not sim.deferred_requests
         assert sim.stats(0).hook_errors == sim.stats(1).hook_errors == 0
 
 

@@ -552,6 +552,16 @@ class TestLhd:
         sim.run_deferred()
         assert policy.admissions_since_reconfig == 0
 
+    def test_requests_the_slot_once_the_interval_is_reached(self):
+        policy, sim = self.make(reconfig_interval=4)
+        insert_pages(sim, 3)
+        assert sim.deferred_requests == []
+        insert_pages(sim, 2, file=2)  # admissions 4 and 5 both request
+        assert sim.deferred_requests == [sim.cgroup(0)]
+        sim.run_deferred()
+        assert policy.admissions_since_reconfig == 0
+        assert sim.deferred_requests == []
+
     def test_folios_carry_their_class_rows(self):
         policy, sim = self.make(age_granularity=1)
         insert_pages(sim, 4)  # ticks 1..4
@@ -626,6 +636,8 @@ class ReferenceLhd(LhdPolicy):
         self.state[folio.id] = (self.tick, 0, 0)
         self.cg.list_add(self.queue, folio.id, tail=True)
         self.admissions_since_reconfig += 1
+        if self.admissions_since_reconfig >= self.reconfig_interval:
+            self.cg.request_deferred()
 
     def folio_accessed(self, folio):
         self.tick += 1

@@ -63,11 +63,12 @@ LAYERS = (
         "policies:*.reconfigure", "policies:*._[!_]*",
         "policy_api:PolicyCgroup.list_add",
         "policy_api:PolicyCgroup.list_move", "policy_api:PolicyCgroup._move",
-        "policy_api:PolicyCgroup.list_del", "policy_api:PolicyCgroup.detach")),
+        "policy_api:PolicyCgroup.list_del", "policy_api:PolicyCgroup.detach",
+        "policy_api:PolicyCgroup.request_deferred")),
     ("core access path", (
         "core:Simulator.access_page", "core:Simulator.run_deferred",
-        "core:Simulator.remove_file", "core:Simulator.has_deferred_work",
-        "core:Folio.__init__", "harness:replay")),
+        "core:Simulator.remove_file", "core:Folio.__init__",
+        "harness:replay")),
     ("reporting", (
         "harness:collect_metrics*", "harness:_check_conservation",
         "harness:Report.*", "harness:Metrics.*", "harness:_cell",
