@@ -71,15 +71,15 @@ class Folio:
 
 class CgroupStats:
     """Per-cgroup counters. Hits and misses are attributed to the accessing
-    cgroup; eviction, writeback, and removal counts to the folio's owner."""
+    cgroup; eviction, writeback, and removal counts to the folio's owner.
+    ``accesses``, ``evictions`` and ``removals`` are read-only sums of
+    other counters."""
 
-    __slots__ = ("accesses", "hits", "misses", "evictions_policy",
-                 "evictions_fallback", "invalid_candidates",
-                 "refault_activations", "writebacks", "file_removed_folios",
-                 "hook_errors")
+    __slots__ = ("hits", "misses", "evictions_policy", "evictions_fallback",
+                 "invalid_candidates", "refault_activations", "writebacks",
+                 "file_removed_folios", "hook_errors")
 
     def __init__(self):
-        self.accesses = 0
         self.hits = 0
         self.misses = 0
         self.evictions_policy = 0
@@ -89,6 +89,10 @@ class CgroupStats:
         self.writebacks = 0
         self.file_removed_folios = 0
         self.hook_errors = 0
+
+    @property
+    def accesses(self):
+        return self.hits + self.misses
 
     @property
     def evictions(self):
@@ -257,7 +261,6 @@ class Simulator:
         if cg is None:
             raise UnknownCgroupError("unknown cgroup %r" % cgroup_id)
         stats = cg.stats
-        stats.accesses += 1
         pages = self._pages.get(file)
         folio = pages.get(offset) if pages else None
         if folio is not None:

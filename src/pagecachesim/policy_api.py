@@ -93,7 +93,8 @@ class RemovalReason(Enum):
 
 # Members the eviction path compares against, bound once (an enum unpacks
 # in definition order): on Python 3.11 an ``Enum.MEMBER`` load is slow.
-_OK, _SCORE, _EVICTED = ListStatus.OK, IterMode.SCORE, RemovalReason.EVICTED
+_OK, _NOT_LISTED = ListStatus.OK, ListStatus.NOT_LISTED
+_SCORE, _EVICTED = IterMode.SCORE, RemovalReason.EVICTED
 _LEAVE_IN_PLACE, _MOVE_TO_TAIL, _MOVE_TO_LIST = Disposition
 _KEEP, _EVICT, _EVICT_AND_MOVE_TAIL, _STOP = Verdict
 
@@ -192,14 +193,13 @@ class PolicyCgroup:
     ``cgroup`` is the core's per-cgroup record; the handle reads its ``id``,
     ``active`` and ``inactive`` lists, ``limit_pages`` and
     ``resident_pages``. ``requests`` is the simulator's queue of cgroups
-    that asked for deferred work (see ``request_deferred``); a handle made
-    without one keeps its own.
+    that asked for deferred work (see ``request_deferred``).
     """
 
-    def __init__(self, cgroup, requests: list | None = None):
+    def __init__(self, cgroup, requests: list):
         self.cgroup_id = cgroup.id
         self._cgroup = cgroup
-        self._requests = [] if requests is None else requests
+        self._requests = requests
         self._lists: dict[int, OrderedDict] = {}
         # Folio id -> id of the list it is on, for listed folios only.
         self._membership: dict[int, int] = {}
@@ -260,19 +260,13 @@ class PolicyCgroup:
         return _OK
 
     def list_move(self, list_id: int, folio_id: int, tail: bool) -> ListStatus:
-        return self._move(list_id, folio_id, tail)
-
-    def _move(self, list_id: int, folio_id: int, tail: bool) -> ListStatus:
-        """``list_move``'s body. ``list_iterate`` makes its own moves
-        through it, so a wrapper set on the instance's ``list_move`` sees
-        only the policy's calls."""
         nodes = self._lists.get(list_id)
         if nodes is None:
             return ListStatus.INVALID_LIST
         membership = self._membership
         current = membership.get(folio_id)
         if current is None:
-            return ListStatus.NOT_LISTED
+            return _NOT_LISTED
         if current == list_id:
             nodes.move_to_end(folio_id, last=tail)
         else:
@@ -283,19 +277,20 @@ class PolicyCgroup:
             membership[folio_id] = list_id
         return _OK
 
+    # list_iterate's own moves go through this alias, so a wrapper set on
+    # the instance's list_move sees only the policy's calls.
+    _move = list_move
+
     def list_del(self, folio_id: int) -> ListStatus:
         current = self._membership.pop(folio_id, None)
         if current is None:
-            return ListStatus.NOT_LISTED
+            return _NOT_LISTED
         del self._lists[current][folio_id]
         return _OK
 
-    def detach(self, folio_id: int) -> None:
-        """Framework-side removal when a folio leaves the cache; a no-op
-        for a folio on no list."""
-        list_id = self._membership.pop(folio_id, None)
-        if list_id is not None:
-            del self._lists[list_id][folio_id]
+    # The core's removal of a departing folio, status ignored; a wrapper
+    # set on the instance's list_del sees only the policy's calls.
+    detach = list_del
 
     # -- iteration --------------------------------------------------------
 

@@ -82,7 +82,7 @@ def test_c02_score_mode_matches_sort_based_min_k():
         else:
             n = rng.randrange(64, 513)
         cgroup = CgroupSim(0, 1024)
-        store = PolicyCgroup(cgroup)
+        store = PolicyCgroup(cgroup, [])
         fids = range(1, n + 1)
         lst = store.list_create()
         for fid in fids:

@@ -1,5 +1,6 @@
 """tools/diff_replay.py, the differential replay of two source trees."""
 
+import functools
 import os
 import shutil
 
@@ -80,3 +81,15 @@ def test_policies_are_built_from_the_class_table(tmp_path):
     assert diff_replay.build_policy(package, "default", 4) is None
     policy = diff_replay.build_policy(package, "getscan", 4)
     assert (policy.scan_threads, policy._scan_window) == ({9}, 4)
+
+
+def test_counters_are_read_by_name():
+    # accesses is derived from hits and misses, not stored in a slot
+    package = diff_replay.load_package(SRC)
+    ops = diff_replay.hostile_ops(0, 20, 600)
+    _, stats = diff_replay.replay(package, functools.partial(
+        diff_replay.build_policy, package, "mru", 4), 20, ops)
+    assert tuple(stats) == diff_replay.COUNTERS
+    assert stats["accesses"] == stats["hits"] + stats["misses"] > 0
+    # at PARAMS' skip MRU's own walk answers rounds in a 20-page cgroup
+    assert stats["evictions_policy"] > 0

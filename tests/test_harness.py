@@ -531,12 +531,14 @@ class TestConservationCheck:
             _check_conservation(sim, cgroup, tallies)
         return sim, tallies
 
-    def test_hits_plus_misses(self, replayed):
+    def test_skewed_hits_break_the_per_op_tallies(self, replayed):
+        # accesses is hits + misses, so a skewed hit count shows as
+        # accesses the per-op tallies never replayed
         sim, tallies = replayed
         sim.stats(1).hits += 1
         _check_conservation(sim, 0, tallies)
         with pytest.raises(AssertionError,
-                           match=r"hits \+ misses != accesses for cgroup 1"):
+                           match="per-op tallies out of sync for cgroup 1"):
             _check_conservation(sim, 1, tallies)
 
     def test_insertions_minus_removals(self, replayed):

@@ -96,6 +96,25 @@ class TestMru:
         with pytest.raises(ValueError):
             MruPolicy(skip=-1)
 
+    @pytest.mark.parametrize("window", [1, 4, 32])
+    def test_window_counts_after_skip(self, window):
+        # the walk passes over skip folios, then examines up to
+        # scan_window more, so a window no larger than skip still serves
+        policy = MruPolicy(skip=32, scan_window=window)
+        sim = make_sim(limit_pages=39, policy=policy, record_evictions=True)
+        insert_pages(sim, 40)
+        assert sim.eviction_log == [(0, 1, 40 - 32 - 1)]
+        assert sim.stats(0).evictions_fallback == 0
+
+    def test_cgroup_within_skip_gets_no_proposal(self):
+        # a round over a cgroup holding skip folios or fewer walks nothing
+        policy = MruPolicy(skip=8)
+        sim = make_sim(limit_pages=7, policy=policy)
+        insert_pages(sim, 12)
+        stats = sim.stats(0)
+        assert (stats.evictions_policy, stats.evictions_fallback) == (0, 5)
+        assert stats.hook_errors == 0
+
 
 # Page keys from a few small files, so traces mix hits and misses.
 ACCESSES = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 11)),

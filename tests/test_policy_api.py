@@ -25,6 +25,7 @@ from pagecachesim import (
     registry_memory_estimate,
 )
 from pagecachesim.core import CgroupSim
+from pagecachesim.policies import FifoPolicy
 
 
 class CheckedPolicyCgroup(PolicyCgroup):
@@ -36,10 +37,13 @@ class CheckedPolicyCgroup(PolicyCgroup):
         self.check_consistency()
         return status
 
-    def _move(self, list_id, folio_id, tail):
-        status = super()._move(list_id, folio_id, tail)
+    def list_move(self, list_id, folio_id, tail):
+        status = super().list_move(list_id, folio_id, tail)
         self.check_consistency()
         return status
+
+    # the walk's own moves, checked like the policy's
+    _move = list_move
 
     def list_del(self, folio_id):
         status = super().list_del(folio_id)
@@ -56,7 +60,7 @@ def make_store(n_folios=0, limit_pages=1024, checked=True):
     """A handle on a bare cgroup whose inactive list holds ``n_folios``
     resident folios; ``checked`` checks consistency after each operation."""
     cgroup = CgroupSim(0, limit_pages)
-    store = (CheckedPolicyCgroup if checked else PolicyCgroup)(cgroup)
+    store = (CheckedPolicyCgroup if checked else PolicyCgroup)(cgroup, [])
     fids = list(range(1, n_folios + 1))
     for fid in fids:
         cgroup.inactive[fid] = Folio(fid, 0, fid, 0, False)
@@ -168,6 +172,24 @@ class TestMembership:
         store.detach(12345)
         assert store.list_members(lst) == [a]
         store.check_consistency()
+
+    def test_eviction_bypasses_instance_list_del(self):
+        # wrappers set on the handle instance see only the policy's calls
+        policy = FifoPolicy()
+        sim = Simulator()
+        sim.add_cgroup(0, 2)
+        sim.attach_policy(0, policy)
+        handle = sim.cgroup(0).policy_cg
+        calls = []
+        handle.list_del = lambda *args, **kwargs: calls.append(args)
+        for page in range(3):
+            sim.access_page(0, 1, page)
+        assert sim.stats(0).evictions_policy == 1
+        assert sim.find_folio(1, 0) is None
+        assert handle.list_members(policy.queue) == [
+            sim.find_folio(1, 1).id, sim.find_folio(1, 2).id]
+        assert calls == []
+        sim.check_invariants()
 
     def test_add_of_sibling_folio_is_not_registered(self):
         sim = Simulator()

@@ -21,7 +21,7 @@ scan thread of ``getscan``), pins and unpins, file removals and limit
 changes, so rounds ask for several candidates, propose pinned folios,
 raise (a window below the request) and fall back to default eviction.
 Every config is replayed with ``record_evictions=True`` on both sides, and
-the eviction log and every ``CgroupStats`` counter must be equal. The
+the eviction log and every counter of ``COUNTERS`` must be equal. The
 tool prints each mismatch, then the number of configs and the totals of
 hook errors, invalid candidates, fallback evictions and file-removed
 folios, which show the paths the traces reached. It exits 1 on any
@@ -42,12 +42,20 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Policy parameters beyond the scan window.
-PARAMS = {"getscan": {"scan_threads": [9]}, "lhd": {"reconfig_interval": 64}}
+#: Policy parameters beyond the scan window. MRU passes over its first
+#: ``skip`` folios, so at its default skip of 32 a cgroup of 8 or 20
+#: pages would get no MRU proposal at all.
+PARAMS = {"getscan": {"scan_threads": [9]}, "lhd": {"reconfig_interval": 64},
+          "mru": {"skip": 2}}
 WINDOWS = (4, 8, 32, 40, 64, 512)
 LIMITS = (8, 20, 50, 100)
 #: Operations per trace.
 EVENTS = 2500
+#: The ``CgroupStats`` counters compared, read by name whether a tree
+#: stores a counter or derives it.
+COUNTERS = ("accesses", "hits", "misses", "evictions_policy",
+            "evictions_fallback", "invalid_candidates", "refault_activations",
+            "writebacks", "file_removed_folios", "hook_errors")
 #: The counters whose totals are printed.
 REACHED = ("hook_errors", "invalid_candidates", "evictions_fallback",
            "file_removed_folios")
@@ -132,8 +140,8 @@ def replay(package, make_policy, limit: int, ops) -> tuple:
     except Exception as exc:  # a difference to report, not a tool failure
         return "raised %r" % (exc,), {}
     stats = sim.stats(0)
-    return sim.eviction_log, {slot: getattr(stats, slot)
-                              for slot in type(stats).__slots__}
+    return sim.eviction_log, {name: getattr(stats, name)
+                              for name in COUNTERS}
 
 
 def build_policy(package, name: str, window: int):
@@ -160,9 +168,9 @@ def describe(base: tuple, change: tuple) -> str:
                        if a != b), min(len(log_a), len(log_b)))
             parts.append("eviction logs differ at eviction %d (%d vs %d "
                          "evictions)" % (at, len(log_a), len(log_b)))
-    slots = sorted(set(stats_a) | set(stats_b))
+    names = sorted(set(stats_a) | set(stats_b))
     changed = ["%s %s -> %s" % (s, stats_a.get(s), stats_b.get(s))
-               for s in slots if stats_a.get(s) != stats_b.get(s)]
+               for s in names if stats_a.get(s) != stats_b.get(s)]
     if changed and stats_a and stats_b:
         parts.append("stats: " + ", ".join(changed))
     return "; ".join(parts)

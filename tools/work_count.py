@@ -57,13 +57,15 @@ LAYERS = (
         "policy_api:PolicyCgroup._score_pass",
         "policy_api:PolicyCgroup.list_length", "policy_api:EvictionContext.*",
         "policies:*.evict_folios*", "policies:_evict_all",
-        "policies:LfuPolicy.policy_init.<locals>.admit")),
+        "policies:LfuPolicy.policy_init.<locals>.admit",
+        "policies:S3FifoPolicy.policy_init.<locals>.judge*")),
     ("hook dispatch", (
         "policies:*.folio_*", "policies:*.run_deferred",
         "policies:*.reconfigure", "policies:*._[!_]*",
+        "policy_api:PolicyHooks.folio_*", "policy_api:PolicyHooks.run_deferred",
         "policy_api:PolicyCgroup.list_add",
-        "policy_api:PolicyCgroup.list_move", "policy_api:PolicyCgroup._move",
-        "policy_api:PolicyCgroup.list_del", "policy_api:PolicyCgroup.detach",
+        "policy_api:PolicyCgroup.list_move",
+        "policy_api:PolicyCgroup.list_del",
         "policy_api:PolicyCgroup.request_deferred")),
     ("core access path", (
         "core:Simulator.access_page", "core:Simulator.run_deferred",
@@ -71,6 +73,7 @@ LAYERS = (
         "harness:replay")),
     ("reporting", (
         "harness:collect_metrics*", "harness:_check_conservation",
+        "core:CgroupStats.[!_]*",
         "harness:Report.*", "harness:Metrics.*", "harness:_cell",
         "harness:_ratio")),
 )
