@@ -31,8 +31,8 @@ from .policy_api import (
     PolicyCgroup,
     PolicyHooks,
     POLICY_NAME_MAX,
-    RemovalReason,
     _EVICTED,
+    _FILE_REMOVED,
 )
 
 
@@ -108,7 +108,7 @@ class CgroupSim:
 
     __slots__ = ("id", "limit_pages", "resident_pages", "active", "inactive",
                  "shadow_table", "eviction_epoch", "policy",
-                 "policy_cg", "stats")
+                 "policy_cg", "calls_accessed", "calls_removed", "stats")
 
     def __init__(self, cgroup_id: int, limit_pages: int):
         self.id = cgroup_id
@@ -125,6 +125,10 @@ class CgroupSim:
         self.eviction_epoch = 0
         self.policy: PolicyHooks | None = None
         self.policy_cg: PolicyCgroup | None = None
+        # Whether the core calls the policy's folio_accessed and
+        # folio_removed, decided at attach (see Simulator.attach_policy).
+        self.calls_accessed = False
+        self.calls_removed = False
         self.stats = CgroupStats()
 
 
@@ -136,6 +140,19 @@ def _proposed_before(proposed, i, fid) -> bool:
             and any(earlier == fid and isinstance(earlier, int)
                     and not isinstance(earlier, bool)
                     for earlier in islice(proposed, i)))
+
+
+#: ``PolicyHooks``' no-op hooks the core skips, as the class defines them.
+_NOOP_HOOKS = {hook: getattr(PolicyHooks, hook)
+               for hook in ("folio_accessed", "folio_removed")}
+
+
+def _overrides(policy, hook: str) -> bool:
+    """Whether ``policy``'s ``hook`` is anything but ``PolicyHooks``' own
+    no-op bound to it: an override in its class or an attribute set on
+    the instance. Read through ``getattr``, as the core's calls are."""
+    return (getattr(getattr(policy, hook, None), "__func__", None)
+            is not _NOOP_HOOKS[hook])
 
 
 def _check_limit(cgroup_id, limit_pages) -> None:
@@ -181,6 +198,17 @@ class Simulator:
         return cg
 
     def attach_policy(self, cgroup_id: int, policy: PolicyHooks) -> None:
+        """Attach ``policy`` to a cgroup and call its ``policy_init``.
+
+        Once ``policy_init`` has returned, attach decides whether the core
+        will call the policy's ``folio_accessed`` and ``folio_removed``.
+        A hook that is still ``PolicyHooks``' own no-op, neither overridden
+        in the policy's class nor set on the instance, is never called,
+        and replacing it after attach is not seen; the core then sets no
+        ``removal_reason`` for the skipped ``folio_removed``. An override
+        is looked up on each call, and ``current_thread`` is set on every
+        access either way. ``run_deferred`` is exempt: it is called on
+        request only, and looked up on each call."""
         cg = self.cgroup(cgroup_id)
         if cg.policy is not None:
             raise PolicyAttachError("cgroup %r already has policy %r"
@@ -204,6 +232,8 @@ class Simulator:
                                     % (name, exc)) from exc
         cg.policy = policy
         cg.policy_cg = handle
+        cg.calls_accessed = _overrides(policy, "folio_accessed")
+        cg.calls_removed = _overrides(policy, "folio_removed")
 
     def set_limit(self, cgroup_id: int, limit_pages: int) -> None:
         """Resize a cgroup. Shrinking evicts immediately to fit, and drops
@@ -274,9 +304,11 @@ class Simulator:
                     del owner.inactive[folio.id]
                     owner.active[folio.id] = folio
                     folio.active = True
+                folio.referenced = True
+                return True
             folio.referenced = True
-            if policy is not None:
-                owner.policy_cg.current_thread = thread
+            owner.policy_cg.current_thread = thread
+            if owner.calls_accessed:
                 try:
                     policy.folio_accessed(folio)
                 except Exception:
@@ -347,7 +379,7 @@ class Simulator:
                         if isinstance(fid, int) and not isinstance(fid, bool):
                             folio = cg.inactive.get(fid) or cg.active.get(fid)
                             if folio is not None and not folio.pinned:
-                                self._evict_folio(cg, folio)
+                                self._remove_folio(cg, folio)
                                 evicted += 1
                                 continue
                         if not _proposed_before(proposed, i, fid):
@@ -384,7 +416,7 @@ class Simulator:
                     victim = folio
                     break
             if victim is not None:
-                self._evict_folio(cg, victim)
+                self._remove_folio(cg, victim)
                 evicted += 1
             elif active and any(not f.pinned for f in active.values()):
                 self._demote_head(cg)
@@ -399,25 +431,24 @@ class Simulator:
         folio.active = False
         folio.referenced = False
 
-    def _evict_folio(self, cg: CgroupSim, folio: Folio) -> None:
-        """Evict one folio: shadow entry, then removal (see
-        ``_forget_folio``), then writeback and the eviction log. The
-        caller counts the eviction as its own kind."""
-        cg.eviction_epoch += 1
-        shadow = cg.shadow_table
-        shadow[(folio.file, folio.offset)] = cg.eviction_epoch
-        while len(shadow) > cg.limit_pages:
-            shadow.popitem(last=False)
-        self._forget_folio(cg, folio, _EVICTED)
-        if folio.dirty:
-            cg.stats.writebacks += 1
-        if self.eviction_log is not None:
-            self.eviction_log.append((cg.id, folio.file, folio.offset))
-
-    def _forget_folio(self, cg, folio, reason) -> None:
-        """Shared tail of eviction and file removal: take the folio off
-        its cgroup list, detach it from any policy eviction list, fire
-        folio_removed, drop its page index entry."""
+    def _remove_folio(self, cg: CgroupSim, folio: Folio,
+                      reason=_EVICTED) -> None:
+        """Take one folio out of the cache, by eviction (the default
+        ``reason``) or with its file. In order: an eviction's shadow
+        entry; the folio off its cgroup list and off any policy eviction
+        list, directly, so a wrapper set on the handle's ``list_del``
+        sees only the policy's calls; ``folio_removed``, with
+        ``removal_reason`` set around it, if the policy overrides it; the
+        page index entry and the resident count; an eviction's writeback
+        and eviction log entry. The caller counts the removal as its own
+        kind."""
+        evicted = reason is _EVICTED
+        if evicted:
+            cg.eviction_epoch += 1
+            shadow = cg.shadow_table
+            shadow[(folio.file, folio.offset)] = cg.eviction_epoch
+            while len(shadow) > cg.limit_pages:
+                shadow.popitem(last=False)
         fid = folio.id
         if folio.active:
             del cg.active[fid]
@@ -425,18 +456,26 @@ class Simulator:
             del cg.inactive[fid]
         policy_cg = cg.policy_cg
         if policy_cg is not None:
-            policy_cg.detach(fid)
-            policy_cg.removal_reason = reason
-            try:
-                cg.policy.folio_removed(folio)
-            except Exception:
-                cg.stats.hook_errors += 1
-            policy_cg.removal_reason = None
+            list_id = policy_cg._membership.pop(fid, None)
+            if list_id is not None:
+                del policy_cg._lists[list_id][fid]
+            if cg.calls_removed:
+                policy_cg.removal_reason = reason
+                try:
+                    cg.policy.folio_removed(folio)
+                except Exception:
+                    cg.stats.hook_errors += 1
+                policy_cg.removal_reason = None
         pages = self._pages[folio.file]
         del pages[folio.offset]
         if not pages:
             del self._pages[folio.file]
         cg.resident_pages -= 1
+        if evicted:
+            if folio.dirty:
+                cg.stats.writebacks += 1
+            if self.eviction_log is not None:
+                self.eviction_log.append((cg.id, folio.file, folio.offset))
 
     # -- file removal ---------------------------------------------------------
 
@@ -451,7 +490,7 @@ class Simulator:
         folios = list(pages.values())
         for folio in folios:
             owner = self._cgroups[folio.owner]
-            self._forget_folio(owner, folio, RemovalReason.FILE_REMOVED)
+            self._remove_folio(owner, folio, _FILE_REMOVED)
             owner.stats.file_removed_folios += 1
         return len(folios)
 

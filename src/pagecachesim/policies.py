@@ -386,6 +386,15 @@ class LhdPolicy(PolicyHooks):
         self.admissions_since_reconfig = 0
         if self._age_granularity is None:
             self._age_granularity = max(1, cg.limit_pages // self.MAX_AGE)
+        meta, gran, top = self.meta, self._age_granularity, m - 1
+
+        def score(fid):
+            # runs once per scanned node on every eviction round
+            e = meta[fid]
+            b = (self.tick - e[0]) // gran
+            return e[1][b if b < top else top]
+
+        self._score = score
 
     def folio_added(self, folio):
         self.tick += 1
@@ -406,17 +415,7 @@ class LhdPolicy(PolicyHooks):
         m[1], m[2], m[3] = self._rows_after_hit[age]
 
     def evict_folios(self, ctx, cg):
-        tick = self.tick
-        gran = self._age_granularity
-        top = self.MAX_AGE - 1
-
-        def score(fid, _meta=self.meta):
-            # runs once per scanned node on every eviction round
-            m = _meta[fid]
-            b = (tick - m[0]) // gran
-            return m[1][b if b < top else top]
-
-        cg.list_iterate(self.queue, score, self._opts, ctx)
+        cg.list_iterate(self.queue, self._score, self._opts, ctx)
 
     def folio_removed(self, folio):
         m = self.meta.pop(folio.id, None)

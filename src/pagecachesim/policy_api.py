@@ -94,7 +94,8 @@ class RemovalReason(Enum):
 # Members the eviction path compares against, bound once (an enum unpacks
 # in definition order): on Python 3.11 an ``Enum.MEMBER`` load is slow.
 _OK, _NOT_LISTED = ListStatus.OK, ListStatus.NOT_LISTED
-_SCORE, _EVICTED = IterMode.SCORE, RemovalReason.EVICTED
+_SCORE = IterMode.SCORE
+_EVICTED, _FILE_REMOVED = RemovalReason
 _LEAVE_IN_PLACE, _MOVE_TO_TAIL, _MOVE_TO_LIST = Disposition
 _KEEP, _EVICT, _EVICT_AND_MOVE_TAIL, _STOP = Verdict
 
@@ -130,6 +131,8 @@ class EvictionContext:
     appends folio ids to ``candidates``. Entries beyond
     ``nr_candidates_proposed`` are ignored by the core, as are duplicates
     and ids that are not resident, unpinned folios of the cgroup.
+    ``PolicyCgroup.list_iterate`` appends under ``propose``'s rules
+    without calling it, reading the fields as its callback left them.
     """
 
     __slots__ = ("nr_candidates_requested", "nr_candidates_proposed",
@@ -185,9 +188,12 @@ class PolicyCgroup:
 
     It also carries the event context the core sets before dispatching
     hooks: ``current_thread`` identifies the thread performing the current
-    access (the analog of reading the current task's PID), and
-    ``removal_reason`` tells ``folio_removed`` whether the folio was evicted
-    or dropped with its file. ``cgroup_id``, ``limit_pages`` and
+    access (the analog of reading the current task's PID), set on every
+    access and admission, and ``removal_reason`` tells ``folio_removed``
+    whether the folio was evicted or dropped with its file; it is set only
+    around the calls the core makes, so under a policy that does not
+    override ``folio_removed`` it stays None (see
+    ``Simulator.attach_policy``). ``cgroup_id``, ``limit_pages`` and
     ``resident_pages`` describe the cgroup itself.
 
     ``cgroup`` is the core's per-cgroup record; the handle reads its ``id``,
@@ -288,10 +294,6 @@ class PolicyCgroup:
         del self._lists[current][folio_id]
         return _OK
 
-    # The core's removal of a departing folio, status ignored; a wrapper
-    # set on the instance's list_del sees only the policy's calls.
-    detach = list_del
-
     # -- iteration --------------------------------------------------------
 
     def list_iterate(self, list_id, callback, opts: IterOptions,
@@ -316,7 +318,8 @@ class PolicyCgroup:
 
         Evaluate mode: the callback receives the folio id and returns a
         ``Verdict``. EVICT verdicts append the folio id to the context
-        (iteration stops once it fills); KEEP verdicts apply
+        under ``EvictionContext.propose``'s rules (iteration stops once it
+        fills); KEEP verdicts apply
         ``opts.disposition``; STOP ends the walk. The walk's own moves (a
         KEEP disposition, EVICT_AND_MOVE_TAIL) are applied when it ends,
         even by an exception, in walk order, each to the tail of its target
@@ -364,10 +367,19 @@ class PolicyCgroup:
                 verdict = callback(folio_id)
                 examined += 1
                 if verdict is _EVICT or verdict is _EVICT_AND_MOVE_TAIL:
-                    ctx.propose(folio_id)
+                    # ctx.propose(folio_id), then ctx.room(), inline; the
+                    # fields are read after the callback, which may set them
+                    proposed = ctx.nr_candidates_proposed
+                    requested = ctx.nr_candidates_requested
+                    if not proposed >= requested:
+                        candidates = ctx.candidates
+                        if folio_id not in candidates:
+                            candidates.append(folio_id)
+                            ctx.nr_candidates_proposed = proposed = (
+                                proposed + 1)
                     if verdict is _EVICT_AND_MOVE_TAIL:
                         moves.append((list_id, folio_id))
-                    if ctx.room() <= 0:
+                    if requested - proposed <= 0:
                         break
                 elif verdict is _KEEP:
                     if disposition is _MOVE_TO_TAIL:
@@ -425,12 +437,23 @@ class PolicyCgroup:
                     heapq.heappush(rest, kept)
                 elif kept > rest[0]:
                     heapq.heapreplace(rest, kept)
-        for folio_id in at_floor:
-            ctx.propose(folio_id)
         if len(at_floor) < room:
+            # the best of the rest follow the floor nodes
             rest.sort(reverse=True)
             for _, _, folio_id in rest[:room - len(at_floor)]:
-                ctx.propose(folio_id)
+                at_floor.append(folio_id)
+        # ctx.propose for each, inline; no callback runs between proposals,
+        # so the counts are read once
+        proposed = ctx.nr_candidates_proposed
+        requested = ctx.nr_candidates_requested
+        for folio_id in at_floor:
+            if proposed >= requested:
+                break
+            candidates = ctx.candidates
+            if folio_id not in candidates:
+                candidates.append(folio_id)
+                proposed += 1
+        ctx.nr_candidates_proposed = proposed
         return scored
 
     # -- debugging ---------------------------------------------------------
@@ -467,6 +490,14 @@ class PolicyHooks:
     change the list being walked; the walk raises ``RuntimeError`` if it
     does. Exceptions escaping a hook are treated as policy misbehavior: the
     core absorbs them and falls back to default eviction for the round.
+
+    ``folio_accessed`` and ``folio_removed`` are called only if the policy
+    overrides them, in its class or on the instance, by the time
+    ``Simulator.attach_policy`` has run ``policy_init``: the core skips
+    these two no-ops below for every hit and removal, and a hook that was
+    still the no-op at attach stays skipped even if replaced later. An
+    override is looked up on each call. ``run_deferred`` is exempt; it is
+    called on request only, and looked up on each call.
     """
 
     name = "noop"

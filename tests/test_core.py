@@ -679,6 +679,123 @@ class TestAttachPolicy:
         sim.check_invariants()
 
 
+class HookRecordingFifo(FifoPolicy):
+    """FIFO that overrides folio_accessed and folio_removed to record each
+    call with the handle's event context."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def folio_accessed(self, folio):
+        self.calls.append(("accessed", folio.id, self.cg.current_thread))
+
+    def folio_removed(self, folio):
+        self.calls.append(("removed", folio.id, self.cg.removal_reason))
+
+
+def hits_evictions_and_a_file_removal(sim):
+    """Three pages through a 2-page cgroup with two hits, then file 1
+    removed: one eviction (page 0), two file removals."""
+    for page, thread in ((0, 1), (1, 2), (1, 3), (2, 4), (2, 5)):
+        sim.access_page(0, 1, page, thread=thread)
+    sim.remove_file(0, 1)
+    stats = sim.stats(0)
+    assert (stats.hits, stats.evictions_policy,
+            stats.file_removed_folios) == (2, 1, 2)
+
+
+class TestAttachTimeHooks:
+    """Whether the core calls folio_accessed and folio_removed is decided
+    when the policy is attached: PolicyHooks' own no-ops are skipped,
+    overrides are called."""
+
+    def test_inherited_no_ops_are_never_called(self, monkeypatch):
+        sim = make_sim(limit_pages=2, policy=FifoPolicy())
+        spied = []
+        for hook in ("folio_accessed", "folio_removed"):
+            monkeypatch.setattr(PolicyHooks, hook,
+                                lambda self, folio, hook=hook:
+                                spied.append(hook))
+        hits_evictions_and_a_file_removal(sim)
+        assert spied == []
+        assert sim.stats(0).hook_errors == 0
+        sim.check_invariants()
+
+    def test_no_op_replaced_after_attach_is_not_seen(self):
+        policy = FifoPolicy()
+        sim = make_sim(limit_pages=2, policy=policy)
+        seen = []
+        policy.folio_accessed = seen.append
+        policy.folio_removed = seen.append
+        hits_evictions_and_a_file_removal(sim)
+        assert seen == []
+
+    @pytest.mark.parametrize("where", ["class", "instance"])
+    def test_overrides_set_before_attach_are_called(self, where):
+        if where == "class":
+            policy = HookRecordingFifo()
+            calls = policy.calls
+        else:
+            # as the benchmark's tracer wraps hooks before attaching
+            policy = FifoPolicy()
+            calls = []
+            policy.folio_accessed = lambda folio: calls.append(
+                ("accessed", folio.id, policy.cg.current_thread))
+            policy.folio_removed = lambda folio: calls.append(
+                ("removed", folio.id, policy.cg.removal_reason))
+        sim = make_sim(limit_pages=2, policy=policy)
+        sim.access_page(0, 1, 0)
+        first = sim.find_folio(1, 0).id
+        sim.access_page(0, 1, 0, thread=6)
+        sim.access_page(0, 1, 1)
+        sim.access_page(0, 1, 2)
+        second = sim.find_folio(1, 1).id
+        third = sim.find_folio(1, 2).id
+        sim.remove_file(0, 1)
+        assert calls == [("accessed", first, 6),
+                         ("removed", first, RemovalReason.EVICTED),
+                         ("removed", second, RemovalReason.FILE_REMOVED),
+                         ("removed", third, RemovalReason.FILE_REMOVED)]
+        assert policy.cg.removal_reason is None
+
+    @pytest.mark.parametrize("hook", ["folio_accessed", "folio_removed"])
+    def test_raising_override_counts_one_hook_error(self, hook):
+        class Raising(FifoPolicy):
+            pass
+
+        def raising(self, folio):
+            raise RuntimeError(hook)
+
+        setattr(Raising, hook, raising)
+        sim = make_sim(limit_pages=1, policy=Raising())
+        sim.access_page(0, 1, 0)
+        sim.access_page(0, 1, 0)  # one hit
+        sim.access_page(0, 1, 1)  # one eviction
+        stats = sim.stats(0)
+        assert (stats.hits, stats.evictions_policy) == (1, 1)
+        assert stats.hook_errors == 1
+        sim.check_invariants()
+
+    def test_current_thread_follows_hits_without_an_accessed_hook(self):
+        policy = FifoPolicy()
+        sim = make_sim(limit_pages=4, policy=policy)
+        sim.access_page(0, 1, 0, thread=3)
+        assert policy.cg.current_thread == 3
+        sim.access_page(0, 1, 0, thread=8)
+        assert sim.stats(0).hits == 1
+        assert policy.cg.current_thread == 8
+
+    def test_removal_reason_is_set_only_inside_an_override(self):
+        policy = HookRecordingFifo()
+        sim = make_sim(limit_pages=2, policy=policy)
+        hits_evictions_and_a_file_removal(sim)
+        assert [call[2] for call in policy.calls if call[0] == "removed"] \
+            == [RemovalReason.EVICTED, RemovalReason.FILE_REMOVED,
+                RemovalReason.FILE_REMOVED]
+        assert policy.cg.removal_reason is None
+
+
 class AddRequestsPolicy(RecordingPolicy):
     """Requests the deferred slot on every admission and records each
     ``run_deferred`` call; ``failure`` set makes the call raise it."""

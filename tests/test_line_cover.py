@@ -109,4 +109,33 @@ def test_a_failed_pytest_run_gives_its_status(tmp_path):
         """)
     proc = run_tool(tmp_path)
     assert "no tests ran" in proc.stdout
-    assert proc.returncode == 5  # pytest's "no tests collected"
+    # pytest's "no tests collected", and no test failed
+    assert proc.stdout.splitlines()[-1] == "pytest exited with status 5, " \
+                                           "0 failed"
+    assert proc.returncode == 3  # lines never ran, and pytest failed
+
+
+def test_a_failing_test_is_reported_apart_from_the_lines(tmp_path):
+    package = toy_tree(tmp_path, """\
+        from pagecachesim.mod import unused
+
+
+        def test_all():
+            assert main() == "yes"
+            assert used(0) == "no0"
+            assert unused() == 1
+
+
+        def test_budget():
+            assert used(1) == "no"
+        """)
+    proc = run_tool(tmp_path)
+    # every line ran, so only the pytest outcome fails the run
+    assert proc.stdout.splitlines()[-4:] == [
+        "expected: mod.py: 20",
+        "0 of %d executable lines never ran"
+        % len(line_cover.executable_lines(str(package / "mod.py"))),
+        "pytest exited with status 1, 1 failed",
+        "failed: tests/test_toy.py::test_budget",
+    ]
+    assert proc.returncode == 2

@@ -155,23 +155,50 @@ class TestListOps:
 
 
 class TestMembership:
-    def test_detach_empties_the_list(self):
-        store, _, (a,) = make_store(1)
-        lst = store.list_create()
-        store.list_add(lst, a, tail=True)
-        store.detach(a)
-        assert store.list_length(lst) == 0
-        assert listed_on(store, a) is None
-        store.check_consistency()
+    class ListsFileOne(PolicyHooks):
+        """Lists the folios of file 1 only and proposes nothing, so every
+        eviction is the fallback's."""
 
-    def test_detach_of_unlisted_folio_is_a_noop(self):
-        store, _, (a, b) = make_store(2)
-        lst = store.list_create()
-        store.list_add(lst, a, tail=True)
-        store.detach(b)
-        store.detach(12345)
-        assert store.list_members(lst) == [a]
-        store.check_consistency()
+        name = "lists-file-1"
+
+        def policy_init(self, cg):
+            self.cg = cg
+            self.queue = cg.list_create()
+
+        def folio_added(self, folio):
+            if folio.file == 1:
+                self.cg.list_add(self.queue, folio.id, tail=True)
+
+    def test_removal_empties_the_list(self):
+        policy = self.ListsFileOne()
+        sim = Simulator()
+        sim.add_cgroup(0, 1)
+        sim.attach_policy(0, policy)
+        sim.access_page(0, 1, 0)
+        a = sim.find_folio(1, 0).id
+        handle = sim.cgroup(0).policy_cg
+        assert handle.list_members(policy.queue) == [a]
+        sim.access_page(0, 1, 1)  # the fallback evicts a
+        b = sim.find_folio(1, 1).id
+        assert sim.stats(0).evictions_fallback == 1
+        assert handle.list_members(policy.queue) == [b]
+        assert listed_on(handle, a) is None
+        sim.remove_file(0, 1)
+        assert handle.list_length(policy.queue) == 0
+        sim.check_invariants()
+
+    def test_removal_of_unlisted_folio_leaves_the_lists_alone(self):
+        policy = self.ListsFileOne()
+        sim = Simulator()
+        sim.add_cgroup(0, 4)
+        sim.attach_policy(0, policy)
+        sim.access_page(0, 1, 0)
+        sim.access_page(0, 2, 0)
+        a = sim.find_folio(1, 0).id
+        assert sim.remove_file(0, 2) == 1
+        handle = sim.cgroup(0).policy_cg
+        assert handle.list_members(policy.queue) == [a]
+        sim.check_invariants()
 
     def test_eviction_bypasses_instance_list_del(self):
         # wrappers set on the handle instance see only the policy's calls
@@ -667,7 +694,7 @@ class TestLazyWalk:
             if fid == fids[0]:
                 # what the core does when a folio leaves the cache
                 del cgroup.inactive[fids[2]]
-                store.detach(fids[2])
+                store.list_del(fids[2])
             return Verdict.KEEP
 
         with pytest.raises(RuntimeError):
@@ -959,6 +986,103 @@ class TestScoreFloor:
         scores = iter([junk, 1])
         assert_one_round_is_a_hook_error(lambda fid: next(scores),
                                          IterOptions(mode=IterMode.SCORE))
+
+
+#: Scores of the five nodes in score mode, which ranks them 1, 3, 2, 4, 0.
+WALK_SCORES = (5, 1, 3, 2, 4)
+
+#: The walk modes: evaluate (every node EVICT), and score mode without a
+#: floor and with one that only node 1 reaches; both score passes answer
+#: alike.
+WALK_MODES = {
+    "evaluate": IterOptions(scan_limit=5),
+    "score": IterOptions(mode=IterMode.SCORE, scan_limit=5),
+    "score floor": IterOptions(mode=IterMode.SCORE, scan_limit=5,
+                               score_floor=1),
+}
+
+
+def propose_this(ctx, fids, fid):
+    ctx.propose(fid)
+
+
+def propose_last(ctx, fids, fid):
+    ctx.propose(fids[4])
+
+
+def fill(ctx, fids, fid):
+    ctx.nr_candidates_proposed = ctx.nr_candidates_requested
+
+
+def replace_candidates(ctx, fids, fid):
+    ctx.candidates = [99]
+
+
+def unset_count(ctx, fids, fid):
+    ctx.nr_candidates_proposed = None
+
+
+def frozen_candidates(ctx, fids, fid):
+    ctx.candidates = ()
+
+
+def proposal_walk(mode, action):
+    """Walk five listed folios for a 3-candidate round in ``mode``; the
+    callback runs ``action`` at the second node. Returns the walk's
+    return value, the candidates as node positions (99 as itself) and
+    the proposed count."""
+    store, _, fids = make_store(5)
+    lst = store.list_create()
+    for fid in fids:
+        store.list_add(lst, fid, tail=True)
+    ctx = EvictionContext(3)
+    opts = WALK_MODES[mode]
+
+    def callback(fid):
+        if fid == fids[1]:
+            action(ctx, fids, fid)
+        if opts.mode is IterMode.SCORE:
+            return WALK_SCORES[fids.index(fid)]
+        return Verdict.EVICT
+
+    examined = store.list_iterate(lst, callback, opts, ctx)
+    return (examined,
+            [fids.index(c) if c in fids else c for c in ctx.candidates],
+            ctx.nr_candidates_proposed)
+
+
+class TestWalkProposals:
+    """A walk appends its candidates under ``EvictionContext.propose``'s
+    rules, reading the context as the callback left it."""
+
+    @pytest.mark.parametrize("mode", list(WALK_MODES))
+    @pytest.mark.parametrize("action, evaluate, score", [
+        (None, (3, [0, 1, 2], 3), (5, [1, 3, 2], 3)),
+        # a node the callback proposed is not appended twice
+        (propose_this, (3, [0, 1, 2], 3), (5, [1, 3, 2], 3)),
+        (propose_last, (2, [0, 4, 1], 3), (5, [4, 1, 3], 3)),
+        (fill, (2, [0], 3), (5, [], 3)),
+        # appends go to the list the context holds when they are made
+        (replace_candidates, (3, [99, 1, 2], 3), (5, [99, 1, 3, 2], 3)),
+    ], ids=["no action", "propose_this", "propose_last", "fill",
+            "replace_candidates"])
+    def test_candidates_and_return_value(self, mode, action, evaluate,
+                                         score):
+        result = proposal_walk(mode, action or (lambda *args: None))
+        assert result == (evaluate if mode == "evaluate" else score)
+
+    @pytest.mark.parametrize("mode", list(WALK_MODES))
+    @pytest.mark.parametrize("action, error, message", [
+        (unset_count, TypeError, "'>=' not supported between instances of "
+                                 "'NoneType' and 'int'"),
+        (frozen_candidates, AttributeError,
+         "'tuple' object has no attribute 'append'"),
+    ], ids=["unset_count", "frozen_candidates"])
+    def test_a_broken_context_raises_as_propose_does(self, mode, action,
+                                                     error, message):
+        with pytest.raises(error) as raised:
+            proposal_walk(mode, action)
+        assert str(raised.value) == message
 
 
 def assert_one_round_is_a_hook_error(callback, opts):

@@ -84,6 +84,26 @@ def test_bench_cell_counts_repeat():
             "harness:replay"} <= functions
 
 
+def test_matrix_row_is_a_single_cell_runs_totals():
+    args = [os.path.join(TOOLS, "work_count.py"), "--workload",
+            "ycsb-c-zipf", "--size", "300"]
+    matrix = run(args + ["--policy", "all"], work_count.ROOT).splitlines()
+    assert matrix[0] == "work per page, seed 1, size 300"
+    assert matrix[1] == work_count.matrix_header()
+    rows = {" ".join(line.split()[:3]): line.split()[3:]
+            for line in matrix[2:]}
+    assert list(rows) == ["%s x ycsb-c-zipf" % policy for policy in
+                          ("default", "fifo", "mru", "lfu", "s3fifo", "lhd",
+                           "getscan")]
+    single = run(args + ["--policy", "lhd"], work_count.ROOT).splitlines()
+    # total first, then the layers in the single run's order
+    expected = []
+    for line in [single[8]] + single[2:8]:
+        _, calls, per_page = line.rsplit(None, 2)
+        expected += [per_page, "%.2f" % (int(calls) / 300)]
+    assert rows["lhd x ycsb-c-zipf"] == expected
+
+
 def test_layers():
     assert work_count.layer_of("policies:LhdPolicy.folio_accessed") == \
         "hook dispatch"
@@ -92,6 +112,10 @@ def test_layers():
     assert work_count.layer_of("policies:LhdPolicy.__init__") == "set-up"
     assert work_count.layer_of(
         "policies:LhdPolicy.evict_folios.<locals>.score") == "eviction round"
+    assert work_count.layer_of(
+        "policies:LhdPolicy.policy_init.<locals>.score") == "eviction round"
+    assert work_count.layer_of("core:Simulator._remove_folio") == \
+        "eviction round"
     assert work_count.layer_of("workloads:need_int") == "set-up"
     assert work_count.layer_of("policy_api:PolicyCgroup.list_move") == \
         "hook dispatch"
@@ -104,8 +128,8 @@ def test_layers():
 
 def test_every_exact_name_names_a_function():
     # a name no code object carries any more counts nothing (the handle's
-    # _move and detach are aliases, whose code is list_move's and
-    # list_del's); a wildcard is a rule for functions yet to come
+    # _move is an alias, whose code is list_move's); a wildcard is a rule
+    # for functions yet to come
     names = set()
     for path in glob.glob(os.path.join(work_count.SOURCE, "*.py")):
         module = os.path.splitext(os.path.basename(path))[0]

@@ -19,8 +19,12 @@ is the one the tests need anyway.
 
 Output: one line per module with never-run lines, as
 ``<file>: <line>, <first>-<last>, ...``, then a total. Lines listed in
-``EXPECTED`` are reported apart and not counted. Exit status is pytest's
-if it failed, else 1 if some line never ran, else 0.
+``EXPECTED`` are reported apart and not counted. If pytest failed, its
+exit status and the ids of the tests that failed (or could not be
+collected) follow, apart from the line result: a test that fails only
+under the trace hook, such as a wall-clock budget, shows there and not
+as missed lines. Exit status: 0 if pytest passed and every line ran; 1
+for lines that never ran, 2 for a failed pytest run, 3 for both.
 """
 
 from __future__ import annotations
@@ -71,9 +75,27 @@ def in_package(source: str):
     return test
 
 
+def failure_plugin(failed: list) -> types.ModuleType:
+    """A pytest plugin module that appends to ``failed`` the id of each
+    test or collector that fails, once each, in report order."""
+    # built, not imported, so pytest must not try to rewrite its asserts
+    plugin = types.ModuleType("_line_cover_failures", "PYTEST_DONT_REWRITE")
+
+    def record(report):
+        if report.failed and report.nodeid not in failed:
+            failed.append(report.nodeid)
+
+    plugin.pytest_runtest_logreport = record
+    plugin.pytest_collectreport = record
+    return plugin
+
+
 def trace_run(source: str, pytest_args: list) -> tuple:
-    """Run pytest under the hook; returns (exit status, {path: lines run})."""
+    """Run pytest under the hook; returns (exit status, {path: lines run},
+    ids of the tests that failed)."""
     ran: dict = {}
+    failed: list = []
+    plugin = failure_plugin(failed)
 
     def local(frame, event, arg):
         if event == "line":
@@ -90,7 +112,9 @@ def trace_run(source: str, pytest_args: list) -> tuple:
         return local
 
     argv = sys.argv
-    sys.argv = ["pytest"] + pytest_args
+    # -p imports the plugin by name, and finds it in sys.modules
+    sys.modules[plugin.__name__] = plugin
+    sys.argv = ["pytest", "-p", plugin.__name__] + pytest_args
     sys.settrace(hook)
     try:
         runpy.run_module("pytest", run_name="__main__", alter_sys=True)
@@ -100,10 +124,11 @@ def trace_run(source: str, pytest_args: list) -> tuple:
     finally:
         sys.settrace(None)
         sys.argv = argv
+        del sys.modules[plugin.__name__]
     by_path: dict = {}
     for filename, lines in ran.items():
         by_path.setdefault(os.path.abspath(filename), set()).update(lines)
-    return status, by_path
+    return status, by_path, failed
 
 
 def spans(lines) -> str:
@@ -146,7 +171,7 @@ def main(argv=None) -> int:
                         help="arguments for pytest, after --")
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.dirname(SOURCE))
-    status, ran = trace_run(SOURCE, args.pytest_args)
+    status, ran, failed = trace_run(SOURCE, args.pytest_args)
     missed, expected, total = never_run(SOURCE, ran)
     for name, lines in missed.items():
         print("%s: %s" % (name, spans(lines)))
@@ -155,8 +180,11 @@ def main(argv=None) -> int:
     count = sum(map(len, missed.values()))
     print("%d of %d executable lines never ran" % (count, total))
     if status:
-        return status
-    return 1 if count else 0
+        print("pytest exited with status %d, %d failed" % (status,
+                                                            len(failed)))
+        for nodeid in failed:
+            print("failed: %s" % nodeid)
+    return (1 if count else 0) | (2 if status else 0)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,14 @@ opcodes, calls and opcodes per page, then every function that ran,
 busiest first; ``LAYERS`` maps functions to layers. Tracing makes a
 replay 20 to 25 times slower (about 1 s for a bench cell). Standard
 library only.
+
+``all`` as the workload, the policy or both counts every cell they name,
+each in a subprocess of its own, so a row is what a single-cell run of
+that cell prints whatever ran before it (caches such as the Zipfian
+table's would otherwise carry over from cell to cell). It prints one row
+per cell: opcodes and calls per page, in total and per layer:
+
+    python3 tools/work_count.py --workload all --policy all
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import argparse
 import fnmatch
 import importlib.util
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -51,12 +60,13 @@ LAYERS = (
         "harness:build_events")),
     ("eviction round", (
         "core:Simulator._drive", "core:Simulator.default_evict",
-        "core:Simulator._demote_head", "core:Simulator._evict_folio",
-        "core:Simulator._forget_folio", "core:_proposed_before",
+        "core:Simulator._demote_head", "core:Simulator._remove_folio",
+        "core:_proposed_before",
         "policy_api:PolicyCgroup.list_iterate",
         "policy_api:PolicyCgroup._score_pass",
         "policy_api:PolicyCgroup.list_length", "policy_api:EvictionContext.*",
         "policies:*.evict_folios*", "policies:_evict_all",
+        "policies:LhdPolicy.policy_init.<locals>.score",
         "policies:LfuPolicy.policy_init.<locals>.admit",
         "policies:S3FifoPolicy.policy_init.<locals>.judge*")),
     ("hook dispatch", (
@@ -164,6 +174,60 @@ def report(functions: dict, pages: int) -> list:
     return lines
 
 
+def layer_totals(lines: list) -> tuple:
+    """(pages, {layer or "total": (opcodes, calls)}) from the output lines
+    of a single-cell run."""
+    pages = int(lines[0].split(": ")[1].split()[0])
+    totals = {}
+    for line in lines[2:2 + len(GROUPS)]:
+        name, opcodes, calls, _ = line.rsplit(None, 3)
+        totals[name.strip()] = (int(opcodes), int(calls))
+    return pages, totals
+
+
+#: The matrix's column groups, in order: the total, then each layer.
+GROUPS = ["total"] + [layer for layer, _ in LAYERS] + [SETUP]
+
+
+def matrix_header() -> str:
+    """The matrix's column names: the cell, then opcodes and calls per
+    page of each group, a layer named by its first word."""
+    return " ".join(["%-28s" % "cell"] + ["%13s %7s" % (group.split()[0]
+                                                       + ".ops", "calls")
+                                          for group in GROUPS])
+
+
+def matrix_row(cell: str, pages: int, totals: dict) -> str:
+    """One cell's row under ``matrix_header``."""
+    columns = ["%-28s" % cell]
+    for group in GROUPS:
+        opcodes, calls = totals[group]
+        columns.append("%13.1f %7.2f" % (opcodes / pages, calls / pages))
+    return " ".join(columns)
+
+
+def matrix(workloads: list, policies: list, seed: int, size) -> int:
+    """Count each cell in a subprocess and print its row."""
+    print("work per page, seed %d, size %s"
+          % (seed, "the benchmark's" if size is None else size))
+    print(matrix_header())
+    for workload in workloads:
+        for policy in policies:
+            args = [sys.executable, os.path.abspath(__file__), "--workload",
+                    workload, "--policy", policy, "--seed", str(seed)]
+            if size is not None:
+                args += ["--size", str(size)]
+            proc = subprocess.run(args, stdout=subprocess.PIPE, text=True,
+                                  check=False)
+            if proc.returncode:
+                print("%s x %s failed with status %d"
+                      % (policy, workload, proc.returncode), file=sys.stderr)
+                return proc.returncode
+            pages, totals = layer_totals(proc.stdout.splitlines())
+            print(matrix_row("%s x %s" % (policy, workload), pages, totals))
+    return 0
+
+
 def main(argv=None) -> int:
     # perfbench/run.py, for its workloads and scenarios; it imports its
     # tracer from its own directory
@@ -171,13 +235,19 @@ def main(argv=None) -> int:
     bench = load("perfbench_run", os.path.join(PERFBENCH, "run.py"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True,
-                        choices=sorted(bench.WORKLOADS))
-    parser.add_argument("--policy", required=True, choices=bench.POLICIES)
+                        choices=sorted(bench.WORKLOADS) + ["all"])
+    parser.add_argument("--policy", required=True,
+                        choices=list(bench.POLICIES) + ["all"])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size", type=int, default=None,
                         help="stream size (events, or passes for "
                              "filesearch-loop); default: the benchmark's")
     args = parser.parse_args(argv)
+    if "all" in (args.workload, args.policy):
+        return matrix(list(bench.WORKLOADS) if args.workload == "all"
+                      else [args.workload],
+                      list(bench.POLICIES) if args.policy == "all"
+                      else [args.policy], args.seed, args.size)
     sys.path.insert(0, os.path.dirname(SOURCE))
     import pagecachesim as pkg
     if os.path.dirname(os.path.abspath(pkg.__file__)) != SOURCE:
