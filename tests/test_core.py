@@ -3,6 +3,7 @@ the eviction driver with policy validation and fallback, and file removal."""
 
 import random
 from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
@@ -605,6 +606,60 @@ class TestDriveEviction:
             sim.access_page(0, file, page)
         expect, _, _ = two_list_trace(trace, 4)
         assert [(f, o) for _, f, o in sim.eviction_log] == expect
+
+
+def _parent_snapshot(candidates, count, needed):
+    """The snapshot rule as an expression: the round's candidates."""
+    return candidates[:max(0, min(count, len(candidates), needed))]
+
+
+_COUNTS = [-1, 0, True, False, 0.5, 1.0, 2.0, 2.5, float("nan"), None, "x",
+           Fraction(5, 2)]
+_CONTAINERS = {
+    "one id": lambda ids: [ids[0]],
+    "three ids": lambda ids: list(ids[:3]),
+    "tuple": lambda ids: tuple(ids[:3]),
+    "empty": lambda ids: [],
+    "None": lambda ids: None,
+}
+
+
+class TestSnapshotRule:
+    """Whatever a policy leaves in ``nr_candidates_proposed`` and
+    ``candidates``, the round evicts the snapshot
+    ``candidates[:max(0, min(count, len(candidates), needed))]``, or counts
+    a hook error where that expression raises."""
+
+    @pytest.mark.parametrize("needed", [1, 3], ids=["request 1",
+                                                    "request 3"])
+    @pytest.mark.parametrize("container", list(_CONTAINERS))
+    @pytest.mark.parametrize("count", _COUNTS, ids=repr)
+    def test_round_takes_the_snapshot(self, count, container, needed):
+        make = _CONTAINERS[container]
+
+        class SettingPolicy(FixedProposalPolicy):
+            def evict_folios(self, ctx, cg):
+                ctx.candidates = make(cg.list_members(self.queue))
+                ctx.nr_candidates_proposed = count
+
+        sim = make_sim(limit_pages=8, policy=SettingPolicy())
+        for page in range(8):
+            sim.access_page(0, 1, page)  # folio ids 1 to 8
+        if needed == 1:
+            sim.access_page(0, 1, 8)
+        else:
+            sim.set_limit(0, 5)
+        try:
+            accepted = len(_parent_snapshot(make(list(range(1, 10))), count,
+                                            needed))
+            errors = 0
+        except TypeError:
+            accepted, errors = 0, 1
+        stats = sim.stats(0)
+        assert (stats.hook_errors, stats.invalid_candidates,
+                stats.evictions_policy, stats.evictions_fallback) == (
+                    errors, 0, accepted, needed - accepted)
+        sim.check_invariants()
 
 
 class RearmingPolicy(RecordingPolicy):

@@ -26,8 +26,12 @@ def countdown(n):
         n -= 1
 
 
+def lengths(items):
+    return len(items) + len(items[0])
+
+
 def main():
-    return fib(10) + sum(countdown(5))
+    return fib(10) + sum(countdown(5)) + lengths(["ab"])
 '''
 
 RUN_TOY = '''\
@@ -56,14 +60,18 @@ def test_toy_package_counts_repeat(tmp_path):
     (package / "mod.py").write_text(MODULE)
     first = run(["-c", RUN_TOY], tmp_path)
     assert run(["-c", RUN_TOY], tmp_path) == first
-    rows = {line.split()[0]: line.split()[1:3]
+    rows = {line.split()[0]: line.split()[1:4]
             for line in first.splitlines()[9:]}
     # fib(10) makes 177 calls; the generator is entered once per value
     # and once more to finish
-    assert rows["mod:fib"][1] == "177"
-    assert rows["mod:countdown"][1] == "6"
+    assert rows["mod:fib"][1:] == ["177", "0"]
+    assert rows["mod:countdown"][1:] == ["6", "0"]
+    # two calls of len; lengths' own call is a Python call, not a builtin
+    assert rows["mod:lengths"][1:] == ["1", "2"]
+    # sum is main's one builtin call
+    assert rows["mod:main"][1:] == ["1", "1"]
     assert rows.keys() == {"function", "mod:fib", "mod:countdown",
-                           "mod:main"}
+                           "mod:lengths", "mod:main"}
 
 
 def test_bench_cell_counts_repeat():
@@ -99,8 +107,9 @@ def test_matrix_row_is_a_single_cell_runs_totals():
     # total first, then the layers in the single run's order
     expected = []
     for line in [single[8]] + single[2:8]:
-        _, calls, per_page = line.rsplit(None, 2)
-        expected += [per_page, "%.2f" % (int(calls) / 300)]
+        _, calls, c_calls, per_page = line.rsplit(None, 3)
+        expected += [per_page, "%.2f" % (int(calls) / 300),
+                     "%.2f" % (int(c_calls) / 300)]
     assert rows["lhd x ycsb-c-zipf"] == expected
 
 

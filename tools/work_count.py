@@ -6,9 +6,12 @@ cache size and policy parameters) once, under a ``sys.settrace`` hook that
 traces only frames whose code lies in ``src/pagecachesim`` (the frame
 filter of ``line_cover.py``) and counts, per function, the bytecode
 instructions it executed (``opcode`` trace events) and the times a frame
-of it was entered (generator resumptions included). Instructions run in
-the standard library or in C code count only as the one instruction
-that called them. The counts do not depend on the host's speed or load:
+of it was entered (generator resumptions included). A ``sys.setprofile``
+hook with the same filter counts, per function, the builtin calls it made
+(``c_call`` profile events: ``len``, ``isinstance``, a ``dict.get``; not
+a call of a type such as ``enumerate``). Instructions run in the
+standard library or in C code count only as the one instruction that
+called them. The counts do not depend on the host's speed or load:
 two runs of one tree print the same output, so a change that removes work
 shows in them even where wall time cannot resolve it. A change that
 makes each instruction cheaper does not show; time that with
@@ -20,16 +23,17 @@ The cell is ``harness.run`` on the cell's scenario, validation and the
 report included. The workload is built once before the traced run, as
 the benchmark's page count needs it, so a table the generators cache
 (the Zipfian CDF) is already built. The output gives each layer's
-opcodes, calls and opcodes per page, then every function that ran,
-busiest first; ``LAYERS`` maps functions to layers. Tracing makes a
-replay 20 to 25 times slower (about 1 s for a bench cell). Standard
-library only.
+opcodes, calls, builtin calls (``c_calls``) and opcodes per page, then
+every function that ran, busiest first; ``LAYERS`` maps functions to
+layers. Tracing makes a replay 20 to 25 times slower (about 1 s for a
+bench cell). Standard library only.
 
 ``all`` as the workload, the policy or both counts every cell they name,
 each in a subprocess of its own, so a row is what a single-cell run of
 that cell prints whatever ran before it (caches such as the Zipfian
 table's would otherwise carry over from cell to cell). It prints one row
-per cell: opcodes and calls per page, in total and per layer:
+per cell: opcodes, calls and builtin calls per page, in total and per
+layer:
 
     python3 tools/work_count.py --workload all --policy all
 """
@@ -99,19 +103,23 @@ def load(name: str, path: str):
 
 
 def count_work(source: str, fn) -> dict:
-    """Call ``fn()`` under the hook. Returns ``{code object: [opcodes,
-    calls]}`` for the functions of ``source`` that ran."""
+    """Call ``fn()`` under the hooks. Returns ``{code object: [opcodes,
+    calls, builtin calls]}`` for the functions of ``source`` that ran."""
     inside = load("line_cover",
                   os.path.join(HERE, "line_cover.py")).in_package(source)
     counts: dict = {}
+
+    def counted(code) -> list:
+        acc = counts.get(code)
+        if acc is None:
+            acc = counts[code] = [0, 0, 0]
+        return acc
 
     def hook(frame, event, arg):
         code = frame.f_code
         if not inside(code.co_filename):
             return None
-        acc = counts.get(code)
-        if acc is None:
-            acc = counts[code] = [0, 0]
+        acc = counted(code)
         acc[1] += 1
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
@@ -123,11 +131,20 @@ def count_work(source: str, fn) -> dict:
 
         return local
 
+    def profile(frame, event, arg):
+        # the frame of a c_call event is the caller's
+        if event == "c_call":
+            code = frame.f_code
+            if inside(code.co_filename):
+                counted(code)[2] += 1
+
+    sys.setprofile(profile)
     sys.settrace(hook)
     try:
         fn()
     finally:
         sys.settrace(None)
+        sys.setprofile(None)
     return counts
 
 
@@ -139,49 +156,50 @@ def layer_of(name: str) -> str:
 
 
 def by_function(counts: dict) -> dict:
-    """``{"module:qualname": [opcodes, calls]}``, the module without
-    ``.py``; code objects that share a name are summed."""
+    """``{"module:qualname": [opcodes, calls, builtin calls]}``, the
+    module without ``.py``; code objects that share a name are summed."""
     out: dict = {}
-    for code, (opcodes, calls) in counts.items():
+    for code, counted in counts.items():
         module = os.path.splitext(os.path.basename(code.co_filename))[0]
-        acc = out.setdefault("%s:%s" % (module, code.co_qualname), [0, 0])
-        acc[0] += opcodes
-        acc[1] += calls
+        acc = out.setdefault("%s:%s" % (module, code.co_qualname),
+                             [0, 0, 0])
+        for i, n in enumerate(counted):
+            acc[i] += n
     return out
 
 
 def report(functions: dict, pages: int) -> list:
     """The output lines: one per layer, a total, then one per function,
     most opcodes first, ties by name."""
-    layers = {layer: [0, 0] for layer, _ in LAYERS}
-    layers[SETUP] = [0, 0]
-    for name, (opcodes, calls) in functions.items():
+    layers = {layer: [0, 0, 0] for layer, _ in LAYERS}
+    layers[SETUP] = [0, 0, 0]
+    for name, counted in functions.items():
         acc = layers[layer_of(name)]
-        acc[0] += opcodes
-        acc[1] += calls
-    total = [sum(acc[0] for acc in layers.values()),
-             sum(acc[1] for acc in layers.values())]
-    row = "%-58s %12s %10s %12s"
-    lines = [row % ("layer", "opcodes", "calls", "opcodes/page")]
-    for layer, (opcodes, calls) in list(layers.items()) + [("total", total)]:
-        lines.append(row % (layer, opcodes, calls, "%.1f" % (opcodes / pages)
-                            if pages else "-"))
+        for i, n in enumerate(counted):
+            acc[i] += n
+    total = [sum(column) for column in zip(*layers.values())]
+    row = "%-58s %12s %10s %10s %12s"
+    lines = [row % ("layer", "opcodes", "calls", "c_calls", "opcodes/page")]
+    for layer, (opcodes, calls, c_calls) in (list(layers.items())
+                                             + [("total", total)]):
+        lines.append(row % (layer, opcodes, calls, c_calls,
+                            "%.1f" % (opcodes / pages) if pages else "-"))
     lines.append("")
-    lines.append(row % ("function", "opcodes", "calls", "layer"))
-    for name, (opcodes, calls) in sorted(functions.items(),
-                                         key=lambda kv: (-kv[1][0], kv[0])):
-        lines.append(row % (name, opcodes, calls, layer_of(name)))
+    lines.append(row % ("function", "opcodes", "calls", "c_calls", "layer"))
+    for name, (opcodes, calls, c_calls) in sorted(
+            functions.items(), key=lambda kv: (-kv[1][0], kv[0])):
+        lines.append(row % (name, opcodes, calls, c_calls, layer_of(name)))
     return lines
 
 
 def layer_totals(lines: list) -> tuple:
-    """(pages, {layer or "total": (opcodes, calls)}) from the output lines
-    of a single-cell run."""
+    """(pages, {layer or "total": (opcodes, calls, builtin calls)}) from
+    the output lines of a single-cell run."""
     pages = int(lines[0].split(": ")[1].split()[0])
     totals = {}
     for line in lines[2:2 + len(GROUPS)]:
-        name, opcodes, calls, _ = line.rsplit(None, 3)
-        totals[name.strip()] = (int(opcodes), int(calls))
+        name, opcodes, calls, c_calls, _ = line.rsplit(None, 4)
+        totals[name.strip()] = (int(opcodes), int(calls), int(c_calls))
     return pages, totals
 
 
@@ -190,19 +208,20 @@ GROUPS = ["total"] + [layer for layer, _ in LAYERS] + [SETUP]
 
 
 def matrix_header() -> str:
-    """The matrix's column names: the cell, then opcodes and calls per
-    page of each group, a layer named by its first word."""
-    return " ".join(["%-28s" % "cell"] + ["%13s %7s" % (group.split()[0]
-                                                       + ".ops", "calls")
-                                          for group in GROUPS])
+    """The matrix's column names: the cell, then opcodes, calls and
+    builtin calls per page of each group, a layer named by its first
+    word."""
+    return " ".join(["%-28s" % "cell"] + ["%13s %7s %7s" % (
+        group.split()[0] + ".ops", "calls", "c_calls") for group in GROUPS])
 
 
 def matrix_row(cell: str, pages: int, totals: dict) -> str:
     """One cell's row under ``matrix_header``."""
     columns = ["%-28s" % cell]
     for group in GROUPS:
-        opcodes, calls = totals[group]
-        columns.append("%13.1f %7.2f" % (opcodes / pages, calls / pages))
+        opcodes, calls, c_calls = totals[group]
+        columns.append("%13.1f %7.2f %7.2f" % (opcodes / pages, calls / pages,
+                                               c_calls / pages))
     return " ".join(columns)
 
 
