@@ -69,17 +69,41 @@ class Folio:
                 % (self.id, self.file, self.offset, self.owner, self.active))
 
 
-class CgroupStats:
-    """Per-cgroup counters. Hits and misses are attributed to the accessing
+class CgroupSim:
+    """One simulated cgroup: limit, lists, shadow table, optional policy,
+    and its counters. Hits and misses are attributed to the accessing
     cgroup; eviction, writeback, and removal counts to the folio's owner.
     ``accesses``, ``evictions`` and ``removals`` are read-only sums of
     other counters."""
 
-    __slots__ = ("hits", "misses", "evictions_policy", "evictions_fallback",
+    __slots__ = ("id", "limit_pages", "resident_pages", "active", "inactive",
+                 "shadow_table", "eviction_epoch", "policy",
+                 "policy_cg", "calls_accessed", "calls_removed",
+                 "hits", "misses", "evictions_policy", "evictions_fallback",
                  "invalid_candidates", "refault_activations", "writebacks",
                  "file_removed_folios", "hook_errors")
 
-    def __init__(self):
+    def __init__(self, cgroup_id: int, limit_pages: int):
+        self.id = cgroup_id
+        self.limit_pages = limit_pages
+        self.resident_pages = 0
+        # Folio id -> Folio: the cgroup's resident folios, each on the list
+        # its ``active`` flag names. OrderedDict gives FIFO order with O(1)
+        # removal.
+        self.active: OrderedDict = OrderedDict()
+        self.inactive: OrderedDict = OrderedDict()
+        # (file, offset) -> eviction epoch at eviction time; bounded at
+        # limit_pages entries, oldest dropped first.
+        self.shadow_table: OrderedDict = OrderedDict()
+        # Ticks on each eviction, as it happens; the eviction counters are
+        # added once per round, so a shadow entry needs this count.
+        self.eviction_epoch = 0
+        self.policy: PolicyHooks | None = None
+        self.policy_cg: PolicyCgroup | None = None
+        # Whether the core calls the policy's folio_accessed and
+        # folio_removed, decided at attach (see Simulator.attach_policy).
+        self.calls_accessed = False
+        self.calls_removed = False
         self.hits = 0
         self.misses = 0
         self.evictions_policy = 0
@@ -101,35 +125,6 @@ class CgroupStats:
     @property
     def removals(self):
         return self.evictions + self.file_removed_folios
-
-
-class CgroupSim:
-    """One simulated cgroup: limit, lists, shadow table, optional policy."""
-
-    __slots__ = ("id", "limit_pages", "resident_pages", "active", "inactive",
-                 "shadow_table", "eviction_epoch", "policy",
-                 "policy_cg", "calls_accessed", "calls_removed", "stats")
-
-    def __init__(self, cgroup_id: int, limit_pages: int):
-        self.id = cgroup_id
-        self.limit_pages = limit_pages
-        self.resident_pages = 0
-        # Folio id -> Folio: the cgroup's resident folios, each on the list
-        # its ``active`` flag names. OrderedDict gives FIFO order with O(1)
-        # removal.
-        self.active: OrderedDict = OrderedDict()
-        self.inactive: OrderedDict = OrderedDict()
-        # (file, offset) -> eviction epoch at eviction time; bounded at
-        # limit_pages entries, oldest dropped first.
-        self.shadow_table: OrderedDict = OrderedDict()
-        self.eviction_epoch = 0
-        self.policy: PolicyHooks | None = None
-        self.policy_cg: PolicyCgroup | None = None
-        # Whether the core calls the policy's folio_accessed and
-        # folio_removed, decided at attach (see Simulator.attach_policy).
-        self.calls_accessed = False
-        self.calls_removed = False
-        self.stats = CgroupStats()
 
 
 def _proposed_before(proposed, i, fid) -> bool:
@@ -256,17 +251,18 @@ class Simulator:
     def cgroup_ids(self):
         return list(self._cgroups)
 
-    def stats(self, cgroup_id: int) -> CgroupStats:
-        return self.cgroup(cgroup_id).stats
-
     def resident_pages(self, cgroup_id: int) -> int:
         return self.cgroup(cgroup_id).resident_pages
 
     def cgroup(self, cgroup_id: int) -> CgroupSim:
+        """The cgroup's record, which holds its counters too; ``stats``
+        names the same call."""
         cg = self._cgroups.get(cgroup_id)
         if cg is None:
             raise UnknownCgroupError("unknown cgroup %r" % cgroup_id)
         return cg
+
+    stats = cgroup
 
     def find_folio(self, file: int, offset: int) -> Folio | None:
         pages = self._pages.get(file)
@@ -294,11 +290,10 @@ class Simulator:
         cg = self._cgroups.get(cgroup_id)
         if cg is None:
             raise UnknownCgroupError("unknown cgroup %r" % cgroup_id)
-        stats = cg.stats
         pages = self._pages.get(file)
         folio = pages.get(offset) if pages else None
         if folio is not None:
-            stats.hits += 1
+            cg.hits += 1
             if write:
                 folio.dirty = True
             owner = cg if folio.owner == cgroup_id else self._cgroups[folio.owner]
@@ -316,10 +311,10 @@ class Simulator:
                 try:
                     policy.folio_accessed(folio)
                 except Exception:
-                    owner.stats.hook_errors += 1
+                    owner.hook_errors += 1
             return True
 
-        stats.misses += 1
+        cg.misses += 1
         fid = self._next_folio_id
         self._next_folio_id += 1
         folio = Folio(fid, file, offset, cgroup_id, write)
@@ -331,7 +326,7 @@ class Simulator:
                 and cg.eviction_epoch - evicted_epoch <= cg.resident_pages):
             folio.active = True
             cg.active[fid] = folio
-            stats.refault_activations += 1
+            cg.refault_activations += 1
         else:
             cg.inactive[fid] = folio
         if pages is None:
@@ -343,7 +338,7 @@ class Simulator:
             try:
                 cg.policy.folio_added(folio)
             except Exception:
-                stats.hook_errors += 1
+                cg.hook_errors += 1
         if cg.resident_pages > cg.limit_pages:
             self._drive(cg)
         return False
@@ -362,9 +357,7 @@ class Simulator:
         accepted without an ``isinstance`` call. Invalid ones are counted,
         repeats ignored; an accepted id's folio is gone, so earlier
         proposals are searched for a repeat only on a rejection. Each
-        accepted candidate counts in ``evictions_policy``. On fifo x
-        filesearch-loop, where each round asks for one candidate, a round
-        makes 3.77 builtin calls here on average (``tools/work_count.py``)."""
+        accepted candidate counts in ``evictions_policy``."""
         while cg.resident_pages > cg.limit_pages:
             needed = cg.resident_pages - cg.limit_pages
             if needed > CANDIDATES_MAX:
@@ -389,7 +382,7 @@ class Simulator:
                         n = needed
                     proposed = candidates[:n if n > 0 else 0]
                 except Exception:
-                    cg.stats.hook_errors += 1
+                    cg.hook_errors += 1
                 else:
                     inactive, active = cg.inactive, cg.active
                     i = 0
@@ -403,10 +396,10 @@ class Simulator:
                                 i += 1
                                 continue
                         if not _proposed_before(proposed, i, fid):
-                            cg.stats.invalid_candidates += 1
+                            cg.invalid_candidates += 1
                         i += 1
                     if evicted:
-                        cg.stats.evictions_policy += evicted
+                        cg.evictions_policy += evicted
             if evicted < needed:
                 evicted += self.default_evict(cg, needed - evicted)
             if evicted == 0:
@@ -444,7 +437,7 @@ class Simulator:
                 self._demote_head(cg)
             else:
                 break
-        cg.stats.evictions_fallback += evicted
+        cg.evictions_fallback += evicted
         return evicted
 
     def _demote_head(self, cg: CgroupSim) -> None:
@@ -489,7 +482,7 @@ class Simulator:
                 try:
                     cg.policy.folio_removed(folio)
                 except Exception:
-                    cg.stats.hook_errors += 1
+                    cg.hook_errors += 1
                 policy_cg.removal_reason = None
         pages = self._pages[folio.file]
         del pages[folio.offset]
@@ -498,7 +491,7 @@ class Simulator:
         cg.resident_pages -= 1
         if evicted:
             if folio.dirty:
-                cg.stats.writebacks += 1
+                cg.writebacks += 1
             if self.eviction_log is not None:
                 self.eviction_log.append((cg.id, folio.file, folio.offset))
 
@@ -516,7 +509,7 @@ class Simulator:
         for folio in folios:
             owner = self._cgroups[folio.owner]
             self._remove_folio(owner, folio, _FILE_REMOVED)
-            owner.stats.file_removed_folios += 1
+            owner.file_removed_folios += 1
         return len(folios)
 
     # -- deferred policy work ---------------------------------------------
@@ -537,7 +530,7 @@ class Simulator:
             try:
                 cg.policy.run_deferred()
             except Exception:
-                cg.stats.hook_errors += 1
+                cg.hook_errors += 1
 
     # -- invariant checking (tests) -----------------------------------------
 

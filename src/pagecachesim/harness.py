@@ -370,11 +370,6 @@ def compare(config: ScenarioConfig, policies) -> Report:
     return Report(rows)
 
 
-#: File ids of a merged stream's second tenant are shifted by this much so
-#: the two workloads never share pages.
-FILE_NAMESPACE_STRIDE = 1 << 32
-
-
 def merge_streams(first: list, second: list) -> list:
     """Interleave two event lists proportionally to their lengths, so both
     finish together and each stream's internal order is preserved. Events
@@ -394,11 +389,11 @@ def merge_streams(first: list, second: list) -> list:
     return merged
 
 
-def _retarget(events, cgroup, file_stride=0):
-    """Point a stream at one tenant: rewrite the cgroup id and optionally
-    shift file ids into a disjoint namespace."""
+def _retarget(events, cgroup, file_offset=0):
+    """Point a stream at one tenant: rewrite the cgroup id and add
+    ``file_offset`` to every file id."""
     for ev in events:
-        yield TraceEvent(ev.seq, ev.op, cgroup, ev.file + file_stride,
+        yield TraceEvent(ev.seq, ev.op, cgroup, ev.file + file_offset,
                          ev.offset_bytes, ev.len_bytes, ev.thread)
 
 
@@ -420,8 +415,8 @@ def scenario_isolation(config_a: ScenarioConfig,
     one workload. The two streams are merged round-robin, scaled by their
     lengths, and replayed under: both cgroups on the default policy, both
     on tenant A's policy, both on tenant B's policy, and the tailored
-    assignment. Tenant B's files are shifted into a disjoint namespace so
-    the tenants never share pages. Scenarios are named by policy, so two
+    assignment. Tenant B's file ids are shifted past tenant A's largest,
+    so the tenants never share pages. Scenarios are named by policy, so two
     tenants on one policy must share its params.
     """
     for label, cfg in (("first", config_a), ("second", config_b)):
@@ -441,8 +436,9 @@ def scenario_isolation(config_a: ScenarioConfig,
 
     stream_a = list(_retarget(build_events(config_a.workload, config_a.seed),
                               spec_a.id))
+    offset_b = 1 + max((ev.file for ev in stream_a), default=-1)
     stream_b = list(_retarget(build_events(config_b.workload, config_b.seed),
-                              spec_b.id, FILE_NAMESPACE_STRIDE))
+                              spec_b.id, offset_b))
     merged = merge_streams(stream_a, stream_b)
 
     default = ("default", {})

@@ -15,9 +15,7 @@ statistics throughout.
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import lru_cache
 from heapq import heapify, heappop, heappush, heapreplace
-from inspect import signature
 
 from .policy_api import (
     DEFAULT_SCAN_LIMIT,
@@ -523,30 +521,22 @@ POLICIES = {
 POLICY_NAMES = tuple(POLICIES)
 
 
-@lru_cache(maxsize=None)
-def _param_names(cls) -> frozenset:
-    """The keyword parameters ``cls`` accepts (none for None), read from
-    its signature once per class: ``inspect.signature`` takes tens of
-    microseconds, and every run builds each cgroup's policy twice."""
-    return frozenset(signature(cls).parameters) if cls else frozenset()
-
-
 def make_policy(name: str, params: dict | None = None) -> PolicyHooks | None:
     """Build a policy by name from ``POLICIES``. Returns None for "default".
 
     ``params`` holds keyword parameters of the class, ``scan_window``
-    included. An unknown name or parameter raises ValueError; the class
-    raises TypeError or ValueError, naming the parameter, for a bad value.
+    included. An unknown name, or any parameter for "default", raises
+    ValueError. The class call itself rejects an unknown parameter with
+    TypeError, and a bad value with TypeError or ValueError, each naming
+    the parameter.
     """
     if name not in POLICIES:
         raise ValueError("unknown policy %r (expected one of %s)"
                          % (name, ", ".join(POLICY_NAMES)))
     cls = POLICIES[name]
-    params = params or {}
-    unknown = sorted(set(params).difference(_param_names(cls)))
-    if unknown:
-        raise ValueError("unknown parameters for policy %r: %s"
-                         % (name, ", ".join(unknown)))
     if cls is None:
+        if params:
+            raise ValueError("policy 'default' takes no parameters, got %s"
+                             % ", ".join(sorted(params)))
         return None
-    return cls(**params)
+    return cls(**(params or {}))

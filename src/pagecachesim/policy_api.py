@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import islice
 
+from .workloads import need_int
+
 #: Fixed capacity of the candidate array in an eviction round.
 CANDIDATES_MAX = 32
 
@@ -168,9 +170,11 @@ def registry_memory_estimate(limit_pages: int, resident: int) -> int:
     Worst-case sizing: one bucket per page the cgroup may hold, 16 bytes of
     bucket head pointers each, plus 32 bytes of list-node state per filled
     entry. An empty registry therefore costs 0.4% of the cgroup's memory and
-    a full one 1.2%.
+    a full one 1.2%. ``limit_pages`` must be an int of at least 1 and
+    ``resident`` one of at least 0.
     """
-    if resident > limit_pages:
+    need_int("limit_pages", limit_pages)
+    if need_int("resident", resident, 0) > limit_pages:
         raise ValueError("resident (%d) exceeds limit_pages (%d)"
                          % (resident, limit_pages))
     return limit_pages * 16 + resident * 32

@@ -399,8 +399,13 @@ def instance_override(calls):
     return policy
 
 
+COUNTERS = ("hits", "misses", "evictions_policy", "evictions_fallback",
+            "invalid_candidates", "refault_activations", "writebacks",
+            "file_removed_folios", "hook_errors")
+
+
 def vars_of(stats):
-    return {name: getattr(stats, name) for name in type(stats).__slots__}
+    return {name: getattr(stats, name) for name in COUNTERS}
 
 
 class TestReplay:
@@ -672,6 +677,24 @@ class TestIsolation:
             for metrics in per_cgroup.values():
                 assert metrics.accesses > 0
 
+    def test_tenant_b_cannot_hit_a_page_of_tenant_a(self, tmp_path):
+        """Tenant A reads file 2**32 and tenant B file 0, each page 0 four
+        times: B's file ids start past A's largest, so each tenant faults
+        its own page once and hits it three times."""
+        def trace_config(cgroup, policy, file):
+            path = tmp_path / ("%d.csv" % cgroup)
+            write_trace(path, [TraceEvent(seq, Op.READ, 0, file, 0, 4096, 0)
+                               for seq in range(4)])
+            return ScenarioConfig(
+                cgroups=[CgroupSpec(cgroup, 8 * 4096, policy)],
+                workload=WorkloadSpec("trace", {"path": str(path)}))
+
+        report = scenario_isolation(trace_config(0, "lfu", 1 << 32),
+                                    trace_config(1, "mru", 0))
+        for per_cgroup in report.scenarios.values():
+            for metrics in per_cgroup.values():
+                assert (metrics.misses, metrics.hits) == (1, 3)
+
 
 class TestCli:
     def test_run_subcommand(self, capsys, tmp_path):
@@ -765,8 +788,11 @@ class TestCli:
         capsys.readouterr()
         # the default policy takes no parameters
         assert cli_main(argv + ["--param", "scan_window=64"]) == 1
-        assert "unknown parameters for policy 'default': scan_window" in \
+        assert "policy 'default' takes no parameters, got scan_window" in \
             capsys.readouterr().err
+        # a policy's class rejects a keyword it does not take
+        assert cli_main(argv + ["--policy", "fifo", "--param", "skip=3"]) == 1
+        assert "unexpected keyword argument 'skip'" in capsys.readouterr().err
 
     def test_validation_error_exits_nonzero(self, capsys):
         rc = cli_main(["run", "--workload", "ycsb-c:keyspace=100,count=100",

@@ -898,8 +898,12 @@ class TestFactory:
     def test_unknown_name_or_param_rejected(self):
         with pytest.raises(ValueError):
             make_policy("clock")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="unexpected keyword argument "
+                                            "'skip'"):
             make_policy("fifo", {"skip": 3})
+        with pytest.raises(ValueError, match="takes no parameters, got "
+                                             "scan_window"):
+            make_policy("default", {"scan_window": 64})
 
     @pytest.mark.parametrize("cls, params, error", [
         (MruPolicy, {"skip": 1.5}, TypeError),

@@ -303,6 +303,20 @@ class TestMemoryEstimate:
         with pytest.raises(ValueError):
             registry_memory_estimate(4, 5)
 
+    @pytest.mark.parametrize("limit_pages, resident, error, name", [
+        (-1, -1, ValueError, "limit_pages"),
+        (4, -3, ValueError, "resident"),
+        (0, 0, ValueError, "limit_pages"),
+        (2.5, 0, TypeError, "limit_pages"),
+        (True, False, TypeError, "limit_pages"),
+        (4, False, TypeError, "resident"),
+        (4, 1.0, TypeError, "resident"),
+    ])
+    def test_bad_sizes_rejected_by_name(self, limit_pages, resident, error,
+                                        name):
+        with pytest.raises(error, match=name):
+            registry_memory_estimate(limit_pages, resident)
+
 
 class TestIterateEvaluate:
     def test_evict_all_until_ctx_full(self):

@@ -132,7 +132,7 @@ def test_layers():
         "hook dispatch"
     assert work_count.layer_of("policy_api:PolicyHooks.policy_init") == \
         "set-up"
-    assert work_count.layer_of("core:CgroupStats.accesses") == "reporting"
+    assert work_count.layer_of("core:CgroupSim.accesses") == "reporting"
 
 
 def test_every_exact_name_names_a_function():

@@ -51,8 +51,8 @@ WINDOWS = (4, 8, 32, 40, 64, 512)
 LIMITS = (8, 20, 50, 100)
 #: Operations per trace.
 EVENTS = 2500
-#: The ``CgroupStats`` counters compared, read by name whether a tree
-#: stores a counter or derives it.
+#: The per-cgroup counters compared, read by name from ``sim.stats(id)``
+#: whether a tree stores a counter or derives it.
 COUNTERS = ("accesses", "hits", "misses", "evictions_policy",
             "evictions_fallback", "invalid_candidates", "refault_activations",
             "writebacks", "file_removed_folios", "hook_errors")

@@ -87,7 +87,7 @@ LAYERS = (
         "harness:replay")),
     ("reporting", (
         "harness:collect_metrics*", "harness:_check_conservation",
-        "core:CgroupStats.[!_]*",
+        "core:CgroupSim.[!_]*",
         "harness:Report.*", "harness:Metrics.*", "harness:_cell",
         "harness:_ratio")),
 )
